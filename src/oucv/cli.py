@@ -13,6 +13,7 @@ import json
 import math
 import sys
 from pathlib import Path
+from typing import Iterator
 
 import numpy as np
 
@@ -50,18 +51,35 @@ def _emit_error(err: Exception) -> None:
     print(line, file=sys.stderr)
 
 
-def _read_point_file(path: str) -> np.ndarray:
-    values = []
+def _read_rows(path: str) -> Iterator[list[float]]:
+    """The numeric rows of a comma-separated file, one at a time.
+
+    Blank lines and lines starting with '#' are skipped. The first other
+    line may be a header: it is skipped when it does not parse. Any later
+    row that does not parse raises an InvalidParameterError naming its
+    line.
+    """
+    header_allowed = True
     with open(path) as fh:
-        for line in fh:
+        for lineno, line in enumerate(fh, 1):
             line = line.strip()
             if not line or line.startswith("#"):
                 continue
             try:
-                values.append(float(line.split(",")[0]))
+                row = list(map(float, line.split(",")))
             except ValueError:
-                continue  # header row
-    return np.asarray(values, dtype=float)
+                if not header_allowed:
+                    raise InvalidParameterError(
+                        f"{path}, line {lineno}: cannot parse row {line!r}"
+                    ) from None
+                header_allowed = False
+                continue
+            header_allowed = False
+            yield row
+
+
+def _read_point_file(path: str) -> np.ndarray:
+    return np.asarray([row[0] for row in _read_rows(path)], dtype=float)
 
 
 def _design_from_spec(spec: str) -> Design:
@@ -81,24 +99,15 @@ def _design_from_spec(spec: str) -> Design:
 def _read_data_csv(path: str) -> tuple[Design, np.ndarray]:
     """Read an (index,s,value) or (s,value) CSV into a design and data vector."""
     s_vals, y_vals = [], []
-    with open(path) as fh:
-        for line in fh:
-            line = line.strip()
-            if not line or line.startswith("#"):
-                continue
-            cells = line.split(",")
-            try:
-                row = [float(c) for c in cells]
-            except ValueError:
-                continue  # header row
-            if len(row) >= 3:
-                s_vals.append(row[1])
-                y_vals.append(row[2])
-            elif len(row) == 2:
-                s_vals.append(row[0])
-                y_vals.append(row[1])
-            else:
-                raise InvalidParameterError(f"cannot parse data row {line!r} in {path}")
+    for row in _read_rows(path):
+        if len(row) >= 3:
+            s_vals.append(row[1])
+            y_vals.append(row[2])
+        elif len(row) == 2:
+            s_vals.append(row[0])
+            y_vals.append(row[1])
+        else:
+            raise InvalidParameterError(f"cannot parse data row {row!r} in {path}")
     return from_points(np.asarray(s_vals)), np.asarray(y_vals)
 
 
@@ -107,16 +116,9 @@ def _trend_from_config(path: str, need_beta: bool) -> tuple[TrendSpec | None, np
     with open(path) as fh:
         cfg = json.load(fh)
     if "columns" in cfg:
-        rows = []
-        with open(cfg["columns"]) as fh:
-            for line in fh:
-                line = line.strip()
-                if not line or line.startswith("#"):
-                    continue
-                try:
-                    rows.append([float(c) for c in line.split(",")])
-                except ValueError:
-                    continue
+        rows = list(_read_rows(cfg["columns"]))
+        if len({len(row) for row in rows}) > 1:
+            raise InvalidParameterError(f"rows of {cfg['columns']} differ in length")
         return None, np.asarray(rows, dtype=float)
     basis_name = cfg["basis"]
     if not basis_name.startswith("polynomial:"):

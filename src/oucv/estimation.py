@@ -6,6 +6,15 @@ the remaining one-dimensional problem is solved by a deterministic
 coarse grid followed by golden-section refinement. The three classical
 cases are covered: joint estimation, fixed variance, fixed inverse
 length scale.
+
+Estimation is batched: each ``*_batch`` function estimates every row of
+a data array (R, n) at once. The grid is evaluated as whole arrays of
+(row, theta) pairs, and golden-section search then runs on all rows in
+lockstep, each with its own bracket, iteration count and stopping
+point. A row's result depends on that row alone, so it is bitwise the
+same in any batch; the single-path ``estimate_*`` functions are batches
+of one. How many replicates and grid nodes go into one array follows
+from one fixed element budget, ``_ELEMENT_BUDGET``.
 """
 
 from __future__ import annotations
@@ -17,14 +26,14 @@ from typing import Callable
 import numpy as np
 
 from .designs import Design
-from .errors import InvalidParameterError, NumericalFailureError
-from .numerics import golden_section_minimize
+from .errors import InvalidParameterError, NumericalFailureError, OucvError
 from .scoring import (
     ScoreDecomposition,
-    ml_decomposition,
-    ml_gradient_theta,
-    score_decomposition,
-    score_gradient_theta,
+    _check_data,
+    ml_gradient,
+    ml_parts,
+    score_gradient,
+    score_parts,
 )
 
 __all__ = [
@@ -35,11 +44,26 @@ __all__ = [
     "estimate_cv_fixed_sigma",
     "estimate_cv_fixed_theta",
     "estimate_ml_joint",
+    "cv_joint_batch",
+    "cv_fixed_sigma_batch",
+    "cv_fixed_theta_batch",
+    "ml_joint_batch",
+    "replicate_chunk",
     "standardized_statistic",
 ]
 
 _GRID_SIZE = 64
 _REFINE_RTOL = 1e-8
+_REFINE_MAX_ITER = 200
+# inverse golden ratio, (sqrt(5) - 1) / 2
+_INVPHI = 0.6180339887498949
+# Most (replicate x theta x point) elements one objective evaluation may
+# hold; it sets the replicates per chunk and the grid nodes per call.
+# Arrays of 2^13 doubles (64 KB) stay cache-sized and under the
+# allocator's 128 KB trim threshold: at 2^14 the heap was returned and
+# refaulted on every call, at up to 1700 page faults per estimate. It
+# also keeps n = 1e5 at one grid node per call, the memory of one estimate.
+_ELEMENT_BUDGET = 1 << 13
 # relative slack when deciding whether an estimate sits on a box edge
 _BOUNDARY_RTOL = 1e-8
 
@@ -79,6 +103,7 @@ class EstimateResult:
     gradient_at_opt: float
     boundary_flags: tuple[str, ...]
     iterations: int
+    evaluations: int  # objective evaluations made by the theta search
 
 
 def profile_sigma2(decomp: ScoreDecomposition, box: ParameterBox) -> float:
@@ -113,58 +138,239 @@ def _theta_flags(theta: float, box: ParameterBox) -> list[str]:
     return flags
 
 
-def _minimize_theta(
-    objective: Callable[[float], float], lo: float, hi: float
-) -> tuple[float, float, int]:
-    """Coarse log-spaced grid plus golden-section refinement on the bracket.
+def replicate_chunk(n: int) -> int:
+    """How many replicates of n points to estimate in one batch."""
+    return max(1, _ELEMENT_BUDGET // n)
 
-    The returned point never scores worse than any grid node; ties go to
-    the smaller theta.
+
+def _keep_best(f, x, best_f, best_x):
+    """Per row, the better of (f, x) and (best_f, best_x): the smaller
+    value, or on a tie the smaller theta; a NaN value never wins."""
+    better = (f < best_f) | ((f == best_f) & (x < best_x))
+    return np.where(better, f, best_f), np.where(better, x, best_x)
+
+
+def _minimize_theta(objective: Callable, lo: float, hi: float, rows: int, n: int) -> tuple:
+    """Coarse log-spaced grid plus golden-section refinement, all rows in lockstep.
+
+    ``objective(rows, thetas, failed)`` returns the values at row indices
+    ``rows`` of the batch, for thetas shared by those rows, shape (T,),
+    or one set per row, shape (len(rows), k); the values have shape
+    (len(rows), T) or (len(rows), k). An objective that fails on a row
+    records the error in ``failed`` and the row leaves the search.
+
+    Each row keeps its own bracket around its grid argmin and stops when
+    the bracket is narrower than ``_REFINE_RTOL`` times its midpoint.
+    The returned point is the smallest objective value seen, grid nodes
+    included; ties go to the smaller theta. A non-finite value on a
+    row's grid fails that row alone. Returns per row theta, value,
+    iterations and evaluations, and the failures by row.
     """
+    failed: dict[int, OucvError] = {}
+    everyone = np.arange(rows)
     if lo == hi:
-        return lo, objective(lo), 0
+        theta = np.full(rows, lo)
+        value = objective(everyone, theta[:, None], failed)[:, 0]
+        return theta, value, np.zeros(rows, int), np.ones(rows, int), failed
+
     grid = np.geomspace(lo, hi, _GRID_SIZE)
-    values = np.array([objective(t) for t in grid])
-    if not np.all(np.isfinite(values)):
-        bad = float(grid[int(np.flatnonzero(~np.isfinite(values))[0])])
-        raise NumericalFailureError(
-            f"objective is not finite at theta = {bad}", theta=bad
-        )
-    k = int(np.argmin(values))  # first minimum: tie toward smaller theta
-    left = grid[max(k - 1, 0)]
-    right = grid[min(k + 1, grid.size - 1)]
-    x, fx, iters = golden_section_minimize(objective, float(left), float(right), rel_tol=_REFINE_RTOL)
-    if values[k] < fx or (values[k] == fx and grid[k] < x):
-        return float(grid[k]), float(values[k]), iters
-    return float(x), float(fx), iters
-
-
-def _profile_estimate(
-    design: Design,
-    y,
-    box: ParameterBox,
-    decomp_fn: Callable[[Design, np.ndarray, float], ScoreDecomposition],
-    gradient_fn: Callable[[Design, np.ndarray, float, float], float],
-) -> EstimateResult:
-    def profile_objective(theta: float) -> float:
-        d = decomp_fn(design, y, theta)
-        s2 = profile_sigma2(d, box)
-        return d.score_at(s2)
-
-    theta_hat, value, iters = _minimize_theta(profile_objective, box.a, box.A)
-    d = decomp_fn(design, y, theta_hat)
-    sigma2_hat = profile_sigma2(d, box)
-    grad = gradient_fn(design, y, theta_hat, sigma2_hat)
-    flags = _theta_flags(theta_hat, box) + _sigma_flags(sigma2_hat, box)
-    return EstimateResult(
-        theta_hat=theta_hat,
-        sigma2_hat=sigma2_hat,
-        product=theta_hat * sigma2_hat,
-        objective_value=value,
-        gradient_at_opt=grad,
-        boundary_flags=tuple(flags),
-        iterations=iters,
+    block = max(1, _ELEMENT_BUDGET // (max(rows, 1) * n))
+    values = np.concatenate(
+        [objective(everyone, grid[j:j + block], failed) for j in range(0, _GRID_SIZE, block)],
+        axis=1,
     )
+    finite = np.isfinite(values)
+    for r in np.flatnonzero(~finite.all(axis=1)):
+        if r not in failed:
+            bad = float(grid[np.argmin(finite[r])])
+            failed[r] = NumericalFailureError(f"objective is not finite at theta = {bad}", theta=bad)
+    k = np.argmin(values, axis=1)  # first minimum: tie toward smaller theta
+    best_x = grid[k]
+    best_f = values[everyone, k]
+    lo_ = grid[np.maximum(k - 1, 0)]
+    hi_ = grid[np.minimum(k + 1, _GRID_SIZE - 1)]
+    iterations = np.zeros(rows, int)
+
+    def unfailed(idx: np.ndarray) -> np.ndarray:
+        return idx[[r not in failed for r in idx]] if failed else idx
+
+    def at(idx: np.ndarray, x: np.ndarray) -> np.ndarray:
+        return objective(idx, x[:, None], failed)[:, 0]
+
+    # golden-section state of the rows still searching, their best point included
+    idx = unfailed(everyone)
+    a, b = lo_[idx], hi_[idx]
+    c = b - _INVPHI * (b - a)
+    d = a + _INVPHI * (b - a)
+    fc = at(idx, c)
+    fd = at(idx, d)
+    bf, bx = _keep_best(fc, c, best_f[idx], best_x[idx])
+    bf, bx = _keep_best(fd, d, bf, bx)
+    it = np.zeros(idx.size, int)
+    while idx.size:
+        keep = (b - a > _REFINE_RTOL * 0.5 * (a + b)) & (it < _REFINE_MAX_ITER)
+        if failed:
+            keep &= [r not in failed for r in idx]
+        if not keep.all():
+            out, stop = idx[~keep], ~keep
+            lo_[out], hi_[out], iterations[out] = a[stop], b[stop], it[stop]
+            best_f[out], best_x[out] = bf[stop], bx[stop]
+            idx, a, b, c, d, fc, fd, bf, bx, it = (
+                v[keep] for v in (idx, a, b, c, d, fc, fd, bf, bx, it)
+            )
+            if not idx.size:
+                break
+        left = fc <= fd  # ties shrink toward the left, keeping smaller arguments
+        a = np.where(left, a, c)
+        b = np.where(left, d, b)
+        step = _INVPHI * (b - a)
+        probe = np.where(left, b - step, a + step)
+        f = at(idx, probe)
+        bf, bx = _keep_best(f, probe, bf, bx)
+        c, d = np.where(left, probe, d), np.where(left, c, probe)
+        fc, fd = np.where(left, f, fd), np.where(left, fc, f)
+        it += 1
+    idx = unfailed(everyone)
+    mid = 0.5 * (lo_[idx] + hi_[idx])
+    best_f[idx], best_x[idx] = _keep_best(at(idx, mid), mid, best_f[idx], best_x[idx])
+    # the grid, the two interior points, one point per iteration, the midpoint
+    evaluations = _GRID_SIZE + 2 + iterations + 1
+    return best_x, best_f, iterations, evaluations, failed
+
+
+def _data_rows(design: Design, Y) -> tuple[np.ndarray, list]:
+    """Y as a float (R, n) array, and a result slot per row: a
+    NumericalFailureError for a row with non-finite values, else None."""
+    Y = np.asarray(Y, dtype=float)
+    if Y.ndim != 2 or Y.shape[1] != design.n:
+        raise InvalidParameterError(
+            f"data of shape {Y.shape} does not hold rows of design size {design.n}"
+        )
+    finite = np.isfinite(Y).all(axis=1)
+    slots = [
+        None if ok else NumericalFailureError("nonfinite values in the observation vector")
+        for ok in finite
+    ]
+    return Y, slots
+
+
+def _unfailed(slots: list) -> np.ndarray:
+    return np.flatnonzero([slot is None for slot in slots])
+
+
+def _take(Y: np.ndarray, rows: np.ndarray) -> np.ndarray:
+    """Y[rows] for sorted distinct rows, without a copy when that is all of Y."""
+    return Y if rows.size == Y.shape[0] else Y[rows]
+
+
+def _clamp(x: np.ndarray, lo: float, hi: float) -> np.ndarray:
+    return np.minimum(np.maximum(x, lo), hi)
+
+
+def _result(box, theta, sigma2, value, grad, iterations, evaluations, sigma_flags=True, theta_flags=True):
+    theta, sigma2 = float(theta), float(sigma2)
+    flags = (_theta_flags(theta, box) if theta_flags else []) + (
+        _sigma_flags(sigma2, box) if sigma_flags else []
+    )
+    return EstimateResult(
+        theta_hat=theta,
+        sigma2_hat=sigma2,
+        product=theta * sigma2,
+        objective_value=float(value),
+        gradient_at_opt=float(grad),
+        boundary_flags=tuple(flags),
+        iterations=int(iterations),
+        evaluations=int(evaluations),
+    )
+
+
+def _search_batch(design, Y, box, parts, gradient, fixed_sigma=False) -> list:
+    """Profile search over theta for every row of Y.
+
+    With ``fixed_sigma`` the box's variance range is the single fixed
+    value and the result carries no variance flags.
+    """
+    Y, slots = _data_rows(design, Y)
+    ok = _unfailed(slots)
+    Yok = _take(Y, ok)
+    n = design.n
+
+    def objective(rows, thetas, failed):
+        L, Q = parts(design, _take(Yok, rows), thetas)
+        s2 = _clamp(Q / n, box.b, box.B)
+        return n * np.log(s2) + L + Q / s2
+
+    theta_hat, values, iterations, evaluations, failed = _minimize_theta(objective, box.a, box.A, len(ok), n)
+    for i, err in failed.items():
+        slots[ok[i]] = err
+    done = np.array([i for i in range(len(ok)) if i not in failed], dtype=int)
+    if done.size:
+        theta = theta_hat[done, None]
+        Yd = _take(Yok, done)
+        _, Q = parts(design, Yd, theta)
+        sigma2 = np.full_like(Q, box.b) if fixed_sigma else _clamp(Q / n, box.b, box.B)
+        grad = gradient(design, Yd, theta, sigma2)
+        for j, i in enumerate(done):
+            slots[ok[i]] = _result(
+                box, theta[j, 0], sigma2[j, 0], values[i], grad[j, 0],
+                iterations[i], evaluations[i], sigma_flags=not fixed_sigma,
+            )
+    return slots
+
+
+def _single(results: list) -> EstimateResult:
+    """The one result of a batch of one, raising its failure."""
+    (res,) = results
+    if isinstance(res, OucvError):
+        raise res
+    return res
+
+
+def cv_joint_batch(design: Design, Y, box: ParameterBox) -> list:
+    """:func:`estimate_cv_joint` on every row of Y (R, n).
+
+    Returns one entry per row: an :class:`EstimateResult`, or the
+    :class:`OucvError` that row failed with.
+    """
+    return _search_batch(design, Y, box, score_parts, score_gradient)
+
+
+def ml_joint_batch(design: Design, Y, box: ParameterBox) -> list:
+    """:func:`estimate_ml_joint` on every row of Y, like :func:`cv_joint_batch`."""
+    return _search_batch(design, Y, box, ml_parts, ml_gradient)
+
+
+def _fixed_sigma_box(sigma1_sq: float, theta_range: tuple[float, float]) -> ParameterBox:
+    if not (np.isfinite(sigma1_sq) and sigma1_sq > 0.0):
+        raise InvalidParameterError(f"sigma1_sq must be positive, got {sigma1_sq}")
+    lo, hi = theta_range
+    return ParameterBox(a=lo, A=hi, b=sigma1_sq, B=sigma1_sq)
+
+
+def cv_fixed_sigma_batch(design: Design, Y, sigma1_sq: float, theta_range: tuple[float, float]) -> list:
+    """:func:`estimate_cv_fixed_sigma` on every row of Y, like :func:`cv_joint_batch`."""
+    box = _fixed_sigma_box(sigma1_sq, theta_range)
+    return _search_batch(design, Y, box, score_parts, score_gradient, fixed_sigma=True)
+
+
+def cv_fixed_theta_batch(design: Design, Y, theta2: float, sigma_range: tuple[float, float]) -> list:
+    """:func:`estimate_cv_fixed_theta` on every row of Y, like :func:`cv_joint_batch`."""
+    if not (np.isfinite(theta2) and theta2 > 0.0):
+        raise InvalidParameterError(f"theta2 must be positive, got {theta2}")
+    lo, hi = sigma_range
+    box = ParameterBox(a=theta2, A=theta2, b=lo, B=hi)
+    Y, slots = _data_rows(design, Y)
+    ok = _unfailed(slots)
+    n = design.n
+    L, Q = score_parts(design, _take(Y, ok), [theta2])
+    sigma2 = _clamp(Q / n, box.b, box.B)
+    value = n * np.log(sigma2) + L + Q / sigma2
+    grad = n / sigma2 - Q / (sigma2 * sigma2)
+    for j, i in enumerate(ok):
+        slots[i] = _result(
+            box, theta2, sigma2[j, 0], value[j, 0], grad[j, 0], 0, 1, theta_flags=False
+        )
+    return slots
 
 
 def estimate_cv_joint(design: Design, y, box: ParameterBox) -> EstimateResult:
@@ -174,7 +380,7 @@ def estimate_cv_joint(design: Design, y, box: ParameterBox) -> EstimateResult:
     sampling, so only the product coordinate of the result is
     consistent.
     """
-    return _profile_estimate(design, y, box, score_decomposition, score_gradient_theta)
+    return _single(cv_joint_batch(design, _check_data(design, y)[None, :], box))
 
 
 def estimate_cv_fixed_sigma(
@@ -185,25 +391,7 @@ def estimate_cv_fixed_sigma(
     The estimand is theta0 * sigma0^2 / sigma1_sq: fixing the variance
     at the wrong level rescales the target inverse length scale.
     """
-    if not (np.isfinite(sigma1_sq) and sigma1_sq > 0.0):
-        raise InvalidParameterError(f"sigma1_sq must be positive, got {sigma1_sq}")
-    lo, hi = theta_range
-    box = ParameterBox(a=lo, A=hi, b=sigma1_sq, B=sigma1_sq)
-
-    def objective(theta: float) -> float:
-        return score_decomposition(design, y, theta).score_at(sigma1_sq)
-
-    theta_hat, value, iters = _minimize_theta(objective, box.a, box.A)
-    grad = score_gradient_theta(design, y, theta_hat, sigma1_sq)
-    return EstimateResult(
-        theta_hat=theta_hat,
-        sigma2_hat=sigma1_sq,
-        product=theta_hat * sigma1_sq,
-        objective_value=value,
-        gradient_at_opt=grad,
-        boundary_flags=tuple(_theta_flags(theta_hat, box)),
-        iterations=iters,
-    )
+    return _single(cv_fixed_sigma_batch(design, _check_data(design, y)[None, :], sigma1_sq, theta_range))
 
 
 def estimate_cv_fixed_theta(
@@ -215,23 +403,7 @@ def estimate_cv_fixed_theta(
     clamped profile value, so no search is needed; the reported gradient
     is the sigma2-derivative of the score at the optimum.
     """
-    if not (np.isfinite(theta2) and theta2 > 0.0):
-        raise InvalidParameterError(f"theta2 must be positive, got {theta2}")
-    lo, hi = sigma_range
-    box = ParameterBox(a=theta2, A=theta2, b=lo, B=hi)
-    d = score_decomposition(design, y, theta2)
-    sigma2_hat = profile_sigma2(d, box)
-    value = d.score_at(sigma2_hat)
-    grad = d.n / sigma2_hat - d.Q / (sigma2_hat * sigma2_hat)
-    return EstimateResult(
-        theta_hat=theta2,
-        sigma2_hat=sigma2_hat,
-        product=theta2 * sigma2_hat,
-        objective_value=float(value),
-        gradient_at_opt=float(grad),
-        boundary_flags=tuple(_sigma_flags(sigma2_hat, box)),
-        iterations=0,
-    )
+    return _single(cv_fixed_theta_batch(design, _check_data(design, y)[None, :], theta2, sigma_range))
 
 
 def estimate_ml_joint(design: Design, y, box: ParameterBox) -> EstimateResult:
@@ -241,4 +413,4 @@ def estimate_ml_joint(design: Design, y, box: ParameterBox) -> EstimateResult:
     log-likelihood; serves as the variance baseline the score-based
     estimator is compared against.
     """
-    return _profile_estimate(design, y, box, ml_decomposition, ml_gradient_theta)
+    return _single(ml_joint_batch(design, _check_data(design, y)[None, :], box))

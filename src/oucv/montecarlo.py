@@ -1,10 +1,15 @@
 """Replicated simulate-estimate experiments with reproducible seed streams.
 
 Each replicate draws its path from an independent stream keyed by
-(base seed, replicate index), so reports are identical whether
-replicates run serially or concurrently. Reports carry per-replicate
-standardized statistics, summary moments against the design's
-theoretical variance, and histogram bins for external plotting.
+(base seed, replicate index). Replicates are sampled and estimated in
+chunks: every estimator runs once per chunk on all of its paths, through
+the batched estimators of :mod:`oucv.estimation`. The chunk size follows
+from that module's fixed element budget, and ``max_workers`` spreads
+chunks over a thread pool. A record depends on its replicate's data
+alone, so reports are bitwise identical for any worker count. Reports
+carry per-replicate standardized statistics, summary moments against
+the design's theoretical variance, and histogram bins for external
+plotting.
 """
 
 from __future__ import annotations
@@ -21,15 +26,15 @@ import numpy as np
 from .designs import Design, from_points, maximal_design, minimal_design, regular_design, tau_squared
 from .errors import InvalidParameterError, OucvError
 from .estimation import (
-    EstimateResult,
     ParameterBox,
-    estimate_cv_fixed_sigma,
-    estimate_cv_fixed_theta,
-    estimate_cv_joint,
-    estimate_ml_joint,
+    cv_fixed_sigma_batch,
+    cv_fixed_theta_batch,
+    cv_joint_batch,
+    ml_joint_batch,
+    replicate_chunk,
     standardized_statistic,
 )
-from .regression import estimate_cv_reg
+from .regression import cv_reg_batch
 from .simulate import CovarianceParams, TrendSpec, sample_path
 
 __all__ = [
@@ -195,63 +200,70 @@ def make_preset(name: str) -> ExperimentConfig:
     )
 
 
-def _run_one_estimator(
+def _estimate_chunk(
     name: str,
     design: Design,
     data: np.ndarray,
     F: np.ndarray | None,
     config: ExperimentConfig,
-) -> EstimateResult:
+) -> list:
     if name == "cv-joint":
-        return estimate_cv_joint(design, data, config.box)
+        return cv_joint_batch(design, data, config.box)
     if name == "ml-joint":
-        return estimate_ml_joint(design, data, config.box)
+        return ml_joint_batch(design, data, config.box)
     if name == "cv-fixed-sigma":
-        return estimate_cv_fixed_sigma(design, data, config.sigma1_sq, config.box.theta_range)
+        return cv_fixed_sigma_batch(design, data, config.sigma1_sq, config.box.theta_range)
     if name == "cv-fixed-theta":
-        return estimate_cv_fixed_theta(design, data, config.theta2, config.box.sigma2_range)
+        return cv_fixed_theta_batch(design, data, config.theta2, config.box.sigma2_range)
     if name == "cv-regression":
-        return estimate_cv_reg(design, data, F, config.box)
+        return cv_reg_batch(design, data, F, config.box)
     raise InvalidParameterError(f"unknown estimator {name!r}")
 
 
-def _replicate_records(
-    r: int,
+def _chunk_records(
+    replicates: range,
     design: Design,
     F: np.ndarray | None,
     config: ExperimentConfig,
     tau: float,
-) -> dict[str, ReplicateRecord]:
+) -> dict[str, list[ReplicateRecord]]:
+    """Sample a chunk of replicates, each on its own (seed, r) stream, and
+    run every estimator once on the whole chunk."""
     params = CovarianceParams(theta=config.theta0, sigma2=config.sigma0_sq)
-    y = sample_path(design, params, (config.seed, r))
-    data = y if F is None else F @ config.trend.beta + y
+    Y = np.stack([sample_path(design, params, (config.seed, r)) for r in replicates])
+    data = Y if F is None else F @ config.trend.beta + Y
     product0 = config.theta0 * config.sigma0_sq
     out = {}
     for name in config.estimators:
         try:
-            res = _run_one_estimator(name, design, data, F, config)
-            record = ReplicateRecord(
-                replicate=r,
-                seed=config.seed,
-                theta_hat=res.theta_hat,
-                sigma2_hat=res.sigma2_hat,
-                product=res.product,
-                std_stat=standardized_statistic(res.product, product0, design.n, tau),
-                objective=res.objective_value,
-                flags="|".join(res.boundary_flags) if res.boundary_flags else "-",
-            )
+            results = _estimate_chunk(name, design, data, F, config)
         except OucvError as err:
-            record = ReplicateRecord(
-                replicate=r,
-                seed=config.seed,
-                theta_hat=math.nan,
-                sigma2_hat=math.nan,
-                product=math.nan,
-                std_stat=math.nan,
-                objective=math.nan,
-                flags=f"failed:{type(err).__name__}",
-            )
-        out[name] = record
+            results = [err] * len(replicates)
+        records = []
+        for r, res in zip(replicates, results):
+            if isinstance(res, OucvError):
+                records.append(ReplicateRecord(
+                    replicate=r,
+                    seed=config.seed,
+                    theta_hat=math.nan,
+                    sigma2_hat=math.nan,
+                    product=math.nan,
+                    std_stat=math.nan,
+                    objective=math.nan,
+                    flags=f"failed:{type(res).__name__}",
+                ))
+            else:
+                records.append(ReplicateRecord(
+                    replicate=r,
+                    seed=config.seed,
+                    theta_hat=res.theta_hat,
+                    sigma2_hat=res.sigma2_hat,
+                    product=res.product,
+                    std_stat=standardized_statistic(res.product, product0, design.n, tau),
+                    objective=res.objective_value,
+                    flags="|".join(res.boundary_flags) if res.boundary_flags else "-",
+                ))
+        out[name] = records
     return out
 
 
@@ -316,28 +328,34 @@ def run_experiment(config: ExperimentConfig, max_workers: int | None = None) -> 
     """Run all replicates and estimators; deterministic for a fixed config.
 
     Replicate r draws from the stream keyed by (seed, r), so the report
-    does not depend on execution order or on ``max_workers``. Failed
-    replicates are recorded with a failure flag and excluded from the
-    moments; they never abort the experiment.
+    does not depend on execution order, chunking or ``max_workers``,
+    which sets the threads the chunks are spread over. Failed replicates
+    are recorded with a failure flag and excluded from the moments; they
+    never abort the experiment or their chunk.
     """
     design = build_design(config.design)
     tau_sq = tau_squared(design)
     tau = math.sqrt(tau_sq)
     F = config.trend.design_matrix(design) if config.trend is not None else None
 
-    def task(r: int) -> dict[str, ReplicateRecord]:
-        return _replicate_records(r, design, F, config, tau)
+    chunk = replicate_chunk(design.n)
+    chunks = [
+        range(start, min(start + chunk, config.replicates + 1))
+        for start in range(1, config.replicates + 1, chunk)
+    ]
 
-    replicate_ids = range(1, config.replicates + 1)
+    def task(replicates: range) -> dict[str, list[ReplicateRecord]]:
+        return _chunk_records(replicates, design, F, config, tau)
+
     if max_workers is not None and max_workers > 1:
         with ThreadPoolExecutor(max_workers=max_workers) as pool:
-            per_replicate = list(pool.map(task, replicate_ids))
+            per_chunk = list(pool.map(task, chunks))
     else:
-        per_replicate = [task(r) for r in replicate_ids]
+        per_chunk = [task(c) for c in chunks]
 
     panels = {}
     for name in config.estimators:
-        records = tuple(row[name] for row in per_replicate)
+        records = tuple(rec for part in per_chunk for rec in part[name])
         edges, counts = _histogram_from_records(records, tau_sq)
         panels[name] = EstimatorPanel(
             name=name,

@@ -1,4 +1,4 @@
-"""Cancellation-free scalar kernels and a bounded golden-section minimizer.
+"""Cancellation-free elementwise kernels.
 
 The factorial-gap designs produce interpoint distances as small as
 1/170!, so every occurrence of 1 - e^{-x} must survive x near the
@@ -7,13 +7,7 @@ smallest normal double.
 
 from __future__ import annotations
 
-import math
-from typing import Callable
-
 import numpy as np
-
-# inverse golden ratio, (sqrt(5) - 1) / 2
-_INVPHI = 0.6180339887498949
 
 
 def one_minus_exp_neg(x):
@@ -36,51 +30,3 @@ def log_one_minus_exp_neg(x):
     xl = x[~small]
     out[~small] = np.log(-np.expm1(-xl))
     return out if out.ndim else float(out)
-
-
-def golden_section_minimize(
-    f: Callable[[float], float],
-    lo: float,
-    hi: float,
-    rel_tol: float = 1e-8,
-    max_iter: int = 200,
-) -> tuple[float, float, int]:
-    """Minimize f on [lo, hi] by golden-section search.
-
-    Stops when the bracket width drops below ``rel_tol`` times the
-    bracket midpoint (the argument is positive in every use here).
-    Returns (argmin, f(argmin), iterations); among evaluated points with
-    equal objective the smallest argument wins.
-    """
-    if not lo <= hi:
-        raise ValueError(f"empty bracket [{lo}, {hi}]")
-
-    best_x = math.inf
-    best_f = math.inf
-
-    def evaluate(x: float) -> float:
-        nonlocal best_x, best_f
-        fx = f(x)
-        if fx < best_f or (fx == best_f and x < best_x):
-            best_x, best_f = x, fx
-        return fx
-
-    evaluate(lo)
-    evaluate(hi)
-    x1 = hi - _INVPHI * (hi - lo)
-    x2 = lo + _INVPHI * (hi - lo)
-    f1 = evaluate(x1)
-    f2 = evaluate(x2)
-    iterations = 0
-    while hi - lo > rel_tol * 0.5 * (lo + hi) and iterations < max_iter:
-        if f1 <= f2:  # ties shrink toward the left, keeping smaller arguments
-            hi, x2, f2 = x2, x1, f1
-            x1 = hi - _INVPHI * (hi - lo)
-            f1 = evaluate(x1)
-        else:
-            lo, x1, f1 = x1, x2, f2
-            x2 = lo + _INVPHI * (hi - lo)
-            f2 = evaluate(x2)
-        iterations += 1
-    evaluate(0.5 * (lo + hi))
-    return best_x, best_f, iterations

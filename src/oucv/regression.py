@@ -17,8 +17,17 @@ import numpy as np
 import scipy.linalg
 
 from .designs import Design
-from .errors import ConditioningError, InvalidParameterError
-from .estimation import EstimateResult, ParameterBox, _profile_estimate
+from .errors import ConditioningError, InvalidParameterError, OucvError
+from .estimation import (
+    EstimateResult,
+    ParameterBox,
+    _data_rows,
+    _minimize_theta,
+    _result,
+    _single,
+    _unfailed,
+    profile_sigma2,
+)
 from .scoring import ScoreDecomposition, _check_data, _check_sigma2, precision_matrix
 from .simulate import check_full_rank
 
@@ -30,6 +39,7 @@ __all__ = [
     "loo_beta",
     "loo_trend_prediction",
     "estimate_cv_reg",
+    "cv_reg_batch",
 ]
 
 _DENSE_MAX_N = 2000
@@ -118,8 +128,10 @@ def reg_score_decomposition(design: Design, z, theta: float, F) -> ScoreDecompos
     negated logs of the projected precision diagonal, the quadratic part
     the normalized squares of the projected data.
     """
-    z = _check_data(design, z)
-    F = _prepare_F(design, F)
+    return _reg_decomposition(design, _check_data(design, z), theta, _prepare_F(design, F))
+
+
+def _reg_decomposition(design: Design, z: np.ndarray, theta: float, F: np.ndarray) -> ScoreDecomposition:
     _, _, _, _, _, proj_diag, proj_z = _projection_parts(design, z, theta, F)
     L = -float(np.sum(np.log(proj_diag)))
     Q = float(np.sum(proj_z * proj_z / proj_diag))
@@ -226,16 +238,54 @@ def estimate_cv_reg(design: Design, z, F, box: ParameterBox) -> EstimateResult:
     reported gradient is a central finite difference of the score in
     theta at the profiled variance.
     """
-    z = _check_data(design, z)
+    return _single(cv_reg_batch(design, _check_data(design, z)[None, :], F, box))
+
+
+def cv_reg_batch(design: Design, Z, F, box: ParameterBox) -> list:
+    """:func:`estimate_cv_reg` on every row of Z (R, n).
+
+    The rows share the batched search, but each objective value is one
+    O(n p^2) decomposition. Returns one entry per row: an
+    :class:`EstimateResult`, or the :class:`OucvError` that row failed
+    with.
+    """
     F = _prepare_F(design, F)
+    Z, slots = _data_rows(design, Z)
+    ok = _unfailed(slots)
 
-    def decomp_fn(d: Design, data, theta: float) -> ScoreDecomposition:
-        return reg_score_decomposition(d, data, theta, F)
+    def objective(rows, thetas, failed):
+        out = np.full((rows.size, thetas.shape[-1]), np.nan)
+        for i, r in enumerate(rows):
+            if r in failed:
+                continue
+            for j, theta in enumerate(thetas if thetas.ndim == 1 else thetas[i]):
+                try:
+                    d = _reg_decomposition(design, Z[ok[r]], float(theta), F)
+                except OucvError as err:
+                    failed[r] = err
+                    break
+                out[i, j] = d.score_at(profile_sigma2(d, box))
+        return out
 
-    def gradient_fn(d: Design, data, theta: float, sigma2: float) -> float:
-        step = 1e-6 * theta
-        hi = decomp_fn(d, data, theta + step).score_at(sigma2)
-        lo = decomp_fn(d, data, theta - step).score_at(sigma2)
-        return float((hi - lo) / (2.0 * step))
-
-    return _profile_estimate(design, z, box, decomp_fn, gradient_fn)
+    theta_hat, values, iterations, evaluations, failed = _minimize_theta(
+        objective, box.a, box.A, len(ok), design.n
+    )
+    for i, r in enumerate(ok):
+        if i in failed:
+            slots[r] = failed[i]
+            continue
+        z = Z[r]
+        theta = float(theta_hat[i])
+        try:
+            sigma2 = profile_sigma2(_reg_decomposition(design, z, theta, F), box)
+            step = 1e-6 * theta
+            hi = _reg_decomposition(design, z, theta + step, F).score_at(sigma2)
+            lo = _reg_decomposition(design, z, theta - step, F).score_at(sigma2)
+        except OucvError as err:
+            slots[r] = err
+            continue
+        slots[r] = _result(
+            box, theta, sigma2, values[i], (hi - lo) / (2.0 * step),
+            iterations[i], evaluations[i],
+        )
+    return slots

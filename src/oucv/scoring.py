@@ -30,6 +30,10 @@ __all__ = [
     "TridiagonalPrecision",
     "precision_matrix",
     "loo_predictions",
+    "score_parts",
+    "score_gradient",
+    "ml_parts",
+    "ml_gradient",
     "log_score",
     "score_decomposition",
     "score_gradient_theta",
@@ -122,12 +126,111 @@ def _check_data(design: Design, y) -> np.ndarray:
     return y
 
 
-def _kernel_arrays(design: Design, theta: float):
-    """Per-gap decay E, one-minus-squared-decay G, and its reciprocal."""
+def _two_theta_gaps(thetas, gaps: np.ndarray) -> np.ndarray:
+    """2 theta gap for ``thetas`` of any shape, with the gap axis appended last."""
+    return 2.0 * np.asarray(thetas, dtype=float)[..., None] * gaps
+
+
+def _kernel_arrays(design: Design, thetas):
+    """Per-gap decay E, one-minus-squared-decay G, and its reciprocal.
+
+    ``thetas`` may have any shape; the gap axis is appended last.
+    """
     g = design.gaps
-    E = np.exp(-theta * g)
-    G = one_minus_exp_neg(2.0 * theta * g)
+    E = np.exp(-np.asarray(thetas, dtype=float)[..., None] * g)
+    G = one_minus_exp_neg(_two_theta_gaps(thetas, g))
     return g, E, G, 1.0 / G
+
+
+def _cv_terms(design: Design, Y: np.ndarray, thetas):
+    """Leave-one-out residual pieces for data rows ``Y`` (R, n).
+
+    ``thetas`` is either shared by every row, shape (T,), or one set per
+    row, shape (R, k); every returned term broadcasts to (R, T) or
+    (R, k), with the point axis last where there is one.
+    """
+    g, E, G, a = _kernel_arrays(design, thetas)
+    Y = Y[:, None, :]
+    A = a[..., :-1] + a[..., 1:] - 1.0
+    c = a * E  # negated off-diagonal weights
+    w_left = Y[..., 0] - E[..., 0] * Y[..., 1]
+    w_right = Y[..., -1] - E[..., -1] * Y[..., -2]
+    resid = Y[..., 1:-1] - (c[..., :-1] * Y[..., :-2] + c[..., 1:] * Y[..., 2:]) / A
+    return g, E, G, a, A, c, w_left, w_right, resid
+
+
+def score_parts(design: Design, Y: np.ndarray, thetas) -> tuple[np.ndarray, np.ndarray]:
+    """The score's log part L and quadratic part Q for many rows and thetas at once.
+
+    ``Y`` holds one data vector per row, shape (R, n); ``thetas`` is
+    shared, shape (T,), or per row, shape (R, k). L depends on theta
+    only and has the shape of ``thetas``; Q has shape (R, T) or (R, k).
+    Inputs are not validated: this is the kernel behind the checked
+    entry points.
+    """
+    with np.errstate(over="ignore", invalid="ignore"):
+        _, _, _, a, A, _, w_left, w_right, resid = _cv_terms(design, Y, thetas)
+        ends = log_one_minus_exp_neg(_two_theta_gaps(thetas, design.gaps[[0, -1]]))
+        L = ends[..., 0] + ends[..., 1] - np.sum(np.log(A), axis=-1)
+        Q = (
+            a[..., 0] * w_left * w_left
+            + a[..., -1] * w_right * w_right
+            + np.sum(A * resid * resid, axis=-1)
+        )
+    return L, Q
+
+
+def score_gradient(design: Design, Y: np.ndarray, thetas, sigma2) -> np.ndarray:
+    """Analytic theta-derivative of the score, batched like :func:`score_parts`.
+
+    ``sigma2`` broadcasts against the (R, T) or (R, k) result.
+    """
+    g, E, G, a, A, c, w_left, w_right, resid = _cv_terms(design, Y, thetas)
+    Y = Y[:, None, :]
+    dG = 2.0 * g * (1.0 - G)  # d/dtheta (1 - e^{-2 theta g})
+    da = -dG * a * a
+    dE = -g * E
+    dA = da[..., :-1] + da[..., 1:]
+    dc = da * E + a * dE
+
+    num = c[..., :-1] * Y[..., :-2] + c[..., 1:] * Y[..., 2:]
+    dnum = dc[..., :-1] * Y[..., :-2] + dc[..., 1:] * Y[..., 2:]
+    dresid = -(dnum * A - num * dA) / (A * A)
+    dw_left = g[0] * E[..., 0] * Y[..., 1]
+    dw_right = g[-1] * E[..., -1] * Y[..., -2]
+
+    d_logs = dG[..., 0] * a[..., 0] + dG[..., -1] * a[..., -1] - np.sum(dA / A, axis=-1)
+    d_quad = (
+        da[..., 0] * w_left * w_left
+        + 2.0 * a[..., 0] * w_left * dw_left
+        + da[..., -1] * w_right * w_right
+        + 2.0 * a[..., -1] * w_right * dw_right
+        + np.sum(dA * resid * resid + 2.0 * A * resid * dresid, axis=-1)
+    )
+    return d_logs + d_quad / sigma2
+
+
+def ml_parts(design: Design, Y: np.ndarray, thetas) -> tuple[np.ndarray, np.ndarray]:
+    """The likelihood objective's L and Q, batched like :func:`score_parts`."""
+    _, E, G, _ = _kernel_arrays(design, thetas)
+    Y = Y[:, None, :]
+    with np.errstate(over="ignore", invalid="ignore"):
+        W = Y[..., 1:] - E * Y[..., :-1]
+        logs = log_one_minus_exp_neg(_two_theta_gaps(thetas, design.gaps))
+        L = design.n * np.log(2.0 * np.pi) + np.sum(logs, axis=-1)
+        Q = Y[..., 0] * Y[..., 0] + np.sum(W * W / G, axis=-1)
+    return L, Q
+
+
+def ml_gradient(design: Design, Y: np.ndarray, thetas, sigma2) -> np.ndarray:
+    """Analytic theta-derivative of the likelihood objective, batched."""
+    g, E, G, _ = _kernel_arrays(design, thetas)
+    Y = Y[:, None, :]
+    dG = 2.0 * g * (1.0 - G)
+    W = Y[..., 1:] - E * Y[..., :-1]
+    dW = g * E * Y[..., :-1]
+    d_quad = np.sum((2.0 * W * dW - W * W * dG / G) / G, axis=-1)
+    return np.sum(dG / G, axis=-1) + d_quad / sigma2
 
 
 def precision_matrix(design: Design, theta: float) -> TridiagonalPrecision:
@@ -180,23 +283,16 @@ def log_score(design: Design, y, theta: float, sigma2: float) -> float:
     _check_theta(theta)
     _check_sigma2(sigma2)
     y = _check_data(design, y)
-    n = design.n
-    g, E, G, a = _kernel_arrays(design, theta)
-    A = a[:-1] + a[1:] - 1.0
-    c = a * E
-    w_left = y[0] - E[0] * y[1]
-    w_right = y[-1] - E[-1] * y[-2]
-    resid = y[1:-1] - (c[:-1] * y[:-2] + c[1:] * y[2:]) / A
-    two_tg = 2.0 * theta * g
+    g, _, G, _, A, _, w_left, w_right, resid = _cv_terms(design, y[None, :], theta)
     with np.errstate(over="ignore", invalid="ignore"):
         value = (
-            n * np.log(sigma2)
-            + log_one_minus_exp_neg(two_tg[0])
-            + log_one_minus_exp_neg(two_tg[-1])
-            + w_left * w_left / (sigma2 * G[0])
-            + w_right * w_right / (sigma2 * G[-1])
+            design.n * np.log(sigma2)
+            + log_one_minus_exp_neg(2.0 * theta * g[0])
+            + log_one_minus_exp_neg(2.0 * theta * g[-1])
+            + w_left[0, 0] * w_left[0, 0] / (sigma2 * G[0])
+            + w_right[0, 0] * w_right[0, 0] / (sigma2 * G[-1])
             - float(np.sum(np.log(A)))
-            + float(np.sum(A * resid * resid / sigma2))
+            + float(np.sum(A * resid[0, 0] * resid[0, 0] / sigma2))
         )
     if not np.isfinite(value):
         raise NumericalFailureError("logarithmic score is not finite", theta=theta)
@@ -212,25 +308,8 @@ def score_decomposition(design: Design, y, theta: float) -> ScoreDecomposition:
     """
     _check_theta(theta)
     y = _check_data(design, y)
-    g, E, G, a = _kernel_arrays(design, theta)
-    A = a[:-1] + a[1:] - 1.0
-    c = a * E
-    w_left = y[0] - E[0] * y[1]
-    w_right = y[-1] - E[-1] * y[-2]
-    resid = y[1:-1] - (c[:-1] * y[:-2] + c[1:] * y[2:]) / A
-    two_tg = 2.0 * theta * g
-    L = (
-        log_one_minus_exp_neg(two_tg[0])
-        + log_one_minus_exp_neg(two_tg[-1])
-        - float(np.sum(np.log(A)))
-    )
-    with np.errstate(over="ignore", invalid="ignore"):
-        Q = (
-            a[0] * w_left * w_left
-            + a[-1] * w_right * w_right
-            + float(np.sum(A * resid * resid))
-        )
-    return ScoreDecomposition(L=float(L), Q=float(Q), n=design.n)
+    L, Q = score_parts(design, y[None, :], [theta])
+    return ScoreDecomposition(L=float(L[0]), Q=float(Q[0, 0]), n=design.n)
 
 
 def score_gradient_theta(design: Design, y, theta: float, sigma2: float) -> float:
@@ -242,34 +321,7 @@ def score_gradient_theta(design: Design, y, theta: float, sigma2: float) -> floa
     _check_theta(theta)
     _check_sigma2(sigma2)
     y = _check_data(design, y)
-    g, E, G, a = _kernel_arrays(design, theta)
-    dG = 2.0 * g * (1.0 - G)  # d/dtheta (1 - e^{-2 theta g})
-    da = -dG * a * a
-    dE = -g * E
-    A = a[:-1] + a[1:] - 1.0
-    dA = da[:-1] + da[1:]
-    c = a * E
-    dc = da * E + a * dE
-
-    num = c[:-1] * y[:-2] + c[1:] * y[2:]
-    dnum = dc[:-1] * y[:-2] + dc[1:] * y[2:]
-    resid = y[1:-1] - num / A
-    dresid = -(dnum * A - num * dA) / (A * A)
-
-    w_left = y[0] - E[0] * y[1]
-    dw_left = g[0] * E[0] * y[1]
-    w_right = y[-1] - E[-1] * y[-2]
-    dw_right = g[-1] * E[-1] * y[-2]
-
-    d_logs = dG[0] * a[0] + dG[-1] * a[-1] - float(np.sum(dA / A))
-    d_quad = (
-        da[0] * w_left * w_left
-        + 2.0 * a[0] * w_left * dw_left
-        + da[-1] * w_right * w_right
-        + 2.0 * a[-1] * w_right * dw_right
-        + float(np.sum(dA * resid * resid + 2.0 * A * resid * dresid))
-    )
-    return float(d_logs + d_quad / sigma2)
+    return float(score_gradient(design, y[None, :], [theta], sigma2)[0, 0])
 
 
 def ml_neg2loglik(design: Design, y, theta: float, sigma2: float) -> float:
@@ -300,12 +352,8 @@ def ml_decomposition(design: Design, y, theta: float) -> ScoreDecomposition:
     """Variance-free split of the likelihood objective, same shape as the score's."""
     _check_theta(theta)
     y = _check_data(design, y)
-    g, E, G, _ = _kernel_arrays(design, theta)
-    W = y[1:] - E * y[:-1]
-    L = design.n * np.log(2.0 * np.pi) + float(np.sum(log_one_minus_exp_neg(2.0 * theta * g)))
-    with np.errstate(over="ignore", invalid="ignore"):
-        Q = y[0] * y[0] + float(np.sum(W * W / G))
-    return ScoreDecomposition(L=float(L), Q=float(Q), n=design.n)
+    L, Q = ml_parts(design, y[None, :], [theta])
+    return ScoreDecomposition(L=float(L[0]), Q=float(Q[0, 0]), n=design.n)
 
 
 def ml_gradient_theta(design: Design, y, theta: float, sigma2: float) -> float:
@@ -313,12 +361,7 @@ def ml_gradient_theta(design: Design, y, theta: float, sigma2: float) -> float:
     _check_theta(theta)
     _check_sigma2(sigma2)
     y = _check_data(design, y)
-    g, E, G, _ = _kernel_arrays(design, theta)
-    dG = 2.0 * g * (1.0 - G)
-    W = y[1:] - E * y[:-1]
-    dW = g * E * y[:-1]
-    d_quad = np.sum((2.0 * W * dW - W * W * dG / G) / G)
-    return float(np.sum(dG / G) + d_quad / sigma2)
+    return float(ml_gradient(design, y[None, :], [theta], sigma2)[0, 0])
 
 
 def dense_precision(design: Design, theta: float) -> np.ndarray:

@@ -1,0 +1,222 @@
+"""Batched estimation: each row of a batch is its own single-path estimate.
+
+The batch functions run the theta search for many data rows in
+lockstep. A row's result must not depend on the other rows of its
+batch, so every field of every row is compared bitwise (through repr)
+with the single-path estimator on that row alone.
+"""
+
+import math
+
+import numpy as np
+import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
+
+import oucv
+from oucv import (
+    CovarianceParams,
+    ExperimentConfig,
+    NumericalFailureError,
+    ParameterBox,
+    estimate_cv_fixed_sigma,
+    estimate_cv_fixed_theta,
+    estimate_cv_joint,
+    estimate_ml_joint,
+    maximal_design,
+    minimal_design,
+    regular_design,
+    run_experiment,
+    sample_path,
+)
+from oucv.estimation import (
+    cv_fixed_sigma_batch,
+    cv_fixed_theta_batch,
+    cv_joint_batch,
+    ml_joint_batch,
+)
+from conftest import random_design
+
+BOX = ParameterBox(0.1, 10.0, 0.3, 30.0)
+PARAMS0 = CovarianceParams(theta=3.0, sigma2=1.0)
+
+
+def _outcome(call):
+    try:
+        return repr(call())
+    except oucv.OucvError as err:
+        return f"{type(err).__name__}: {err}"
+
+
+def _batched(results):
+    return [
+        f"{type(r).__name__}: {r}" if isinstance(r, oucv.OucvError) else repr(r) for r in results
+    ]
+
+
+def _assert_rows_match_single(design, Y, box, sigma1_sq, theta2):
+    cases = [
+        (cv_joint_batch(design, Y, box), lambda y: estimate_cv_joint(design, y, box)),
+        (ml_joint_batch(design, Y, box), lambda y: estimate_ml_joint(design, y, box)),
+        (
+            cv_fixed_sigma_batch(design, Y, sigma1_sq, box.theta_range),
+            lambda y: estimate_cv_fixed_sigma(design, y, sigma1_sq, box.theta_range),
+        ),
+        (
+            cv_fixed_theta_batch(design, Y, theta2, box.sigma2_range),
+            lambda y: estimate_cv_fixed_theta(design, y, theta2, box.sigma2_range),
+        ),
+    ]
+    for batch, single in cases:
+        assert len(batch) == Y.shape[0]
+        assert _batched(batch) == [_outcome(lambda y=y: single(y)) for y in Y]
+
+
+@st.composite
+def designs(draw):
+    kind = draw(st.sampled_from(["dirichlet", "regular", "minimal", "maximal"]))
+    if kind == "minimal":  # factorial gap ratios, down to 1/17! at n = 18
+        return minimal_design(draw(st.integers(5, 18)), draw(st.sampled_from([0.5, 0.9])))
+    n = draw(st.integers(5, 40))
+    if kind == "regular":
+        return regular_design(n)
+    if kind == "maximal":
+        return maximal_design(n, draw(st.sampled_from([1.0 / n, 0.5])))
+    return random_design(np.random.default_rng(draw(st.integers(0, 2**32 - 1))), n)
+
+
+@st.composite
+def boxes(draw):
+    """Boxes around and away from the generating theta0 = 3, sigma0^2 = 1,
+    so that optima land inside and on every edge; some collapse to a point."""
+    a = draw(st.sampled_from([0.1, 0.5, 2.0, 6.0]))
+    A = a * draw(st.sampled_from([1.0, 1.5, 20.0, 100.0]))
+    b = draw(st.sampled_from([0.05, 0.3, 2.0]))
+    B = b * draw(st.sampled_from([1.0, 3.0, 100.0]))
+    return ParameterBox(a, A, b, B)
+
+
+@settings(max_examples=30, deadline=None, derandomize=True, database=None,
+          suppress_health_check=[HealthCheck.too_slow])
+@given(
+    design=designs(),
+    rows=st.integers(1, 16),
+    seed=st.integers(0, 2**32 - 1),
+    scale=st.sampled_from([1.0, 1e-6, 1e3]),
+    box=boxes(),
+    sigma1_sq=st.sampled_from([0.5, 2.0]),
+    theta2=st.sampled_from([0.1, 1.5, 10.0]),
+)
+def test_batch_rows_equal_single_estimates(design, rows, seed, scale, box, sigma1_sq, theta2):
+    Y = scale * np.stack([sample_path(design, PARAMS0, (seed, r)) for r in range(rows)])
+    _assert_rows_match_single(design, Y, box, sigma1_sq, theta2)
+
+
+def test_grid_blocks_do_not_change_rows():
+    # at n = 2000 sixteen rows split the 64-node grid into blocks of two
+    d = regular_design(2000)
+    Y = np.stack([sample_path(d, PARAMS0, (3, r)) for r in range(16)])
+    batch = cv_joint_batch(d, Y, BOX)
+    for r in (0, 7, 15):
+        assert repr(batch[r]) == repr(estimate_cv_joint(d, Y[r], BOX))
+
+
+def test_regression_rows_equal_single_estimates():
+    from oucv import estimate_cv_reg
+    from oucv.regression import cv_reg_batch
+
+    d = regular_design(30)
+    F = np.column_stack([np.ones(d.n), d.points])
+    Z = np.stack([F @ [1.0, 2.0] + sample_path(d, PARAMS0, (9, r)) for r in range(4)])
+    Z[1, 0] = np.inf
+    batch = cv_reg_batch(d, Z, F, BOX)
+    assert isinstance(batch[1], NumericalFailureError)
+    for r in (0, 2, 3):
+        assert repr(batch[r]) == repr(estimate_cv_reg(d, Z[r], F, BOX))
+
+
+class TestFailureIsolation:
+    def test_overflowing_row_fails_alone(self):
+        d = regular_design(10)
+        Y = np.stack([sample_path(d, PARAMS0, (8, r)) for r in range(5)])
+        Y[2] = 1e200  # the quadratic part overflows on the grid
+        for batch, single in [
+            (cv_joint_batch(d, Y, BOX), lambda y: estimate_cv_joint(d, y, BOX)),
+            (ml_joint_batch(d, Y, BOX), lambda y: estimate_ml_joint(d, y, BOX)),
+            (cv_fixed_sigma_batch(d, Y, 2.0, BOX.theta_range),
+             lambda y: estimate_cv_fixed_sigma(d, y, 2.0, BOX.theta_range)),
+        ]:
+            assert isinstance(batch[2], NumericalFailureError)
+            assert batch[2].theta is not None
+            with pytest.raises(NumericalFailureError):
+                single(Y[2])
+            for r in (0, 1, 3, 4):
+                assert repr(batch[r]) == repr(single(Y[r]))
+
+    def test_nonfinite_row_fails_alone(self):
+        d = regular_design(10)
+        Y = np.stack([sample_path(d, PARAMS0, (8, r)) for r in range(3)])
+        Y[1, 4] = np.nan
+        batch = cv_joint_batch(d, Y, BOX)
+        assert isinstance(batch[1], NumericalFailureError)
+        assert repr(batch[0]) == repr(estimate_cv_joint(d, Y[0], BOX))
+        assert repr(batch[2]) == repr(estimate_cv_joint(d, Y[2], BOX))
+
+    def test_run_experiment_records_the_failed_replicate(self, monkeypatch):
+        cfg = ExperimentConfig(
+            design={"kind": "regular", "n": 10}, theta0=3.0, sigma0_sq=1.0, replicates=6,
+            box=BOX, estimators=("cv-joint", "ml-joint", "cv-fixed-sigma"), seed=12,
+            sigma1_sq=2.0,
+        )
+        clean = run_experiment(cfg)
+
+        def overflow_third(design, params, seed):
+            y = sample_path(design, params, seed)
+            return np.full_like(y, 1e200) if seed[1] == 3 else y
+
+        monkeypatch.setattr(oucv.montecarlo, "sample_path", overflow_third)
+        dirty = run_experiment(cfg)
+        for name in cfg.estimators:
+            for a, b in zip(clean.panels[name].records, dirty.panels[name].records):
+                if a.replicate == 3:
+                    assert b.flags == "failed:NumericalFailureError"
+                    assert math.isnan(b.product)
+                else:
+                    assert repr(a) == repr(b)
+            assert dirty.panels[name].summary["excluded"] == 1
+
+
+class TestEvaluationCount:
+    def test_exact_count_matches_the_objective_calls(self, monkeypatch):
+        from oucv import estimation
+
+        d = regular_design(12)
+        y = sample_path(d, PARAMS0, (20260808, 1))
+        pairs = []
+        kernel = estimation.score_parts
+
+        def counting(design, Y, thetas):
+            L, Q = kernel(design, Y, thetas)
+            pairs.append(Q.size)  # one (row, theta) pair per objective value
+            return L, Q
+
+        monkeypatch.setattr(estimation, "score_parts", counting)
+        res = estimate_cv_joint(d, y, BOX)
+        # 64 grid nodes, the two interior golden-section points, one point
+        # per iteration and the final bracket midpoint; the last kernel
+        # call is the variance profile at the optimum, not the search
+        assert res.evaluations == 64 + 2 + res.iterations + 1
+        assert sum(pairs[:-1]) == res.evaluations and pairs[-1] == 1
+        assert (res.iterations, res.evaluations) == (35, 102)
+
+    def test_closed_form_and_collapsed_box_take_one(self):
+        d = regular_design(12)
+        y = sample_path(d, PARAMS0, 4)
+        assert estimate_cv_fixed_theta(d, y, 1.5, (0.3, 30.0)).evaluations == 1
+        assert estimate_cv_joint(d, y, ParameterBox(2.0, 2.0, 0.3, 30.0)).evaluations == 1
+
+    def test_counts_are_per_row(self):
+        d = regular_design(50)
+        Y = np.stack([sample_path(d, PARAMS0, (5, r)) for r in range(8)])
+        for res in ml_joint_batch(d, Y, BOX):
+            assert res.evaluations == 64 + 2 + res.iterations + 1

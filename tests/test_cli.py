@@ -8,7 +8,7 @@ from contextlib import redirect_stderr, redirect_stdout
 import numpy as np
 import pytest
 
-from oucv import log_score, ml_neg2loglik, regular_design, sample_path, CovarianceParams
+from oucv import from_points, log_score, ml_neg2loglik, regular_design, sample_path, CovarianceParams
 from oucv.cli import main
 
 
@@ -233,6 +233,61 @@ class TestExperimentCommand:
         assert run_cli(["experiment", "--config", str(cfg), "--output", str(a)])[0] == 0
         assert run_cli(["experiment", "--config", str(cfg), "--output", str(b), "--threads", "4"])[0] == 0
         assert (a / "records.csv").read_text() == (b / "records.csv").read_text()
+
+
+class TestMalformedInput:
+    """Only the first non-comment line may be a header; a later row that
+    does not parse is a domain error naming its line, never skipped."""
+
+    @staticmethod
+    def _error(err):
+        payload = json.loads(err.strip())
+        assert payload["error"] == "InvalidParameterError"
+        return payload["message"]
+
+    def test_data_csv_bad_row_exits_1(self, tmp_path):
+        data = tmp_path / "bad.csv"
+        data.write_text("index,s,y\n1,0.0,0.3\n2,0.25,0.1\n3,0.5,oops\n4,0.75,0.2\n5,1.0,0.4\n")
+        code, out, err = run_cli(["score", "--data", str(data), "--theta", "2", "--sigma2", "1"])
+        assert code == 1 and out == ""
+        assert "line 4" in self._error(err)
+
+    def test_data_csv_comment_then_header_is_accepted(self, tmp_path):
+        data = tmp_path / "ok.csv"
+        data.write_text("# a path\n\ns,y\n0.0,0.3\n0.5,0.1\n# middle\n1.0,0.4\n")
+        code, out, _ = run_cli(["score", "--data", str(data), "--theta", "2", "--sigma2", "1"])
+        assert code == 0
+        d, y = from_points([0.0, 0.5, 1.0]), np.array([0.3, 0.1, 0.4])
+        assert json.loads(out)["score"] == log_score(d, y, 2.0, 1.0)
+
+    def test_data_csv_second_header_exits_1(self, tmp_path):
+        data = tmp_path / "bad.csv"
+        data.write_text("s,y\ns,y\n0.0,0.3\n0.5,0.1\n1.0,0.4\n")
+        code, _, err = run_cli(["estimate", "--data", str(data), "--box", "0.1,10,0.3,30"])
+        assert code == 1
+        assert "line 2" in self._error(err)
+
+    def test_point_file_bad_row_exits_1(self, tmp_path):
+        points = tmp_path / "pts.txt"
+        points.write_text("0.0\n0.25\nzero point seven\n1.0\n")
+        code, out, err = run_cli(["design", "--kind", "file", "--points", str(points)])
+        assert code == 1 and out == ""
+        assert "line 3" in self._error(err)
+        code, _, err = run_cli(["simulate", "--design", f"file:{points}", "--theta", "3",
+                                "--sigma2", "1", "--seed", "1"])
+        assert code == 1
+
+    def test_trend_column_file_bad_row_exits_1(self, tmp_path):
+        _, out, _ = run_cli(["simulate", "--design", "regular:6", "--theta", "3", "--sigma2", "1", "--seed", "2"])
+        data = tmp_path / "data.csv"
+        data.write_text(out)
+        columns = tmp_path / "F.csv"
+        columns.write_text("one,t\n1,0.0\n1,0.2\n1,0.4\n1,x\n1,0.8\n1,1.0\n")
+        cfg = tmp_path / "trend.json"
+        cfg.write_text(json.dumps({"columns": str(columns)}))
+        code, out, err = run_cli(["estimate", "--data", str(data), "--box", "0.1,10,0.3,30", "--trend", str(cfg)])
+        assert code == 1 and out == ""
+        assert "line 5" in self._error(err)
 
 
 class TestHelp:
