@@ -13,8 +13,10 @@ a data array (R, n) at once. The grid is evaluated as whole arrays of
 lockstep, each with its own bracket, iteration count and stopping
 point. A row's result depends on that row alone, so it is bitwise the
 same in any batch; the single-path ``estimate_*`` functions are batches
-of one. How many replicates and grid nodes go into one array follows
-from one fixed element budget, ``_ELEMENT_BUDGET``.
+of one. The trend-aware estimator of :mod:`oucv.regression` runs
+through the same search with its own kernel. How many replicates and
+grid nodes go into one array follows from one fixed element budget,
+``_ELEMENT_BUDGET``.
 """
 
 from __future__ import annotations
@@ -26,7 +28,7 @@ from typing import Callable
 import numpy as np
 
 from .designs import Design
-from .errors import InvalidParameterError, NumericalFailureError, OucvError
+from .errors import ConditioningError, InvalidParameterError, NumericalFailureError, OucvError
 from .scoring import (
     ScoreDecomposition,
     _check_data,
@@ -150,7 +152,7 @@ def _keep_best(f, x, best_f, best_x):
     return np.where(better, f, best_f), np.where(better, x, best_x)
 
 
-def _minimize_theta(objective: Callable, lo: float, hi: float, rows: int, n: int) -> tuple:
+def _minimize_theta(objective: Callable, lo: float, hi: float, rows: int, width: int) -> tuple:
     """Coarse log-spaced grid plus golden-section refinement, all rows in lockstep.
 
     ``objective(rows, thetas, failed)`` returns the values at row indices
@@ -158,6 +160,8 @@ def _minimize_theta(objective: Callable, lo: float, hi: float, rows: int, n: int
     or one set per row, shape (len(rows), k); the values have shape
     (len(rows), T) or (len(rows), k). An objective that fails on a row
     records the error in ``failed`` and the row leaves the search.
+    ``width`` is the number of array elements one (row, theta) value
+    takes; with the element budget it sets the grid nodes per call.
 
     Each row keeps its own bracket around its grid argmin and stops when
     the bracket is narrower than ``_REFINE_RTOL`` times its midpoint.
@@ -174,7 +178,7 @@ def _minimize_theta(objective: Callable, lo: float, hi: float, rows: int, n: int
         return theta, value, np.zeros(rows, int), np.ones(rows, int), failed
 
     grid = np.geomspace(lo, hi, _GRID_SIZE)
-    block = max(1, _ELEMENT_BUDGET // (max(rows, 1) * n))
+    block = max(1, _ELEMENT_BUDGET // (max(rows, 1) * width))
     values = np.concatenate(
         [objective(everyone, grid[j:j + block], failed) for j in range(0, _GRID_SIZE, block)],
         axis=1,
@@ -284,11 +288,35 @@ def _result(box, theta, sigma2, value, grad, iterations, evaluations, sigma_flag
     )
 
 
-def _search_batch(design, Y, box, parts, gradient, fixed_sigma=False) -> list:
+def _record_singular(failed: dict, rows: np.ndarray, thetas, L: np.ndarray) -> None:
+    """Fail each row whose log part L is NaN at one of its thetas, the
+    mark a parts function leaves where it could not factor the objective."""
+    bad = np.isnan(L)
+    if not bad.any():
+        return
+    bad = np.broadcast_to(bad, (rows.size, L.shape[-1]))
+    thetas = np.broadcast_to(thetas, bad.shape)
+    for i in np.flatnonzero(bad.any(axis=1)):
+        if rows[i] not in failed:
+            theta = float(thetas[i, np.argmax(bad[i])])
+            failed[rows[i]] = ConditioningError(
+                f"objective is singular at theta = {theta}: a factorization or a "
+                "leave-one-out variance collapsed"
+            )
+
+
+def _search_batch(design, Y, box, parts, gradient, fixed_sigma=False, width=None) -> list:
     """Profile search over theta for every row of Y.
 
-    With ``fixed_sigma`` the box's variance range is the single fixed
-    value and the result carries no variance flags.
+    ``parts(design, Y, thetas)`` returns L and Q like
+    :func:`~oucv.scoring.score_parts`; a NaN in L marks a theta where the
+    objective could not be factored, and a row that meets one fails
+    with :class:`ConditioningError`. ``gradient(design, Y, thetas,
+    sigma2)`` is the analytic theta-derivative; without one the result
+    carries a central difference of the objective at the profiled
+    variance. ``width`` is the array elements per (row, theta) value,
+    n by default. With ``fixed_sigma`` the box's variance range is the
+    single fixed value and the result carries no variance flags.
     """
     Y, slots = _data_rows(design, Y)
     ok = _unfailed(slots)
@@ -297,24 +325,39 @@ def _search_batch(design, Y, box, parts, gradient, fixed_sigma=False) -> list:
 
     def objective(rows, thetas, failed):
         L, Q = parts(design, _take(Yok, rows), thetas)
+        _record_singular(failed, rows, thetas, L)
         s2 = _clamp(Q / n, box.b, box.B)
         return n * np.log(s2) + L + Q / s2
 
-    theta_hat, values, iterations, evaluations, failed = _minimize_theta(objective, box.a, box.A, len(ok), n)
-    for i, err in failed.items():
-        slots[ok[i]] = err
+    theta_hat, values, iterations, evaluations, failed = _minimize_theta(
+        objective, box.a, box.A, len(ok), width or n
+    )
     done = np.array([i for i in range(len(ok)) if i not in failed], dtype=int)
     if done.size:
         theta = theta_hat[done, None]
         Yd = _take(Yok, done)
-        _, Q = parts(design, Yd, theta)
+
+        def at(thetas):
+            L, Q = parts(design, Yd, thetas)
+            _record_singular(failed, done, thetas, L)
+            return L, Q
+
+        _, Q = at(theta)
         sigma2 = np.full_like(Q, box.b) if fixed_sigma else _clamp(Q / n, box.b, box.B)
-        grad = gradient(design, Yd, theta, sigma2)
+        if gradient:
+            grad = gradient(design, Yd, theta, sigma2)
+        else:  # central difference at the profiled variance
+            step = 1e-6 * theta
+            hi, lo = (n * np.log(sigma2) + L + Q / sigma2 for L, Q in (at(theta + step), at(theta - step)))
+            grad = (hi - lo) / (2.0 * step)
         for j, i in enumerate(done):
-            slots[ok[i]] = _result(
-                box, theta[j, 0], sigma2[j, 0], values[i], grad[j, 0],
-                iterations[i], evaluations[i], sigma_flags=not fixed_sigma,
-            )
+            if i not in failed:
+                slots[ok[i]] = _result(
+                    box, theta[j, 0], sigma2[j, 0], values[i], grad[j, 0],
+                    iterations[i], evaluations[i], sigma_flags=not fixed_sigma,
+                )
+    for i, err in failed.items():
+        slots[ok[i]] = err
     return slots
 
 

@@ -16,17 +16,5 @@ def one_minus_exp_neg(x):
 
 
 def log_one_minus_exp_neg(x):
-    """log(1 - exp(-x)), elementwise, stable down to denormal x.
-
-    For x < 1e-8 the direct route loses nothing yet, but the series
-    log(x) + log1p(-x/2 + x^2/6) is used to keep the branch exercised
-    and exact in the regime where 1 - e^{-x} = x to machine precision.
-    """
-    x = np.asarray(x, dtype=float)
-    small = x < 1e-8
-    out = np.empty_like(x)
-    xs = x[small]
-    out[small] = np.log(xs) + np.log1p(-0.5 * xs + xs * xs / 6.0)
-    xl = x[~small]
-    out[~small] = np.log(-np.expm1(-xl))
-    return out if out.ndim else float(out)
+    """log(1 - exp(-x)), elementwise, stable down to denormal x."""
+    return np.log(-np.expm1(-x))

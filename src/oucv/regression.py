@@ -7,6 +7,11 @@ columns). The projected diagonal and the projected data vector are all
 that is needed, keeping evaluation O(n p^2); the paper's residual
 decomposition into four bounded correction terms is returned with every
 score for verification.
+
+The estimator's objective is one batched kernel, :func:`reg_parts`,
+evaluated for (replicate x theta) arrays like the centered kernels of
+:mod:`oucv.scoring`. Everything but the quadratic part depends on theta
+alone, so it is computed once per theta and shared by the replicates.
 """
 
 from __future__ import annotations
@@ -17,33 +22,30 @@ import numpy as np
 import scipy.linalg
 
 from .designs import Design
-from .errors import ConditioningError, InvalidParameterError, OucvError
-from .estimation import (
-    EstimateResult,
-    ParameterBox,
-    _data_rows,
-    _minimize_theta,
-    _result,
-    _single,
-    _unfailed,
-    profile_sigma2,
+from .errors import ConditioningError, InvalidParameterError
+from .estimation import EstimateResult, ParameterBox, _search_batch, _single
+from .scoring import (
+    _DENSE_MAX_N,
+    ScoreDecomposition,
+    _check_data,
+    _check_sigma2,
+    _check_theta,
+    _precisions,
+    precision_matrix,
 )
-from .scoring import ScoreDecomposition, _check_data, _check_sigma2, precision_matrix
-from .simulate import check_full_rank
+from .simulate import check_full_rank, covariance_matrix
 
 __all__ = [
     "RegressionScore",
     "gls_beta",
     "reg_log_score",
     "reg_score_decomposition",
+    "reg_parts",
     "loo_beta",
     "loo_trend_prediction",
     "estimate_cv_reg",
     "cv_reg_batch",
 ]
-
-_DENSE_MAX_N = 2000
-
 
 @dataclass(frozen=True)
 class RegressionScore:
@@ -79,20 +81,26 @@ def _prepare_F(design: Design, F) -> np.ndarray:
     return F
 
 
+def _normal_factor(design: Design, theta: float, F: np.ndarray):
+    """The precision P, the mapped trend columns PF, and the Cholesky
+    factor of the normal matrix F' P F."""
+    P = precision_matrix(design, theta)
+    PF = P.apply_to_columns(F)
+    try:
+        chol = scipy.linalg.cho_factor(F.T @ PF, lower=True)
+    except scipy.linalg.LinAlgError as err:
+        raise ConditioningError(f"normal matrix factorization failed: {err}") from err
+    return P, PF, chol
+
+
 def _projection_parts(design: Design, z: np.ndarray, theta: float, F: np.ndarray):
     """Everything the projected-precision route needs, in O(n p^2).
 
     Returns the precision diagonal, the precision-mapped data and trend
     columns, the projected diagonal, and the projected data vector.
     """
-    P = precision_matrix(design, theta)
+    P, PF, chol = _normal_factor(design, theta, F)
     Pz = P.matvec(z)
-    PF = P.apply_to_columns(F)
-    M = F.T @ PF
-    try:
-        chol = scipy.linalg.cho_factor(M, lower=True)
-    except scipy.linalg.LinAlgError as err:
-        raise ConditioningError(f"normal matrix factorization failed: {err}") from err
     # ebar_i = g_i' M^{-1} g_i with g_i the i-th row of PF
     S = scipy.linalg.cho_solve(chol, PF.T)
     ebar = np.einsum("ij,ji->i", PF, S)
@@ -110,15 +118,47 @@ def gls_beta(design: Design, z, theta: float, F) -> np.ndarray:
     for all matrix products, so the cost is O(n p^2).
     """
     z = _check_data(design, z)
-    F = _prepare_F(design, F)
-    P = precision_matrix(design, theta)
-    PF = P.apply_to_columns(F)
-    M = F.T @ PF
-    try:
-        chol = scipy.linalg.cho_factor(M, lower=True)
-    except scipy.linalg.LinAlgError as err:
-        raise ConditioningError(f"normal matrix factorization failed: {err}") from err
+    _, PF, chol = _normal_factor(design, theta, _prepare_F(design, F))
     return scipy.linalg.cho_solve(chol, PF.T @ z)
+
+
+def reg_parts(design: Design, Y: np.ndarray, thetas, F: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The trend-aware score's L and Q for many rows and thetas at once.
+
+    Batched like :func:`~oucv.scoring.score_parts`: ``Y`` is (R, n),
+    ``thetas`` is shared, shape (T,), or per row, shape (R, k); L has
+    the shape of ``thetas`` and Q is (R, T) or (R, k). L is NaN at a
+    theta where the normal matrix F' P F is not positive definite or a
+    projected leave-one-out variance collapsed; that theta's Q is then
+    meaningless. Inputs are not validated.
+
+    With W = C^-1 F' P for the Cholesky factor C C' = F' P F, the
+    projected precision is P - W'W: its diagonal is diag(P) minus the
+    column sums of W^2, and it maps z to Pz - W'(Wz). W is built one
+    trend column at a time (C_jl = F_j' W_l), and it, the diagonal and
+    L depend on theta alone, so only Pz, Wz and the projected residual
+    are computed per (row, theta). Every sum runs over the point axis
+    of its own (row, theta) pair, so a row's values do not depend on
+    the rest of the batch.
+    """
+    P = _precisions(design, thetas)
+    W = []
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        for f in np.ascontiguousarray(F.T):
+            w = P.matvec(f)
+            for Wl in W:
+                w -= np.sum(f * Wl, axis=-1)[..., None] * Wl
+            # a pivot C_jj^2 <= 0 leaves W non-finite, caught with the diagonal
+            W.append(w / np.sqrt(np.sum(f * w, axis=-1))[..., None])
+        proj_diag = P.diag - sum(w * w for w in W)
+        singular = ~(proj_diag > 0.0).all(axis=-1)
+        L = np.where(singular, np.nan, -np.sum(np.log(proj_diag), axis=-1))
+        Z = Y[:, None, :]
+        proj_z = P.matvec(Z)
+        for w in W:
+            proj_z -= np.sum(w * Z, axis=-1)[..., None] * w
+        Q = np.sum(proj_z * proj_z / proj_diag, axis=-1)
+    return L, Q
 
 
 def reg_score_decomposition(design: Design, z, theta: float, F) -> ScoreDecomposition:
@@ -128,14 +168,15 @@ def reg_score_decomposition(design: Design, z, theta: float, F) -> ScoreDecompos
     negated logs of the projected precision diagonal, the quadratic part
     the normalized squares of the projected data.
     """
-    return _reg_decomposition(design, _check_data(design, z), theta, _prepare_F(design, F))
-
-
-def _reg_decomposition(design: Design, z: np.ndarray, theta: float, F: np.ndarray) -> ScoreDecomposition:
-    _, _, _, _, _, proj_diag, proj_z = _projection_parts(design, z, theta, F)
-    L = -float(np.sum(np.log(proj_diag)))
-    Q = float(np.sum(proj_z * proj_z / proj_diag))
-    return ScoreDecomposition(L=L, Q=Q, n=design.n)
+    _check_theta(theta)
+    z = _check_data(design, z)
+    L, Q = reg_parts(design, z[None, :], [theta], _prepare_F(design, F))
+    if np.isnan(L[0]):
+        raise ConditioningError(
+            f"trend projection is singular at theta = {theta}: the normal matrix is not "
+            "positive definite or a projected leave-one-out variance collapsed"
+        )
+    return ScoreDecomposition(L=float(L[0]), Q=float(Q[0, 0]), n=design.n)
 
 
 def reg_log_score(design: Design, z, theta: float, sigma2: float, F) -> RegressionScore:
@@ -174,16 +215,20 @@ def reg_log_score(design: Design, z, theta: float, sigma2: float, F) -> Regressi
 
 
 def _deleted_dense_parts(design: Design, z: np.ndarray, theta: float, F: np.ndarray, i: int):
+    """The deleted design's covariance factor, normal-matrix factor,
+    K^-1 F and trend coefficients, with z, F and the covariances to point
+    ``i``, all with observation ``i`` removed."""
     if design.n > _DENSE_MAX_N:
         raise InvalidParameterError(
             f"deleted-design route is capped at n = {_DENSE_MAX_N}, got {design.n}"
         )
     if not 0 <= i < design.n:
         raise InvalidParameterError(f"index {i} out of range for n = {design.n}")
-    pts = np.delete(design.points, i)
+    R = np.delete(covariance_matrix(design, theta), i, axis=1)
+    r = R[i]
+    K = np.delete(R, i, axis=0)
     z_minus = np.delete(z, i)
     F_minus = np.delete(F, i, axis=0)
-    K = np.exp(-theta * np.abs(pts[:, None] - pts[None, :]))
     try:
         chol = scipy.linalg.cho_factor(K, lower=True)
     except scipy.linalg.LinAlgError as err:
@@ -195,7 +240,7 @@ def _deleted_dense_parts(design: Design, z: np.ndarray, theta: float, F: np.ndar
     except scipy.linalg.LinAlgError as err:
         raise ConditioningError(f"deleted normal matrix factorization failed: {err}") from err
     beta = scipy.linalg.cho_solve(mchol, KiF.T @ z_minus)
-    return pts, z_minus, F_minus, chol, mchol, KiF, beta
+    return r, z_minus, F_minus, chol, mchol, beta
 
 
 def loo_beta(design: Design, z, theta: float, F, i: int) -> np.ndarray:
@@ -206,7 +251,7 @@ def loo_beta(design: Design, z, theta: float, F, i: int) -> np.ndarray:
     """
     z = _check_data(design, z)
     F = _prepare_F(design, F)
-    return _deleted_dense_parts(design, z, theta, F, i)[6]
+    return _deleted_dense_parts(design, z, theta, F, i)[-1]
 
 
 def loo_trend_prediction(design: Design, z, theta: float, F, i: int) -> tuple[float, float]:
@@ -219,10 +264,7 @@ def loo_trend_prediction(design: Design, z, theta: float, F, i: int) -> tuple[fl
     """
     z = _check_data(design, z)
     F = _prepare_F(design, F)
-    pts, z_minus, F_minus, chol, mchol, KiF, beta = _deleted_dense_parts(
-        design, z, theta, F, i
-    )
-    r = np.exp(-theta * np.abs(design.points[i] - pts))
+    r, z_minus, F_minus, chol, mchol, beta = _deleted_dense_parts(design, z, theta, F, i)
     Kir = scipy.linalg.cho_solve(chol, r)
     f_i = F[i]
     pred = float(f_i @ beta + Kir @ (z_minus - F_minus @ beta))
@@ -244,48 +286,16 @@ def estimate_cv_reg(design: Design, z, F, box: ParameterBox) -> EstimateResult:
 def cv_reg_batch(design: Design, Z, F, box: ParameterBox) -> list:
     """:func:`estimate_cv_reg` on every row of Z (R, n).
 
-    The rows share the batched search, but each objective value is one
-    O(n p^2) decomposition. Returns one entry per row: an
+    The rows share the batched search of :mod:`oucv.estimation`, with
+    :func:`reg_parts` as the objective's kernel; a theta where the
+    trend projection is singular fails its rows with
+    :class:`ConditioningError`. Returns one entry per row: an
     :class:`EstimateResult`, or the :class:`OucvError` that row failed
     with.
     """
     F = _prepare_F(design, F)
-    Z, slots = _data_rows(design, Z)
-    ok = _unfailed(slots)
 
-    def objective(rows, thetas, failed):
-        out = np.full((rows.size, thetas.shape[-1]), np.nan)
-        for i, r in enumerate(rows):
-            if r in failed:
-                continue
-            for j, theta in enumerate(thetas if thetas.ndim == 1 else thetas[i]):
-                try:
-                    d = _reg_decomposition(design, Z[ok[r]], float(theta), F)
-                except OucvError as err:
-                    failed[r] = err
-                    break
-                out[i, j] = d.score_at(profile_sigma2(d, box))
-        return out
+    def parts(design, Y, thetas):
+        return reg_parts(design, Y, thetas, F)
 
-    theta_hat, values, iterations, evaluations, failed = _minimize_theta(
-        objective, box.a, box.A, len(ok), design.n
-    )
-    for i, r in enumerate(ok):
-        if i in failed:
-            slots[r] = failed[i]
-            continue
-        z = Z[r]
-        theta = float(theta_hat[i])
-        try:
-            sigma2 = profile_sigma2(_reg_decomposition(design, z, theta, F), box)
-            step = 1e-6 * theta
-            hi = _reg_decomposition(design, z, theta + step, F).score_at(sigma2)
-            lo = _reg_decomposition(design, z, theta - step, F).score_at(sigma2)
-        except OucvError as err:
-            slots[r] = err
-            continue
-        slots[r] = _result(
-            box, theta, sigma2, values[i], (hi - lo) / (2.0 * step),
-            iterations[i], evaluations[i],
-        )
-    return slots
+    return _search_batch(design, Z, box, parts, None, width=design.n * F.shape[1])

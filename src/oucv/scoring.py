@@ -91,10 +91,12 @@ class TridiagonalPrecision:
         return M
 
     def matvec(self, x: np.ndarray) -> np.ndarray:
+        """The product along the last axis; a batched precision (leading
+        theta axes on ``diag`` and ``off``) broadcasts against ``x``."""
         x = np.asarray(x, dtype=float)
         out = self.diag * x
-        out[:-1] += self.off * x[1:]
-        out[1:] += self.off * x[:-1]
+        out[..., :-1] += self.off * x[..., 1:]
+        out[..., 1:] += self.off * x[..., :-1]
         return out
 
     def apply_to_columns(self, M: np.ndarray) -> np.ndarray:
@@ -241,12 +243,15 @@ def precision_matrix(design: Design, theta: float) -> TridiagonalPrecision:
     and the off-diagonal is -e^{-theta gap}/(1 - e^{-2 theta gap}).
     """
     _check_theta(theta)
-    _, E, _, a = _kernel_arrays(design, theta)
-    diag = np.empty(design.n, dtype=float)
-    diag[0] = a[0]
-    diag[-1] = a[-1]
+    return _precisions(design, theta)
+
+
+def _precisions(design: Design, thetas) -> TridiagonalPrecision:
+    """:func:`precision_matrix` for ``thetas`` of any shape, unchecked;
+    the point axis is appended last."""
+    _, E, _, a = _kernel_arrays(design, thetas)
     # a_i + a_{i+1} e^{-2 theta gap_{i+1}} == a_i + a_{i+1} - 1 exactly
-    diag[1:-1] = a[:-1] + a[1:] - 1.0
+    diag = np.concatenate([a[..., :1], a[..., :-1] + a[..., 1:] - 1.0, a[..., -1:]], axis=-1)
     return TridiagonalPrecision(diag=diag, off=-a * E)
 
 

@@ -15,6 +15,7 @@ from hypothesis import strategies as st
 
 import oucv
 from oucv import (
+    ConditioningError,
     CovarianceParams,
     ExperimentConfig,
     NumericalFailureError,
@@ -22,9 +23,14 @@ from oucv import (
     estimate_cv_fixed_sigma,
     estimate_cv_fixed_theta,
     estimate_cv_joint,
+    estimate_cv_reg,
     estimate_ml_joint,
+    loo_trend_prediction,
     maximal_design,
     minimal_design,
+    polynomial_basis,
+    reg_log_score,
+    reg_score_decomposition,
     regular_design,
     run_experiment,
     sample_path,
@@ -35,6 +41,7 @@ from oucv.estimation import (
     cv_joint_batch,
     ml_joint_batch,
 )
+from oucv.regression import cv_reg_batch, reg_parts
 from conftest import random_design
 
 BOX = ParameterBox(0.1, 10.0, 0.3, 30.0)
@@ -112,6 +119,34 @@ def test_batch_rows_equal_single_estimates(design, rows, seed, scale, box, sigma
     _assert_rows_match_single(design, Y, box, sigma1_sq, theta2)
 
 
+def _trend_matrix(design, degree):
+    return np.column_stack([f(design.points) for f in polynomial_basis(degree)])
+
+
+@settings(max_examples=30, deadline=None, derandomize=True, database=None,
+          suppress_health_check=[HealthCheck.too_slow])
+@given(
+    design=designs(),
+    degree=st.integers(0, 2),
+    rows=st.integers(1, 16),
+    seed=st.integers(0, 2**32 - 1),
+    scale=st.sampled_from([1.0, 1e-6, 1e3]),
+    box=boxes(),
+)
+def test_regression_batch_rows_equal_single_estimates(design, degree, rows, seed, scale, box):
+    beta = np.array([1.0, -2.0, 0.5])[: degree + 1]
+    Y = scale * np.stack([sample_path(design, PARAMS0, (seed, r)) for r in range(rows)])
+    try:
+        F = _trend_matrix(design, degree)
+        Z = F @ beta + Y
+        batch = _batched(cv_reg_batch(design, Z, F, box))
+    except oucv.OucvError as err:  # a basis dependent on this design fails every row
+        batch = [f"{type(err).__name__}: {err}"] * rows
+        F = _trend_matrix(design, degree)
+        Z = F @ beta + Y
+    assert batch == [_outcome(lambda z=z: estimate_cv_reg(design, z, F, box)) for z in Z]
+
+
 def test_grid_blocks_do_not_change_rows():
     # at n = 2000 sixteen rows split the 64-node grid into blocks of two
     d = regular_design(2000)
@@ -133,6 +168,70 @@ def test_regression_rows_equal_single_estimates():
     assert isinstance(batch[1], NumericalFailureError)
     for r in (0, 2, 3):
         assert repr(batch[r]) == repr(estimate_cv_reg(d, Z[r], F, BOX))
+
+
+class TestRegressionKernel:
+    def test_parts_match_the_scalar_and_dense_routes_on_box_edges(self):
+        # theta on both box edges and inside; the dense route predicts each
+        # point from the deleted design, sharing no code with the kernel
+        box = ParameterBox(0.1, 10.0, 0.3, 30.0)
+        thetas = np.array([box.a, 1.0, box.A])
+        for design, degree in [(regular_design(200), 1), (maximal_design(40, 0.5), 2),
+                               (regular_design(12), 0)]:
+            F = _trend_matrix(design, degree)
+            Z = np.stack([F @ np.arange(1.0, degree + 2) + sample_path(design, PARAMS0, (6, r))
+                          for r in range(3)])
+            L, Q = reg_parts(design, Z, thetas, F)
+            per_row_L, per_row_Q = reg_parts(design, Z, np.tile(thetas, (3, 1)), F)
+            assert np.array_equal(per_row_L, np.tile(L, (3, 1))) and np.array_equal(per_row_Q, Q)
+            n = design.n
+            for r, z in enumerate(Z[:2]):
+                for j, theta in enumerate(thetas):
+                    value = n * np.log(2.0) + L[j] + Q[r, j] / 2.0
+                    scalar = reg_log_score(design, z, float(theta), 2.0, F).value
+                    assert abs(value - scalar) <= 1e-7 * (1.0 + abs(scalar))
+                    d = reg_score_decomposition(design, z, float(theta), F)
+                    assert (d.L, d.Q) == (L[j], Q[r, j])
+            z = Z[0]
+            for j, theta in enumerate(thetas):
+                dense = 0.0
+                for i in range(n):
+                    pred, v = loo_trend_prediction(design, z, float(theta), F, i)
+                    dense += np.log(2.0 * v) + (z[i] - pred) ** 2 / (2.0 * v)
+                value = n * np.log(2.0) + L[j] + Q[0, j] / 2.0
+                assert abs(value - dense) <= 1e-7 * (1.0 + abs(dense))
+
+    def test_nonfinite_and_overflowing_rows_fail_alone(self):
+        d = regular_design(30)
+        F = _trend_matrix(d, 1)
+        Z = np.stack([F @ [1.0, 2.0] + sample_path(d, PARAMS0, (10, r)) for r in range(5)])
+        Z[1, 7] = np.nan
+        Z[3] = 1e200 * (-1.0) ** np.arange(d.n)  # the quadratic part overflows
+        batch = cv_reg_batch(d, Z, F, BOX)
+        for r in (1, 3):
+            assert isinstance(batch[r], NumericalFailureError)
+            with pytest.raises(NumericalFailureError):
+                estimate_cv_reg(d, Z[r], F, BOX)
+        for r in (0, 2, 4):
+            assert repr(batch[r]) == repr(estimate_cv_reg(d, Z[r], F, BOX))
+
+    def test_collapsed_projection_fails_rows_with_conditioning_error(self):
+        # a trend column that moves the first point alone leaves nothing to
+        # predict it from: its projected precision diagonal is zero in exact
+        # arithmetic and not positive at most thetas of the grid
+        d = regular_design(10)
+        F = np.column_stack([np.ones(d.n), np.eye(d.n)[:, 0]])
+        Z = np.stack([sample_path(d, PARAMS0, (11, r)) for r in range(3)])
+        Z[2, 4] = np.inf
+        batch = cv_reg_batch(d, Z, F, BOX)
+        assert [type(res) for res in batch] == [ConditioningError, ConditioningError, NumericalFailureError]
+        with pytest.raises(ConditioningError):
+            estimate_cv_reg(d, Z[0], F, BOX)
+        L, _ = reg_parts(d, Z[:1], np.geomspace(BOX.a, BOX.A, 64), F)
+        theta = float(np.geomspace(BOX.a, BOX.A, 64)[np.argmax(np.isnan(L))])
+        assert str(theta) in str(batch[0])
+        with pytest.raises(ConditioningError):
+            reg_score_decomposition(d, Z[0], theta, F)
 
 
 class TestFailureIsolation:
