@@ -9,6 +9,7 @@ numerical failure.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import math
 import sys
@@ -17,7 +18,7 @@ from typing import Iterator
 
 import numpy as np
 
-from .designs import Design, from_points, maximal_design, minimal_design, regular_design, tau_squared
+from .designs import Design, from_points, tau_squared
 from .errors import (
     ConditioningError,
     InvalidDesignError,
@@ -26,15 +27,8 @@ from .errors import (
     NumericalFailureError,
     OucvError,
 )
-from .estimation import (
-    ParameterBox,
-    estimate_cv_fixed_sigma,
-    estimate_cv_fixed_theta,
-    estimate_cv_joint,
-    estimate_ml_joint,
-)
-from .montecarlo import ExperimentConfig, export, make_preset, run_experiment
-from .regression import estimate_cv_reg, reg_log_score
+from .estimation import ParameterBox, _single
+from .montecarlo import ExperimentConfig, _estimate_chunk, _field, build_design, export, make_preset, run_experiment
 from .scoring import dense_oracle_ml, dense_oracle_score, log_score, ml_neg2loglik, score_decomposition
 from .simulate import CovarianceParams, TrendSpec, polynomial_basis, sample_path, sample_with_trend
 
@@ -82,18 +76,21 @@ def _read_point_file(path: str) -> np.ndarray:
     return np.asarray([row[0] for row in _read_rows(path)], dtype=float)
 
 
+# the fields of a design spec's text form, kind:FIELD:FIELD
+_SPEC_FIELDS = {"regular": ("n",), "maximal": ("n", "gamma"), "minimal": ("n", "alpha")}
+
+
 def _design_from_spec(spec: str) -> Design:
-    parts = spec.split(":")
-    kind = parts[0]
-    if kind == "regular":
-        return regular_design(int(parts[1]))
-    if kind == "maximal":
-        return maximal_design(int(parts[1]), float(parts[2]))
-    if kind == "minimal":
-        return minimal_design(int(parts[1]), float(parts[2]))
+    """regular:N | maximal:N:GAMMA | minimal:N:ALPHA | file:PATH."""
+    kind, _, rest = spec.partition(":")
     if kind == "file":
-        return from_points(_read_point_file(parts[1]))
-    raise InvalidParameterError(f"unknown design spec {spec!r}")
+        return build_design({"kind": "points", "points": _read_point_file(rest)})
+    values = rest.split(":")
+    if len(values) != len(_SPEC_FIELDS.get(kind, ())):
+        raise InvalidParameterError(
+            f"design spec {spec!r} is not regular:N, maximal:N:GAMMA, minimal:N:ALPHA or file:PATH"
+        )
+    return build_design({"kind": kind, **dict(zip(_SPEC_FIELDS[kind], values))})
 
 
 def _read_data_csv(path: str) -> tuple[Design, np.ndarray]:
@@ -111,46 +108,68 @@ def _read_data_csv(path: str) -> tuple[Design, np.ndarray]:
     return from_points(np.asarray(s_vals)), np.asarray(y_vals)
 
 
-def _trend_from_config(path: str, need_beta: bool) -> tuple[TrendSpec | None, np.ndarray | None]:
-    """Load a trend config: a named basis (plus coefficients) or an F column file."""
-    with open(path) as fh:
-        cfg = json.load(fh)
-    if "columns" in cfg:
-        rows = list(_read_rows(cfg["columns"]))
-        if len({len(row) for row in rows}) > 1:
-            raise InvalidParameterError(f"rows of {cfg['columns']} differ in length")
-        return None, np.asarray(rows, dtype=float)
-    basis_name = cfg["basis"]
-    if not basis_name.startswith("polynomial:"):
-        raise InvalidParameterError(f"unknown basis {basis_name!r}")
-    degree = int(basis_name.split(":")[1])
-    basis = polynomial_basis(degree)
+def _json_object(path: str, text: str | None = None) -> dict:
+    """The JSON object in ``text``, or else in the file at ``path``."""
+    try:
+        raw = json.loads(Path(path).read_text() if text is None else text)
+    except json.JSONDecodeError as err:
+        raise InvalidParameterError(f"{path} is not valid JSON: {err}") from None
+    if not isinstance(raw, dict):
+        raise InvalidParameterError(f"{path} must hold a JSON object")
+    return raw
+
+
+def _floats(value, what: str) -> list[float]:
+    """A list of floats from comma-separated text or a sequence."""
+    try:
+        return [float(v) for v in (value.split(",") if isinstance(value, str) else value)]
+    except (TypeError, ValueError):
+        raise InvalidParameterError(f"{what} must be numbers, got {value!r}") from None
+
+
+def _trend_spec(cfg: dict, need_beta: bool) -> TrendSpec:
+    """A trend mapping: 'basis' is 'polynomial:K', the monomials up to
+    degree K; 'beta' (a list or comma-separated text) holds the
+    coefficients, zero when absent and not ``need_beta``."""
+    basis_name = _field(cfg, "basis", str, "trend config")
+    kind, _, degree = basis_name.partition(":")
+    if kind != "polynomial" or not degree.isdecimal():
+        raise InvalidParameterError(f"unknown trend basis {basis_name!r}; expected 'polynomial:K'")
+    basis = polynomial_basis(int(degree))
     beta = cfg.get("beta")
-    if beta is None:
-        if need_beta:
-            raise InvalidParameterError("trend config needs 'beta' for simulation")
-        beta = [0.0] * len(basis)
-    return TrendSpec(beta=np.asarray(beta, dtype=float), basis=basis), None
+    if beta is None and need_beta:
+        raise InvalidParameterError("trend config needs 'beta' for simulation")
+    return TrendSpec(beta=np.zeros(len(basis)) if beta is None else _floats(beta, "trend beta"), basis=basis)
 
 
-def _parse_box(text: str) -> ParameterBox:
-    values = [float(v) for v in text.split(",")]
+def _trend_columns(path: str, design: Design) -> np.ndarray:
+    """The trend matrix F of a trend config: a named basis evaluated on
+    the design, or the rows of its 'columns' file."""
+    cfg = _json_object(path)
+    if "columns" not in cfg:
+        return _trend_spec(cfg, need_beta=False).design_matrix(design)
+    rows = list(_read_rows(cfg["columns"]))
+    if len({len(row) for row in rows}) > 1:
+        raise InvalidParameterError(f"rows of {cfg['columns']} differ in length")
+    return np.asarray(rows, dtype=float)
+
+
+def _parse_box(value) -> ParameterBox:
+    """A box from 'a,A,b,B' text or a sequence of four numbers."""
+    values = _floats(value, "box")
     if len(values) != 4:
-        raise InvalidParameterError(f"box must be 'a,A,b,B', got {text!r}")
-    return ParameterBox(a=values[0], A=values[1], b=values[2], B=values[3])
+        raise InvalidParameterError(f"box must be 'a,A,b,B', got {value!r}")
+    return ParameterBox(*values)
 
 
 def _cmd_design(args) -> int:
     if args.kind == "file":
         if not args.points:
             raise InvalidParameterError("--kind file needs --points <path>")
-        design = from_points(_read_point_file(args.points))
-    elif args.kind == "regular":
-        design = regular_design(args.n)
-    elif args.kind == "maximal":
-        design = maximal_design(args.n, args.gamma)
+        spec = {"kind": "points", "points": _read_point_file(args.points)}
     else:
-        design = minimal_design(args.n, args.alpha)
+        spec = {"kind": args.kind, "n": args.n, "gamma": args.gamma, "alpha": args.alpha}
+    design = build_design(spec)
     print("index,s,delta")
     for i in range(design.n):
         delta = "" if i == 0 else _fmt(design.gaps[i - 1])
@@ -164,10 +183,10 @@ def _cmd_simulate(args) -> int:
     design = _design_from_spec(args.design)
     params = CovarianceParams(theta=args.theta, sigma2=args.sigma2)
     if args.trend:
-        trend, columns = _trend_from_config(args.trend, need_beta=True)
-        if trend is None:
+        cfg = _json_object(args.trend)
+        if "columns" in cfg:
             raise InvalidParameterError("simulation needs a named basis with coefficients, not a column file")
-        data = sample_with_trend(design, params, trend, args.seed)
+        data = sample_with_trend(design, params, _trend_spec(cfg, need_beta=True), args.seed)
         label = "z"
     else:
         data = sample_path(design, params, args.seed)
@@ -198,44 +217,41 @@ def _cmd_score(args) -> int:
     return 0
 
 
+# the estimator behind each (--objective, --mode, --trend given) combination
+_ESTIMATOR_FLAGS = {
+    ("cv", "joint", False): "cv-joint",
+    ("ml", "joint", False): "ml-joint",
+    ("cv", "fixed-sigma", False): "cv-fixed-sigma",
+    ("cv", "fixed-theta", False): "cv-fixed-theta",
+    ("cv", "joint", True): "cv-regression",
+}
+
+
+def _estimator_name(args) -> str:
+    """The estimator the estimate flags name; a combination with no
+    estimator behind it, or a flag it would ignore, is an error."""
+    name = _ESTIMATOR_FLAGS.get((args.objective, args.mode, bool(args.trend)))
+    if name is None:
+        trend = " --trend" if args.trend else ""
+        raise InvalidParameterError(
+            f"no estimator for --objective {args.objective} --mode {args.mode}{trend}"
+        )
+    for flag, value, mode in (("--sigma1", args.sigma1, "fixed-sigma"), ("--theta2", args.theta2, "fixed-theta")):
+        if value is None and args.mode == mode:
+            raise InvalidParameterError(f"--mode {mode} needs {flag}")
+        if value is not None and args.mode != mode:
+            raise InvalidParameterError(f"{flag} applies to --mode {mode} only")
+    return name
+
+
 def _cmd_estimate(args) -> int:
+    name = _estimator_name(args)
     design, data = _read_data_csv(args.data)
     box = _parse_box(args.box)
-    if args.trend:
-        trend, columns = _trend_from_config(args.trend, need_beta=False)
-        F = columns if columns is not None else trend.design_matrix(design)
-        res = estimate_cv_reg(design, data, F, box)
-        mode = "cv-regression"
-    elif args.mode == "joint":
-        if args.objective == "ml":
-            res = estimate_ml_joint(design, data, box)
-        else:
-            res = estimate_cv_joint(design, data, box)
-        mode = f"{args.objective}-joint"
-    elif args.mode == "fixed-sigma":
-        if args.sigma1 is None:
-            raise InvalidParameterError("--mode fixed-sigma needs --sigma1")
-        res = estimate_cv_fixed_sigma(design, data, args.sigma1, box.theta_range)
-        mode = "cv-fixed-sigma"
-    else:
-        if args.theta2 is None:
-            raise InvalidParameterError("--mode fixed-theta needs --theta2")
-        res = estimate_cv_fixed_theta(design, data, args.theta2, box.sigma2_range)
-        mode = "cv-fixed-theta"
-    print(
-        json.dumps(
-            {
-                "mode": mode,
-                "theta_hat": res.theta_hat,
-                "sigma2_hat": res.sigma2_hat,
-                "product": res.product,
-                "objective_value": res.objective_value,
-                "gradient_at_opt": res.gradient_at_opt,
-                "boundary_flags": list(res.boundary_flags),
-                "iterations": res.iterations,
-            }
-        )
-    )
+    F = _trend_columns(args.trend, design) if args.trend else None
+    res = _single(_estimate_chunk(name, design, data[None, :], box, args.sigma1, args.theta2, F))
+    fields = {k: v for k, v in dataclasses.asdict(res).items() if k != "evaluations"}
+    print(json.dumps({"mode": name, **fields}))
     return 0
 
 
@@ -254,34 +270,25 @@ def _flat_config_to_dict(text: str) -> dict:
     return out
 
 
+def _names(value) -> tuple[str, ...]:
+    return tuple(v.strip() for v in value.split(",")) if isinstance(value, str) else tuple(value)
+
+
 def _config_from_dict(raw: dict) -> ExperimentConfig:
-    design = dict(raw["design"])
-    design["kind"] = str(design["kind"])
-    box_raw = raw["box"]
-    if isinstance(box_raw, str):
-        box_raw = [float(v) for v in box_raw.split(",")]
-    estimators = raw["estimators"]
-    if isinstance(estimators, str):
-        estimators = [e.strip() for e in estimators.split(",")]
-    trend = None
-    if "trend" in raw and raw["trend"]:
-        tcfg = raw["trend"]
-        degree = int(str(tcfg["basis"]).split(":")[1])
-        beta = tcfg["beta"]
-        if isinstance(beta, str):
-            beta = [float(v) for v in beta.split(",")]
-        trend = TrendSpec(beta=np.asarray(beta, dtype=float), basis=polynomial_basis(degree))
+    def get(key, cast):
+        return _field(raw, key, cast, "experiment config")
+
     return ExperimentConfig(
-        design=design,
-        theta0=float(raw["theta0"]),
-        sigma0_sq=float(raw["sigma0_sq"]),
-        replicates=int(raw["replicates"]),
-        box=ParameterBox(*[float(v) for v in box_raw]),
-        estimators=tuple(estimators),
-        seed=int(raw["seed"]),
-        sigma1_sq=float(raw["sigma1_sq"]) if raw.get("sigma1_sq") else None,
-        theta2=float(raw["theta2"]) if raw.get("theta2") else None,
-        trend=trend,
+        design=get("design", dict),
+        theta0=get("theta0", float),
+        sigma0_sq=get("sigma0_sq", float),
+        replicates=get("replicates", int),
+        box=get("box", _parse_box),
+        estimators=get("estimators", _names),
+        seed=get("seed", int),
+        sigma1_sq=get("sigma1_sq", float) if raw.get("sigma1_sq") else None,
+        theta2=get("theta2", float) if raw.get("theta2") else None,
+        trend=_trend_spec(get("trend", dict), need_beta=True) if raw.get("trend") else None,
     )
 
 
@@ -292,22 +299,11 @@ def _cmd_experiment(args) -> int:
     else:
         text = Path(args.config).read_text()
         stripped = text.lstrip()
-        raw = json.loads(text) if stripped.startswith("{") else _flat_config_to_dict(text)
+        raw = _json_object(args.config, text) if stripped.startswith("{") else _flat_config_to_dict(text)
         config = _config_from_dict(raw)
         default_out = f"run-{Path(args.config).stem}"
     if args.replicates is not None:
-        config = ExperimentConfig(
-            design=config.design,
-            theta0=config.theta0,
-            sigma0_sq=config.sigma0_sq,
-            replicates=args.replicates,
-            box=config.box,
-            estimators=config.estimators,
-            seed=config.seed,
-            sigma1_sq=config.sigma1_sq,
-            theta2=config.theta2,
-            trend=config.trend,
-        )
+        config = dataclasses.replace(config, replicates=args.replicates)
     report = run_experiment(config, max_workers=args.threads)
     outdir = args.output or default_out
     export(report, outdir)

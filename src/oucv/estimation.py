@@ -5,7 +5,8 @@ the variance profiles out in closed form (Q/n clamped into the box) and
 the remaining one-dimensional problem is solved by a deterministic
 coarse grid followed by golden-section refinement. The three classical
 cases are covered: joint estimation, fixed variance, fixed inverse
-length scale.
+length scale. They are one search: a fixed parameter is a box range of
+zero width.
 
 Estimation is batched: each ``*_batch`` function estimates every row of
 a data array (R, n) at once. The grid is evaluated as whole arrays of
@@ -96,7 +97,15 @@ class ParameterBox:
 
 @dataclass(frozen=True)
 class EstimateResult:
-    """Minimizer coordinates, their product, and convergence diagnostics."""
+    """Minimizer coordinates, their product, and convergence diagnostics.
+
+    ``gradient_at_opt`` is the objective's derivative in the free
+    coordinate at the optimum: in theta, or in sigma2 when the theta
+    range is collapsed (a == A). ``boundary_flags`` names the box edges
+    the optimum sits on (``theta_lower``, ``theta_upper``,
+    ``sigma2_lower``, ``sigma2_upper``), for coordinates whose range is
+    not collapsed only: a fixed parameter is never flagged.
+    """
 
     theta_hat: float
     sigma2_hat: float
@@ -122,21 +131,15 @@ def standardized_statistic(product_hat: float, true_product: float, n: int, tau:
     return float(math.sqrt(n) * (product_hat - true_product) / (true_product * tau))
 
 
-def _sigma_flags(sigma2: float, box: ParameterBox) -> list[str]:
+def _boundary_flags(name: str, x: float, lo: float, hi: float) -> list[str]:
+    """The edges of [lo, hi] that x sits on; none for a collapsed range."""
+    if lo == hi:
+        return []
     flags = []
-    if sigma2 <= box.b * (1.0 + _BOUNDARY_RTOL):
-        flags.append("sigma2_lower")
-    if sigma2 >= box.B * (1.0 - _BOUNDARY_RTOL):
-        flags.append("sigma2_upper")
-    return flags
-
-
-def _theta_flags(theta: float, box: ParameterBox) -> list[str]:
-    flags = []
-    if theta <= box.a * (1.0 + _BOUNDARY_RTOL):
-        flags.append("theta_lower")
-    if theta >= box.A * (1.0 - _BOUNDARY_RTOL):
-        flags.append("theta_upper")
+    if x <= lo * (1.0 + _BOUNDARY_RTOL):
+        flags.append(f"{name}_lower")
+    if x >= hi * (1.0 - _BOUNDARY_RTOL):
+        flags.append(f"{name}_upper")
     return flags
 
 
@@ -150,6 +153,16 @@ def _keep_best(f, x, best_f, best_x):
     value, or on a tie the smaller theta; a NaN value never wins."""
     better = (f < best_f) | ((f == best_f) & (x < best_x))
     return np.where(better, f, best_f), np.where(better, x, best_x)
+
+
+def _fail_nonfinite(failed: dict, thetas: np.ndarray, values: np.ndarray) -> None:
+    """Fail each row with a non-finite value among ``values`` (rows, T),
+    naming the first of the shared ``thetas`` (T,) it was found at."""
+    finite = np.isfinite(values)
+    for r in np.flatnonzero(~finite.all(axis=1)):
+        if r not in failed:
+            bad = float(thetas[np.argmin(finite[r])])
+            failed[r] = NumericalFailureError(f"objective is not finite at theta = {bad}", theta=bad)
 
 
 def _minimize_theta(objective: Callable, lo: float, hi: float, rows: int, width: int) -> tuple:
@@ -167,15 +180,17 @@ def _minimize_theta(objective: Callable, lo: float, hi: float, rows: int, width:
     the bracket is narrower than ``_REFINE_RTOL`` times its midpoint.
     The returned point is the smallest objective value seen, grid nodes
     included; ties go to the smaller theta. A non-finite value on a
-    row's grid fails that row alone. Returns per row theta, value,
+    row's grid fails that row alone. When ``lo == hi`` the grid is that
+    one point, with no refinement. Returns per row theta, value,
     iterations and evaluations, and the failures by row.
     """
     failed: dict[int, OucvError] = {}
     everyone = np.arange(rows)
     if lo == hi:
         theta = np.full(rows, lo)
-        value = objective(everyone, theta[:, None], failed)[:, 0]
-        return theta, value, np.zeros(rows, int), np.ones(rows, int), failed
+        values = objective(everyone, theta[:, None], failed)
+        _fail_nonfinite(failed, theta[:1], values)
+        return theta, values[:, 0], np.zeros(rows, int), np.ones(rows, int), failed
 
     grid = np.geomspace(lo, hi, _GRID_SIZE)
     block = max(1, _ELEMENT_BUDGET // (max(rows, 1) * width))
@@ -183,11 +198,7 @@ def _minimize_theta(objective: Callable, lo: float, hi: float, rows: int, width:
         [objective(everyone, grid[j:j + block], failed) for j in range(0, _GRID_SIZE, block)],
         axis=1,
     )
-    finite = np.isfinite(values)
-    for r in np.flatnonzero(~finite.all(axis=1)):
-        if r not in failed:
-            bad = float(grid[np.argmin(finite[r])])
-            failed[r] = NumericalFailureError(f"objective is not finite at theta = {bad}", theta=bad)
+    _fail_nonfinite(failed, grid, values)
     k = np.argmin(values, axis=1)  # first minimum: tie toward smaller theta
     best_x = grid[k]
     best_f = values[everyone, k]
@@ -271,11 +282,9 @@ def _clamp(x: np.ndarray, lo: float, hi: float) -> np.ndarray:
     return np.minimum(np.maximum(x, lo), hi)
 
 
-def _result(box, theta, sigma2, value, grad, iterations, evaluations, sigma_flags=True, theta_flags=True):
+def _result(box, theta, sigma2, value, grad, iterations, evaluations):
     theta, sigma2 = float(theta), float(sigma2)
-    flags = (_theta_flags(theta, box) if theta_flags else []) + (
-        _sigma_flags(sigma2, box) if sigma_flags else []
-    )
+    flags = _boundary_flags("theta", theta, box.a, box.A) + _boundary_flags("sigma2", sigma2, box.b, box.B)
     return EstimateResult(
         theta_hat=theta,
         sigma2_hat=sigma2,
@@ -305,7 +314,7 @@ def _record_singular(failed: dict, rows: np.ndarray, thetas, L: np.ndarray) -> N
             )
 
 
-def _search_batch(design, Y, box, parts, gradient, fixed_sigma=False, width=None) -> list:
+def _search_batch(design, Y, box, parts, gradient, width=None) -> list:
     """Profile search over theta for every row of Y.
 
     ``parts(design, Y, thetas)`` returns L and Q like
@@ -315,8 +324,13 @@ def _search_batch(design, Y, box, parts, gradient, fixed_sigma=False, width=None
     sigma2)`` is the analytic theta-derivative; without one the result
     carries a central difference of the objective at the profiled
     variance. ``width`` is the array elements per (row, theta) value,
-    n by default. With ``fixed_sigma`` the box's variance range is the
-    single fixed value and the result carries no variance flags.
+    n by default.
+
+    A fixed parameter is a collapsed range of the box: with a == A
+    theta is fixed and the variance is the closed-form profile, with
+    b == B the variance is fixed. The reported gradient is the
+    derivative in the free coordinate, theta unless a == A, where it
+    is the variance derivative n / sigma2 - Q / sigma2^2.
     """
     Y, slots = _data_rows(design, Y)
     ok = _unfailed(slots)
@@ -343,8 +357,10 @@ def _search_batch(design, Y, box, parts, gradient, fixed_sigma=False, width=None
             return L, Q
 
         _, Q = at(theta)
-        sigma2 = np.full_like(Q, box.b) if fixed_sigma else _clamp(Q / n, box.b, box.B)
-        if gradient:
+        sigma2 = _clamp(Q / n, box.b, box.B)
+        if box.a == box.A:
+            grad = n / sigma2 - Q / (sigma2 * sigma2)
+        elif gradient:
             grad = gradient(design, Yd, theta, sigma2)
         else:  # central difference at the profiled variance
             step = 1e-6 * theta
@@ -353,8 +369,7 @@ def _search_batch(design, Y, box, parts, gradient, fixed_sigma=False, width=None
         for j, i in enumerate(done):
             if i not in failed:
                 slots[ok[i]] = _result(
-                    box, theta[j, 0], sigma2[j, 0], values[i], grad[j, 0],
-                    iterations[i], evaluations[i], sigma_flags=not fixed_sigma,
+                    box, theta[j, 0], sigma2[j, 0], values[i], grad[j, 0], iterations[i], evaluations[i]
                 )
     for i, err in failed.items():
         slots[ok[i]] = err
@@ -383,37 +398,16 @@ def ml_joint_batch(design: Design, Y, box: ParameterBox) -> list:
     return _search_batch(design, Y, box, ml_parts, ml_gradient)
 
 
-def _fixed_sigma_box(sigma1_sq: float, theta_range: tuple[float, float]) -> ParameterBox:
-    if not (np.isfinite(sigma1_sq) and sigma1_sq > 0.0):
-        raise InvalidParameterError(f"sigma1_sq must be positive, got {sigma1_sq}")
-    lo, hi = theta_range
-    return ParameterBox(a=lo, A=hi, b=sigma1_sq, B=sigma1_sq)
-
-
 def cv_fixed_sigma_batch(design: Design, Y, sigma1_sq: float, theta_range: tuple[float, float]) -> list:
     """:func:`estimate_cv_fixed_sigma` on every row of Y, like :func:`cv_joint_batch`."""
-    box = _fixed_sigma_box(sigma1_sq, theta_range)
-    return _search_batch(design, Y, box, score_parts, score_gradient, fixed_sigma=True)
+    box = ParameterBox(*theta_range, sigma1_sq, sigma1_sq)
+    return _search_batch(design, Y, box, score_parts, score_gradient)
 
 
 def cv_fixed_theta_batch(design: Design, Y, theta2: float, sigma_range: tuple[float, float]) -> list:
     """:func:`estimate_cv_fixed_theta` on every row of Y, like :func:`cv_joint_batch`."""
-    if not (np.isfinite(theta2) and theta2 > 0.0):
-        raise InvalidParameterError(f"theta2 must be positive, got {theta2}")
-    lo, hi = sigma_range
-    box = ParameterBox(a=theta2, A=theta2, b=lo, B=hi)
-    Y, slots = _data_rows(design, Y)
-    ok = _unfailed(slots)
-    n = design.n
-    L, Q = score_parts(design, _take(Y, ok), [theta2])
-    sigma2 = _clamp(Q / n, box.b, box.B)
-    value = n * np.log(sigma2) + L + Q / sigma2
-    grad = n / sigma2 - Q / (sigma2 * sigma2)
-    for j, i in enumerate(ok):
-        slots[i] = _result(
-            box, theta2, sigma2[j, 0], value[j, 0], grad[j, 0], 0, 1, theta_flags=False
-        )
-    return slots
+    box = ParameterBox(theta2, theta2, *sigma_range)
+    return _search_batch(design, Y, box, score_parts, score_gradient)
 
 
 def estimate_cv_joint(design: Design, y, box: ParameterBox) -> EstimateResult:

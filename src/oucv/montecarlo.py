@@ -149,18 +149,33 @@ class ExperimentReport:
     panels: dict[str, EstimatorPanel] = field(default_factory=dict)
 
 
+def _field(mapping: dict, key: str, cast, what: str):
+    """``cast(mapping[key])``, or an InvalidParameterError naming ``what``
+    and the missing key or the value that does not convert."""
+    if key not in mapping:
+        raise InvalidParameterError(f"{what} needs {key!r}")
+    try:
+        return cast(mapping[key])
+    except (TypeError, ValueError):
+        raise InvalidParameterError(f"{what} has a bad {key!r}: {mapping[key]!r}") from None
+
+
+# each design kind's constructor and its spec fields, in argument order
+_DESIGN_KINDS = {
+    "regular": (regular_design, (("n", int),)),
+    "maximal": (maximal_design, (("n", int), ("gamma", float))),
+    "minimal": (minimal_design, (("n", int), ("alpha", float))),
+    "points": (from_points, (("points", lambda v: np.asarray(v, dtype=float)),)),
+}
+
+
 def build_design(spec: dict) -> Design:
     """Materialize a design from its config mapping."""
     kind = spec.get("kind")
-    if kind == "regular":
-        return regular_design(int(spec["n"]))
-    if kind == "maximal":
-        return maximal_design(int(spec["n"]), float(spec["gamma"]))
-    if kind == "minimal":
-        return minimal_design(int(spec["n"]), float(spec["alpha"]))
-    if kind == "points":
-        return from_points(np.asarray(spec["points"], dtype=float))
-    raise InvalidParameterError(f"unknown design kind {kind!r}")
+    if kind not in _DESIGN_KINDS:
+        raise InvalidParameterError(f"unknown design kind {kind!r}")
+    make, fields = _DESIGN_KINDS[kind]
+    return make(*(_field(spec, key, cast, f"{kind} design") for key, cast in fields))
 
 
 def _clt_regime(box: ParameterBox, product0: float) -> str:
@@ -200,23 +215,22 @@ def make_preset(name: str) -> ExperimentConfig:
     )
 
 
-def _estimate_chunk(
-    name: str,
-    design: Design,
-    data: np.ndarray,
-    F: np.ndarray | None,
-    config: ExperimentConfig,
-) -> list:
+def _estimate_chunk(name: str, design: Design, data: np.ndarray, box: ParameterBox,
+                    sigma1_sq: float | None, theta2: float | None, F: np.ndarray | None) -> list:
+    """Estimator ``name`` on every row of ``data`` (R, n), as its batch
+    function returns it. ``sigma1_sq`` (cv-fixed-sigma), ``theta2``
+    (cv-fixed-theta) and the trend matrix ``F`` (cv-regression) are
+    read by their estimator only."""
     if name == "cv-joint":
-        return cv_joint_batch(design, data, config.box)
+        return cv_joint_batch(design, data, box)
     if name == "ml-joint":
-        return ml_joint_batch(design, data, config.box)
+        return ml_joint_batch(design, data, box)
     if name == "cv-fixed-sigma":
-        return cv_fixed_sigma_batch(design, data, config.sigma1_sq, config.box.theta_range)
+        return cv_fixed_sigma_batch(design, data, sigma1_sq, box.theta_range)
     if name == "cv-fixed-theta":
-        return cv_fixed_theta_batch(design, data, config.theta2, config.box.sigma2_range)
+        return cv_fixed_theta_batch(design, data, theta2, box.sigma2_range)
     if name == "cv-regression":
-        return cv_reg_batch(design, data, F, config.box)
+        return cv_reg_batch(design, data, F, box)
     raise InvalidParameterError(f"unknown estimator {name!r}")
 
 
@@ -236,7 +250,7 @@ def _chunk_records(
     out = {}
     for name in config.estimators:
         try:
-            results = _estimate_chunk(name, design, data, F, config)
+            results = _estimate_chunk(name, design, data, config.box, config.sigma1_sq, config.theta2, F)
         except OucvError as err:
             results = [err] * len(replicates)
         records = []

@@ -60,7 +60,8 @@ class ScoreDecomposition:
     n: int
 
     def score_at(self, sigma2: float) -> float:
-        return self.n * np.log(sigma2) + self.L + self.Q / sigma2
+        with np.errstate(over="ignore", invalid="ignore"):
+            return self.n * np.log(sigma2) + self.L + self.Q / sigma2
 
 
 @dataclass(frozen=True)
@@ -283,22 +284,11 @@ def log_score(design: Design, y, theta: float, sigma2: float) -> float:
     """Cross-validation logarithmic score, matrix-free in O(n).
 
     Sums, over every observation, the log conditional variance plus the
-    squared leave-one-out residual divided by that variance.
+    squared leave-one-out residual divided by that variance; evaluated
+    as :func:`score_decomposition` at ``sigma2``.
     """
-    _check_theta(theta)
     _check_sigma2(sigma2)
-    y = _check_data(design, y)
-    g, _, G, _, A, _, w_left, w_right, resid = _cv_terms(design, y[None, :], theta)
-    with np.errstate(over="ignore", invalid="ignore"):
-        value = (
-            design.n * np.log(sigma2)
-            + log_one_minus_exp_neg(2.0 * theta * g[0])
-            + log_one_minus_exp_neg(2.0 * theta * g[-1])
-            + w_left[0, 0] * w_left[0, 0] / (sigma2 * G[0])
-            + w_right[0, 0] * w_right[0, 0] / (sigma2 * G[-1])
-            - float(np.sum(np.log(A)))
-            + float(np.sum(A * resid[0, 0] * resid[0, 0] / sigma2))
-        )
+    value = score_decomposition(design, y, theta).score_at(sigma2)
     if not np.isfinite(value):
         raise NumericalFailureError("logarithmic score is not finite", theta=theta)
     return float(value)
@@ -334,20 +324,11 @@ def ml_neg2loglik(design: Design, y, theta: float, sigma2: float) -> float:
 
     Each observation conditions on its left neighbor only, giving
     n log(2 pi sigma2) plus per-gap log variances plus the normalized
-    squared innovations, all in O(n).
+    squared innovations, all in O(n); evaluated as
+    :func:`ml_decomposition` at ``sigma2``.
     """
-    _check_theta(theta)
     _check_sigma2(sigma2)
-    y = _check_data(design, y)
-    n = design.n
-    g, E, G, _ = _kernel_arrays(design, theta)
-    W = y[1:] - E * y[:-1]
-    with np.errstate(over="ignore", invalid="ignore"):
-        value = (
-            n * np.log(2.0 * np.pi * sigma2)
-            + float(np.sum(log_one_minus_exp_neg(2.0 * theta * g)))
-            + (y[0] * y[0] + float(np.sum(W * W / G))) / sigma2
-        )
+    value = ml_decomposition(design, y, theta).score_at(sigma2)
     if not np.isfinite(value):
         raise NumericalFailureError("likelihood objective is not finite", theta=theta)
     return float(value)

@@ -261,11 +261,30 @@ class TestFailureIsolation:
         assert repr(batch[0]) == repr(estimate_cv_joint(d, Y[0], BOX))
         assert repr(batch[2]) == repr(estimate_cv_joint(d, Y[2], BOX))
 
+    def test_collapsed_theta_range_fails_the_overflowing_row_alone(self):
+        # with a == A the search evaluates the one point only, and a
+        # non-finite value there fails the row as it does on a grid
+        d = regular_design(20)
+        Y = np.stack([sample_path(d, PARAMS0, (8, r)) for r in range(4)])
+        Y[1, 5] = 1e200  # the quadratic part overflows
+        box = ParameterBox(1.5, 1.5, 0.3, 30.0)
+        for batch, single in [
+            (cv_fixed_theta_batch(d, Y, 1.5, box.sigma2_range),
+             lambda y: estimate_cv_fixed_theta(d, y, 1.5, box.sigma2_range)),
+            (cv_joint_batch(d, Y, box), lambda y: estimate_cv_joint(d, y, box)),
+        ]:
+            assert isinstance(batch[1], NumericalFailureError) and batch[1].theta == 1.5
+            with pytest.raises(NumericalFailureError):
+                single(Y[1])
+            for r in (0, 2, 3):
+                assert repr(batch[r]) == repr(single(Y[r]))
+                assert batch[r].evaluations == 1
+
     def test_run_experiment_records_the_failed_replicate(self, monkeypatch):
         cfg = ExperimentConfig(
             design={"kind": "regular", "n": 10}, theta0=3.0, sigma0_sq=1.0, replicates=6,
-            box=BOX, estimators=("cv-joint", "ml-joint", "cv-fixed-sigma"), seed=12,
-            sigma1_sq=2.0,
+            box=BOX, estimators=("cv-joint", "ml-joint", "cv-fixed-sigma", "cv-fixed-theta"), seed=12,
+            sigma1_sq=2.0, theta2=1.5,
         )
         clean = run_experiment(cfg)
 

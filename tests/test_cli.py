@@ -8,6 +8,7 @@ from contextlib import redirect_stderr, redirect_stdout
 import numpy as np
 import pytest
 
+import oucv
 from oucv import from_points, log_score, ml_neg2loglik, regular_design, sample_path, CovarianceParams
 from oucv.cli import main
 
@@ -169,6 +170,67 @@ class TestEstimateCommand:
         assert json.loads(out)["mode"] == "cv-regression"
 
 
+class TestEstimatorDispatch:
+    """``oucv estimate`` runs the library estimator its flags name, and
+    refuses a flag combination with no estimator behind it."""
+
+    @pytest.fixture
+    def files(self, tmp_path):
+        _, out, _ = run_cli(
+            ["simulate", "--design", "regular:50", "--theta", "3", "--sigma2", "1", "--seed", "21"]
+        )
+        data = tmp_path / "data.csv"
+        data.write_text(out)
+        trend = tmp_path / "trend.json"
+        trend.write_text(json.dumps({"basis": "polynomial:1"}))
+        return data, trend
+
+    def test_cli_equals_library_for_every_estimator(self, files):
+        data, trend = files
+        rows = list(csv.reader(io.StringIO(data.read_text())))[1:]
+        d = from_points([float(r[1]) for r in rows])
+        y = np.array([float(r[2]) for r in rows])
+        F = np.column_stack([np.ones(d.n), d.points])
+        box = oucv.ParameterBox(0.1, 10.0, 0.3, 30.0)
+        cases = {
+            "cv-joint": ([], lambda: oucv.estimate_cv_joint(d, y, box)),
+            "ml-joint": (["--objective", "ml"], lambda: oucv.estimate_ml_joint(d, y, box)),
+            "cv-fixed-sigma": (["--mode", "fixed-sigma", "--sigma1", "2"],
+                               lambda: oucv.estimate_cv_fixed_sigma(d, y, 2.0, box.theta_range)),
+            "cv-fixed-theta": (["--mode", "fixed-theta", "--theta2", "1.5"],
+                               lambda: oucv.estimate_cv_fixed_theta(d, y, 1.5, box.sigma2_range)),
+            "cv-regression": (["--trend", str(trend)], lambda: oucv.estimate_cv_reg(d, y, F, box)),
+        }
+        for name, (flags, library) in cases.items():
+            code, out, _ = run_cli(["estimate", "--data", str(data), "--box", "0.1,10,0.3,30"] + flags)
+            assert code == 0
+            res = library()
+            expected = {"mode": name, "theta_hat": res.theta_hat, "sigma2_hat": res.sigma2_hat,
+                        "product": res.product, "objective_value": res.objective_value,
+                        "gradient_at_opt": res.gradient_at_opt,
+                        "boundary_flags": list(res.boundary_flags), "iterations": res.iterations}
+            assert repr(json.loads(out)) == repr(expected)
+
+    @pytest.mark.parametrize("flags", [
+        ["--objective", "ml", "--mode", "fixed-sigma", "--sigma1", "2"],
+        ["--objective", "ml", "--mode", "fixed-theta", "--theta2", "1.5"],
+        ["--objective", "ml", "--trend", "TREND"],
+        ["--mode", "fixed-sigma", "--sigma1", "2", "--trend", "TREND"],
+        ["--mode", "fixed-theta", "--theta2", "1.5", "--trend", "TREND"],
+        ["--mode", "fixed-theta"],
+        ["--sigma1", "2"],
+        ["--theta2", "1.5"],
+        ["--mode", "fixed-sigma", "--sigma1", "2", "--theta2", "1.5"],
+        ["--trend", "TREND", "--sigma1", "2"],
+    ])
+    def test_flags_without_an_estimator_exit_1(self, files, flags):
+        data, trend = files
+        flags = [str(trend) if f == "TREND" else f for f in flags]
+        code, out, err = run_cli(["estimate", "--data", str(data), "--box", "0.1,10,0.3,30"] + flags)
+        assert code == 1 and out == ""
+        assert json.loads(err.strip())["error"] == "InvalidParameterError"
+
+
 class TestExperimentCommand:
     def test_config_file_run(self, tmp_path):
         cfg = {
@@ -288,6 +350,48 @@ class TestMalformedInput:
         code, out, err = run_cli(["estimate", "--data", str(data), "--box", "0.1,10,0.3,30", "--trend", str(cfg)])
         assert code == 1 and out == ""
         assert "line 5" in self._error(err)
+
+
+_EXPERIMENT = {
+    "design": {"kind": "regular", "n": 20}, "theta0": 3.0, "sigma0_sq": 1.0, "replicates": 2,
+    "box": [0.1, 10.0, 0.3, 30.0], "estimators": ["cv-joint"], "seed": 1,
+}
+_TREND_EXPERIMENT = dict(_EXPERIMENT, estimators=["cv-regression"])
+_SIMULATE = ["simulate", "--theta", "3", "--sigma2", "1", "--seed", "1", "--design"]
+_ESTIMATE = ["estimate", "--data", "DATA", "--box"]
+
+
+@pytest.mark.parametrize("argv, config, named", [
+    (_SIMULATE + ["maximal:20"], None, "maximal:20"),
+    (_SIMULATE + ["regular:x"], None, "'x'"),
+    (_SIMULATE + ["spiral:20"], None, "spiral:20"),
+    (_ESTIMATE + ["0.1,10,x,30"], None, "0.1,10,x,30"),
+    (_ESTIMATE + ["0.1,10,30"], None, "0.1,10,30"),
+    (_ESTIMATE + ["0.1,10,0.3,30", "--trend", "CONFIG"], {"beta": [1.0, 2.0]}, "'basis'"),
+    (_ESTIMATE + ["0.1,10,0.3,30", "--trend", "CONFIG"], {"basis": "polynomial:x"}, "polynomial:x"),
+    (["experiment", "--config", "CONFIG"], {k: v for k, v in _EXPERIMENT.items() if k != "box"}, "'box'"),
+    (["experiment", "--config", "CONFIG"], dict(_EXPERIMENT, theta0="abc"), "'abc'"),
+    (["experiment", "--config", "CONFIG"], dict(_EXPERIMENT, design={"kind": "maximal", "n": 20}), "'gamma'"),
+    (["experiment", "--config", "CONFIG"],
+     dict(_TREND_EXPERIMENT, trend={"basis": "const", "beta": [1.0]}), "'const'"),
+    (["experiment", "--config", "CONFIG"],
+     dict(_TREND_EXPERIMENT, trend={"basis": "spline:1", "beta": [1.0, 2.0]}), "'spline:1'"),
+    (["experiment", "--config", "CONFIG"], "{not json", "CONFIG"),
+])
+def test_malformed_spec_or_config_exits_1_naming_it(tmp_path, argv, config, named):
+    _, out, _ = run_cli(_SIMULATE + ["regular:8"])
+    data = tmp_path / "data.csv"
+    data.write_text(out)
+    path = tmp_path / "config.json"
+    path.write_text(config if isinstance(config, str) else json.dumps(config))
+    argv = [{"DATA": str(data), "CONFIG": str(path)}.get(a, a) for a in argv]
+    if argv[0] == "experiment":
+        argv += ["--output", str(tmp_path / "run")]
+    code, out, err = run_cli(argv)
+    assert code == 1 and out == ""
+    payload = json.loads(err.strip())
+    assert payload["error"] == "InvalidParameterError"
+    assert {"CONFIG": str(path)}.get(named, named) in payload["message"]
 
 
 class TestHelp:

@@ -176,6 +176,40 @@ class TestFixedTheta:
         assert a.objective_value == pytest.approx(b.objective_value, rel=1e-12)
 
 
+class TestCollapsedRanges:
+    """A fixed parameter is a box range of zero width."""
+
+    def test_fixed_estimators_are_joint_searches_on_collapsed_boxes(self, rng):
+        for _ in range(5):
+            design, y, _, _ = random_instance(rng)
+            assert repr(estimate_cv_fixed_theta(design, y, 2.5, (0.3, 30.0))) == repr(
+                estimate_cv_joint(design, y, ParameterBox(2.5, 2.5, 0.3, 30.0))
+            )
+            assert repr(estimate_cv_fixed_sigma(design, y, 2.0, (0.1, 10.0))) == repr(
+                estimate_cv_joint(design, y, ParameterBox(0.1, 10.0, 2.0, 2.0))
+            )
+
+    def test_fixed_coordinates_carry_no_flags(self):
+        d = regular_design(20)
+        y = sample_path(d, PARAMS0, 5)
+        assert estimate_cv_joint(d, y, ParameterBox(2.0, 2.0, 0.3, 30.0)).boundary_flags == ()
+        assert estimate_ml_joint(d, y, ParameterBox(3.0, 3.0, 2.0, 2.0)).boundary_flags == ()
+        # the free coordinate is still flagged on its edge
+        res = estimate_cv_fixed_sigma(d, y, 1.0, (0.1, 0.2))
+        assert res.boundary_flags == ("theta_upper",)
+
+    def test_gradient_is_in_the_free_coordinate(self):
+        d = regular_design(30)
+        y = sample_path(d, PARAMS0, 6)
+        for box in (ParameterBox(2.0, 2.0, 0.3, 30.0), ParameterBox(2.0, 2.0, 5.0, 5.0)):
+            res = estimate_cv_joint(d, y, box)
+            Q = score_decomposition(d, y, 2.0).Q
+            s2 = res.sigma2_hat
+            assert res.gradient_at_opt == pytest.approx(d.n / s2 - Q / s2**2, rel=1e-12, abs=1e-9)
+        res = estimate_cv_fixed_sigma(d, y, 5.0, (0.1, 10.0))
+        assert res.gradient_at_opt == score_gradient_theta(d, y, res.theta_hat, 5.0)
+
+
 class TestMlJoint:
     def test_variance_near_likelihood_limit(self):
         # light version of the reproduction run; the acceptance suite
