@@ -28,7 +28,8 @@ from .errors import (
     OucvError,
 )
 from .estimation import ParameterBox, _single
-from .montecarlo import ExperimentConfig, _estimate_chunk, _field, build_design, export, make_preset, run_experiment
+from .montecarlo import (_DESIGN_KINDS, ExperimentConfig, _estimate_chunk, _field, _integer, build_design, export,
+                         make_preset, run_experiment)
 from .scoring import dense_oracle_ml, dense_oracle_score, log_score, ml_neg2loglik, score_decomposition
 from .simulate import CovarianceParams, TrendSpec, polynomial_basis, sample_path, sample_with_trend
 
@@ -76,8 +77,10 @@ def _read_point_file(path: str) -> np.ndarray:
     return np.asarray([row[0] for row in _read_rows(path)], dtype=float)
 
 
-# the fields of a design spec's text form, kind:FIELD:FIELD
-_SPEC_FIELDS = {"regular": ("n",), "maximal": ("n", "gamma"), "minimal": ("n", "alpha")}
+# the fields of a design spec's text form, kind:FIELD:FIELD; a point
+# file is spelled file:PATH instead
+_SPEC_FIELDS = {kind: tuple(key for key, _ in fields)
+                for kind, (_, fields) in _DESIGN_KINDS.items() if kind != "points"}
 
 
 def _design_from_spec(spec: str) -> Design:
@@ -282,12 +285,12 @@ def _config_from_dict(raw: dict) -> ExperimentConfig:
         design=get("design", dict),
         theta0=get("theta0", float),
         sigma0_sq=get("sigma0_sq", float),
-        replicates=get("replicates", int),
+        replicates=get("replicates", _integer),
         box=get("box", _parse_box),
         estimators=get("estimators", _names),
-        seed=get("seed", int),
-        sigma1_sq=get("sigma1_sq", float) if raw.get("sigma1_sq") else None,
-        theta2=get("theta2", float) if raw.get("theta2") else None,
+        seed=get("seed", _integer),
+        sigma1_sq=get("sigma1_sq", float) if "sigma1_sq" in raw else None,
+        theta2=get("theta2", float) if "theta2" in raw else None,
         trend=_trend_spec(get("trend", dict), need_beta=True) if raw.get("trend") else None,
     )
 

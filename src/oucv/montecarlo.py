@@ -99,6 +99,10 @@ class ExperimentConfig:
             raise InvalidParameterError(f"need at least one replicate, got {self.replicates}")
         if not (self.theta0 > 0.0 and self.sigma0_sq > 0.0):
             raise InvalidParameterError("theta0 and sigma0_sq must be positive")
+        for key in ("sigma1_sq", "theta2"):
+            value = getattr(self, key)
+            if value is not None and not (math.isfinite(value) and value > 0.0):
+                raise InvalidParameterError(f"{key!r} must be positive and finite, got {value!r}")
         object.__setattr__(self, "estimators", tuple(self.estimators))
         if not self.estimators:
             raise InvalidParameterError("estimator list is empty")
@@ -160,11 +164,18 @@ def _field(mapping: dict, key: str, cast, what: str):
         raise InvalidParameterError(f"{what} has a bad {key!r}: {mapping[key]!r}") from None
 
 
+def _integer(value) -> int:
+    """``value`` as an int; a bool or a fractional number is a ValueError, not a truncation."""
+    if isinstance(value, bool) or (isinstance(value, float) and not value.is_integer()):
+        raise ValueError(f"not an integer: {value!r}")
+    return int(value)
+
+
 # each design kind's constructor and its spec fields, in argument order
 _DESIGN_KINDS = {
-    "regular": (regular_design, (("n", int),)),
-    "maximal": (maximal_design, (("n", int), ("gamma", float))),
-    "minimal": (minimal_design, (("n", int), ("alpha", float))),
+    "regular": (regular_design, (("n", _integer),)),
+    "maximal": (maximal_design, (("n", _integer), ("gamma", float))),
+    "minimal": (minimal_design, (("n", _integer), ("alpha", float))),
     "points": (from_points, (("points", lambda v: np.asarray(v, dtype=float)),)),
 }
 

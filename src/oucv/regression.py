@@ -8,10 +8,13 @@ that is needed, keeping evaluation O(n p^2); the paper's residual
 decomposition into four bounded correction terms is returned with every
 score for verification.
 
-The estimator's objective is one batched kernel, :func:`reg_parts`,
-evaluated for (replicate x theta) arrays like the centered kernels of
-:mod:`oucv.scoring`. Everything but the quadratic part depends on theta
+One factor of the projected precision, P - W'W with W = C^-1 F' P,
+serves every route: the batched kernel :func:`reg_parts` that the
+estimator evaluates for (replicate x theta) arrays like the centered
+kernels of :mod:`oucv.scoring`, the single-theta score and its
+correction terms, and the GLS coefficients. The factor depends on theta
 alone, so it is computed once per theta and shared by the replicates.
+Dense Cholesky factorizations remain only in the deleted-design oracle.
 """
 
 from __future__ import annotations
@@ -30,8 +33,8 @@ from .scoring import (
     _check_data,
     _check_sigma2,
     _check_theta,
+    TridiagonalPrecision,
     _precisions,
-    precision_matrix,
 )
 from .simulate import check_full_rank, covariance_matrix
 
@@ -81,45 +84,77 @@ def _prepare_F(design: Design, F) -> np.ndarray:
     return F
 
 
-def _normal_factor(design: Design, theta: float, F: np.ndarray):
-    """The precision P, the mapped trend columns PF, and the Cholesky
-    factor of the normal matrix F' P F."""
-    P = precision_matrix(design, theta)
-    PF = P.apply_to_columns(F)
-    try:
-        chol = scipy.linalg.cho_factor(F.T @ PF, lower=True)
-    except scipy.linalg.LinAlgError as err:
-        raise ConditioningError(f"normal matrix factorization failed: {err}") from err
-    return P, PF, chol
+def _trend_factor(design: Design, thetas, F: np.ndarray):
+    """The theta-only part of the projected precision P - W'W, for
+    ``thetas`` of any shape, unchecked.
 
-
-def _projection_parts(design: Design, z: np.ndarray, theta: float, F: np.ndarray):
-    """Everything the projected-precision route needs, in O(n p^2).
-
-    Returns the precision diagonal, the precision-mapped data and trend
-    columns, the projected diagonal, and the projected data vector.
+    W = C^-1 F' P, with C lower triangular and C C' = F' P F, is built
+    one trend column at a time: C_jl = F_j' W_l and C_jj = sqrt(F_j' w).
+    Returns P, the rows of W (point axis last), C (ending in (p, p)),
+    ebar (the column sums of W^2) and the projected diagonal
+    diag(P) - ebar. A pivot C_jj^2 <= 0 leaves W non-finite and the
+    projected diagonal not positive.
     """
-    P, PF, chol = _normal_factor(design, theta, F)
-    Pz = P.matvec(z)
-    # ebar_i = g_i' M^{-1} g_i with g_i the i-th row of PF
-    S = scipy.linalg.cho_solve(chol, PF.T)
-    ebar = np.einsum("ij,ji->i", PF, S)
-    proj_diag = P.diag - ebar
-    if np.any(proj_diag <= 0.0):
-        raise ConditioningError("projected leave-one-out variance collapsed to zero")
-    proj_z = Pz - PF @ scipy.linalg.cho_solve(chol, F.T @ Pz)
-    return P, Pz, PF, chol, ebar, proj_diag, proj_z
+    P = _precisions(design, thetas)
+    C = np.zeros(P.diag.shape[:-1] + (F.shape[1],) * 2)
+    W = []
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        for j, f in enumerate(np.ascontiguousarray(F.T)):
+            w = P.matvec(f)
+            for l, Wl in enumerate(W):
+                C[..., j, l] = np.sum(f * Wl, axis=-1)
+                w -= C[..., j, l][..., None] * Wl
+            C[..., j, j] = np.sqrt(np.sum(f * w, axis=-1))
+            W.append(w / C[..., j, j][..., None])
+        ebar = sum(w * w for w in W)
+        return P, W, C, ebar, P.diag - ebar
+
+
+def _project(P: TridiagonalPrecision, W: list, Z: np.ndarray) -> np.ndarray:
+    """The projected precision P - W'W applied along the last axis of ``Z``."""
+    proj_z = P.matvec(Z)
+    for w in W:
+        proj_z -= np.sum(w * Z, axis=-1)[..., None] * w
+    return proj_z
+
+
+def _parts(factor, Y: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """:func:`reg_parts` from a trend factor."""
+    P, W, _, _, proj_diag = factor
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        singular = ~(proj_diag > 0.0).all(axis=-1)
+        L = np.where(singular, np.nan, -np.sum(np.log(proj_diag), axis=-1))
+        proj_z = _project(P, W, Y[:, None, :])
+        Q = np.sum(proj_z * proj_z / proj_diag, axis=-1)
+    return L, Q
+
+
+def _factor_at(design: Design, z, theta: float, F):
+    """The checked data, the trend factor at one theta (a theta axis of
+    length one) and the score's decomposition there. A singular
+    projection raises ConditioningError."""
+    _check_theta(theta)
+    z = _check_data(design, z)
+    factor = _trend_factor(design, [theta], _prepare_F(design, F))
+    L, Q = _parts(factor, z[None, :])
+    if np.isnan(L[0]):
+        raise ConditioningError(f"trend projection is singular at theta = {theta}: the normal matrix is not "
+                                "positive definite or a projected leave-one-out variance collapsed")
+    return z, factor, ScoreDecomposition(L=float(L[0]), Q=float(Q[0, 0]), n=design.n)
 
 
 def gls_beta(design: Design, z, theta: float, F) -> np.ndarray:
     """Generalized-least-squares trend coefficients under the working covariance.
 
-    Solves (F' R^-1 F) beta = F' R^-1 z using the tridiagonal precision
-    for all matrix products, so the cost is O(n p^2).
+    Solves (F' R^-1 F) beta = F' R^-1 z, which with F' P = C W and
+    F' P F = C C' is the back-substitution C' beta = W z; the cost is
+    O(n p^2).
     """
-    z = _check_data(design, z)
-    _, PF, chol = _normal_factor(design, theta, _prepare_F(design, F))
-    return scipy.linalg.cho_solve(chol, PF.T @ z)
+    z, (_, W, C, _, _), _ = _factor_at(design, z, theta, F)
+    beta = np.zeros(len(W))
+    for j in reversed(range(beta.size)):
+        beta[j] = (np.sum(W[j][0] * z) - C[0, j + 1:, j] @ beta[j + 1:]) / C[0, j, j]
+    return beta
 
 
 def reg_parts(design: Design, Y: np.ndarray, thetas, F: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -132,85 +167,48 @@ def reg_parts(design: Design, Y: np.ndarray, thetas, F: np.ndarray) -> tuple[np.
     projected leave-one-out variance collapsed; that theta's Q is then
     meaningless. Inputs are not validated.
 
-    With W = C^-1 F' P for the Cholesky factor C C' = F' P F, the
-    projected precision is P - W'W: its diagonal is diag(P) minus the
-    column sums of W^2, and it maps z to Pz - W'(Wz). W is built one
-    trend column at a time (C_jl = F_j' W_l), and it, the diagonal and
-    L depend on theta alone, so only Pz, Wz and the projected residual
-    are computed per (row, theta). Every sum runs over the point axis
-    of its own (row, theta) pair, so a row's values do not depend on
-    the rest of the batch.
+    The trend factor (W, the projected diagonal and so L) depends on
+    theta alone, so only Pz, Wz and the projected residual are computed
+    per (row, theta). Every sum runs over the point axis of its own
+    (row, theta) pair, so a row's values do not depend on the rest of
+    the batch.
     """
-    P = _precisions(design, thetas)
-    W = []
-    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-        for f in np.ascontiguousarray(F.T):
-            w = P.matvec(f)
-            for Wl in W:
-                w -= np.sum(f * Wl, axis=-1)[..., None] * Wl
-            # a pivot C_jj^2 <= 0 leaves W non-finite, caught with the diagonal
-            W.append(w / np.sqrt(np.sum(f * w, axis=-1))[..., None])
-        proj_diag = P.diag - sum(w * w for w in W)
-        singular = ~(proj_diag > 0.0).all(axis=-1)
-        L = np.where(singular, np.nan, -np.sum(np.log(proj_diag), axis=-1))
-        Z = Y[:, None, :]
-        proj_z = P.matvec(Z)
-        for w in W:
-            proj_z -= np.sum(w * Z, axis=-1)[..., None] * w
-        Q = np.sum(proj_z * proj_z / proj_diag, axis=-1)
-    return L, Q
+    return _parts(_trend_factor(design, thetas, F), Y)
 
 
 def reg_score_decomposition(design: Design, z, theta: float, F) -> ScoreDecomposition:
-    """Variance-free split of the trend-aware score.
+    """Variance-free split of the trend-aware score: :func:`reg_parts` at one theta.
 
     Same shape as the centered decomposition: the log part collects the
     negated logs of the projected precision diagonal, the quadratic part
     the normalized squares of the projected data.
     """
-    _check_theta(theta)
-    z = _check_data(design, z)
-    L, Q = reg_parts(design, z[None, :], [theta], _prepare_F(design, F))
-    if np.isnan(L[0]):
-        raise ConditioningError(
-            f"trend projection is singular at theta = {theta}: the normal matrix is not "
-            "positive definite or a projected leave-one-out variance collapsed"
-        )
-    return ScoreDecomposition(L=float(L[0]), Q=float(Q[0, 0]), n=design.n)
+    return _factor_at(design, z, theta, F)[-1]
 
 
 def reg_log_score(design: Design, z, theta: float, sigma2: float, F) -> RegressionScore:
     """Trend-aware logarithmic score with its residual decomposition.
 
-    The correction terms are evaluated from the same projected
-    quantities (no dense matrices): the trend-aware and centered
-    leave-one-out residuals differ exactly by the epsilon terms of the
-    decomposition.
+    The value is :func:`reg_score_decomposition` at ``sigma2``, and the
+    correction terms come from the same trend factor (no dense
+    matrices): the trend-aware and centered leave-one-out residuals
+    differ exactly by the epsilon terms of the decomposition.
     """
     _check_sigma2(sigma2)
-    z = _check_data(design, z)
-    F = _prepare_F(design, F)
-    n = design.n
-    P, Pz, _, _, ebar, proj_diag, proj_z = _projection_parts(design, z, theta, F)
-    value = (
-        n * np.log(sigma2)
-        - float(np.sum(np.log(proj_diag)))
-        + float(np.sum(proj_z * proj_z / proj_diag)) / sigma2
-    )
-    resid_centered = Pz / P.diag
-    resid_trend = proj_z / proj_diag
+    z, (P, W, _, ebar, proj_diag), decomposition = _factor_at(design, z, theta, F)
+    diag, ebar, proj_diag = P.diag[0], ebar[0], proj_diag[0]
+    Pz = P.matvec(z)[0]
+    resid_centered = Pz / diag
+    resid_trend = _project(P, W, z)[0] / proj_diag
     eps = resid_trend - resid_centered
-    r1 = float(np.sum(np.log(proj_diag) - np.log(P.diag)))
-    r2 = float(np.sum(P.diag * eps * eps))
-    r3 = float(np.sum(eps * Pz))
-    r4 = float(np.sum(ebar * resid_trend * resid_trend))
-    base = (
-        n * np.log(sigma2)
-        - float(np.sum(np.log(P.diag)))
-        + float(np.sum(P.diag * resid_centered * resid_centered)) / sigma2
-    )
+    base = design.n * np.log(sigma2) - np.sum(np.log(diag)) + np.sum(diag * resid_centered**2) / sigma2
     return RegressionScore(
-        value=float(value), r1=r1, r2=r2, r3=r3, r4=r4, base_score=float(base)
+        value=float(decomposition.score_at(sigma2)),
+        r1=float(np.sum(np.log(proj_diag) - np.log(diag))),
+        r2=float(np.sum(diag * eps * eps)),
+        r3=float(np.sum(eps * Pz)),
+        r4=float(np.sum(ebar * resid_trend * resid_trend)),
+        base_score=float(base),
     )
 
 

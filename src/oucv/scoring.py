@@ -100,13 +100,6 @@ class TridiagonalPrecision:
         out[..., 1:] += self.off * x[..., :-1]
         return out
 
-    def apply_to_columns(self, M: np.ndarray) -> np.ndarray:
-        M = np.asarray(M, dtype=float)
-        out = self.diag[:, None] * M
-        out[:-1] += self.off[:, None] * M[1:]
-        out[1:] += self.off[:, None] * M[:-1]
-        return out
-
 
 def _check_theta(theta: float) -> None:
     if not (np.isfinite(theta) and theta > 0.0):
@@ -261,23 +254,15 @@ def loo_predictions(design: Design, y, theta: float) -> LooSummary:
 
     Each interior prediction is the precision-weighted combination of
     the two neighbors; the endpoints condition on their single
-    neighbor. No dependence on the variance parameter.
+    neighbor. Both are the data minus the leave-one-out residuals the
+    score is built from. No dependence on the variance parameter.
     """
     _check_theta(theta)
     y = _check_data(design, y)
-    n = design.n
-    _, E, G, a = _kernel_arrays(design, theta)
-    A = a[:-1] + a[1:] - 1.0
-    c = a * E  # negated off-diagonal weights
-    preds = np.empty(n, dtype=float)
-    preds[0] = E[0] * y[1]
-    preds[-1] = E[-1] * y[-2]
-    preds[1:-1] = (c[:-1] * y[:-2] + c[1:] * y[2:]) / A
-    v = np.empty(n, dtype=float)
-    v[0] = G[0]
-    v[-1] = G[-1]
-    v[1:-1] = 1.0 / A
-    return LooSummary(predictions=preds, normalized_variances=v)
+    _, _, G, _, A, _, w_left, w_right, resid = _cv_terms(design, y[None, :], [theta])
+    resid = np.concatenate([w_left[..., None], resid, w_right[..., None]], axis=-1)[0, 0]
+    v = np.concatenate([G[..., :1], 1.0 / A, G[..., -1:]], axis=-1)[0]
+    return LooSummary(predictions=y - resid, normalized_variances=v)
 
 
 def log_score(design: Design, y, theta: float, sigma2: float) -> float:

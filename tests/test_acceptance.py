@@ -8,6 +8,7 @@ deterministic.
 
 import json
 import math
+import os
 import subprocess
 import sys
 import time
@@ -186,12 +187,15 @@ def test_criterion_4_variance_ladder_n200(n200_regular_cv_ml, n200_maximal_cv, t
     tau_max = n200_maximal_cv.tau_sq
 
     # end-to-end CLI smoke: the shipped preset must reproduce the
-    # in-process panel bitwise (same seed, same estimator stream)
+    # in-process panel bitwise (same seed, same estimator stream); the
+    # child imports the same oucv as this process
     outdir = tmp_path / "preset-run"
+    src = os.path.dirname(os.path.dirname(oucv.__file__))
     proc = subprocess.run(
         [sys.executable, "-m", "oucv.cli", "experiment", "--preset", "fig2-n200-regular",
          "--output", str(outdir)],
         capture_output=True, text=True,
+        env=dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))),
     )
     cli_ok = proc.returncode == 0 and (outdir / "summary.json").exists()
     cli_var = math.nan

@@ -189,7 +189,7 @@ class TestRegressionKernel:
                 for j, theta in enumerate(thetas):
                     value = n * np.log(2.0) + L[j] + Q[r, j] / 2.0
                     scalar = reg_log_score(design, z, float(theta), 2.0, F).value
-                    assert abs(value - scalar) <= 1e-7 * (1.0 + abs(scalar))
+                    assert value == scalar
                     d = reg_score_decomposition(design, z, float(theta), F)
                     assert (d.L, d.Q) == (L[j], Q[r, j])
             z = Z[0]
@@ -230,8 +230,12 @@ class TestRegressionKernel:
         L, _ = reg_parts(d, Z[:1], np.geomspace(BOX.a, BOX.A, 64), F)
         theta = float(np.geomspace(BOX.a, BOX.A, 64)[np.argmax(np.isnan(L))])
         assert str(theta) in str(batch[0])
-        with pytest.raises(ConditioningError):
-            reg_score_decomposition(d, Z[0], theta, F)
+        # the single-theta entry points share the kernel's trend factor and refuse it too
+        for scalar in (lambda: reg_score_decomposition(d, Z[0], theta, F),
+                       lambda: reg_log_score(d, Z[0], theta, 2.0, F),
+                       lambda: oucv.gls_beta(d, Z[0], theta, F)):
+            with pytest.raises(ConditioningError, match=str(theta)):
+                scalar()
 
 
 class TestFailureIsolation:

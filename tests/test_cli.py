@@ -377,6 +377,16 @@ _ESTIMATE = ["estimate", "--data", "DATA", "--box"]
     (["experiment", "--config", "CONFIG"],
      dict(_TREND_EXPERIMENT, trend={"basis": "spline:1", "beta": [1.0, 2.0]}), "'spline:1'"),
     (["experiment", "--config", "CONFIG"], "{not json", "CONFIG"),
+    # integers are not truncated, and booleans are not integers
+    (["experiment", "--config", "CONFIG"], dict(_EXPERIMENT, design={"kind": "regular", "n": 20.9}), "'n'"),
+    (["experiment", "--config", "CONFIG"], dict(_EXPERIMENT, replicates=3.7), "'replicates'"),
+    (["experiment", "--config", "CONFIG"], dict(_EXPERIMENT, seed=1.5), "'seed'"),
+    (["experiment", "--config", "CONFIG"], dict(_EXPERIMENT, seed=True), "'seed'"),
+    # a fixed parameter is checked when the config is read, and a zero is a bad value, not a missing one
+    (["experiment", "--config", "CONFIG"], dict(_EXPERIMENT, estimators=["cv-fixed-theta"], theta2=-1.5), "'theta2'"),
+    (["experiment", "--config", "CONFIG"], dict(_EXPERIMENT, estimators=["cv-fixed-theta"], theta2=0), "'theta2'"),
+    (["experiment", "--config", "CONFIG"], dict(_EXPERIMENT, estimators=["cv-fixed-sigma"], sigma1_sq="inf"),
+     "'sigma1_sq'"),
 ])
 def test_malformed_spec_or_config_exits_1_naming_it(tmp_path, argv, config, named):
     _, out, _ = run_cli(_SIMULATE + ["regular:8"])

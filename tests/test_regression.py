@@ -69,7 +69,7 @@ class TestGlsBeta:
         d = regular_design(200)
         F = LINEAR.design_matrix(d)
         P = precision_matrix(d, 3.0)
-        cov = np.linalg.inv(F.T @ P.apply_to_columns(F))
+        cov = np.linalg.inv(F.T @ P.to_dense() @ F)
         bound = 4.0 * np.sqrt(np.diag(cov))
         for r in range(5):
             z = sample_with_trend(d, PARAMS0, LINEAR, (333, r))
@@ -155,9 +155,7 @@ class TestRegLogScore:
         for _ in range(10):
             design, z, theta, _ = random_instance(rng, n_lo=8, n_hi=40)
             F = random_F(rng, design.n, 2)
-            P, _, _, _, ebar, proj_diag, _ = regression_mod._projection_parts(
-                design, z, theta, F
-            )
+            P, _, _, _, proj_diag = regression_mod._trend_factor(design, [theta], F)
             assert np.all(proj_diag > 0.0)
             assert np.all(proj_diag <= P.diag + 1e-12)
 
@@ -183,9 +181,8 @@ class TestLooBeta:
     def test_two_route_prediction_equivalence(self, rng):
         design, z, theta, _ = random_instance(rng, n_lo=8, n_hi=30)
         F = random_F(rng, design.n, 2)
-        _, _, _, _, _, proj_diag, proj_z = regression_mod._projection_parts(
-            design, z, theta, F
-        )
+        P, W, _, _, proj_diag = regression_mod._trend_factor(design, [theta], F)
+        proj_diag, proj_z = proj_diag[0], regression_mod._project(P, W, z)[0]
         shortcut_preds = z - proj_z / proj_diag
         shortcut_vars = 1.0 / proj_diag
         for i in range(design.n):
