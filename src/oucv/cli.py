@@ -253,7 +253,7 @@ def _cmd_estimate(args) -> int:
     box = _parse_box(args.box)
     F = _trend_columns(args.trend, design) if args.trend else None
     res = _single(_estimate_chunk(name, design, data[None, :], box, args.sigma1, args.theta2, F))
-    fields = {k: v for k, v in dataclasses.asdict(res).items() if k != "evaluations"}
+    fields = {k: v for k, v in dataclasses.asdict(res).items() if k not in ("evaluations", "grid_minima")}
     print(json.dumps({"mode": name, **fields}))
     return 0
 

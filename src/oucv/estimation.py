@@ -14,10 +14,11 @@ a data array (R, n) at once. The grid is evaluated as whole arrays of
 lockstep, each with its own bracket, iteration count and stopping
 point. A row's result depends on that row alone, so it is bitwise the
 same in any batch; the single-path ``estimate_*`` functions are batches
-of one. The trend-aware estimator of :mod:`oucv.regression` runs
-through the same search with its own kernel. How many replicates and
-grid nodes go into one array follows from one fixed element budget,
-``_ELEMENT_BUDGET``.
+of one. Each objective is prepared once per batch (a kernel of
+:mod:`oucv.scoring`, whose evaluation costs as many operations as the
+design has gap classes), and the grid is one call of it for every row.
+The trend-aware estimator of :mod:`oucv.regression` runs through the
+same search with its own kernel.
 """
 
 from __future__ import annotations
@@ -30,14 +31,7 @@ import numpy as np
 
 from .designs import Design
 from .errors import ConditioningError, InvalidParameterError, NumericalFailureError, OucvError
-from .scoring import (
-    ScoreDecomposition,
-    _check_data,
-    ml_gradient,
-    ml_parts,
-    score_gradient,
-    score_parts,
-)
+from .scoring import _ELEMENT_BUDGET, CvKernel, MlKernel, ScoreDecomposition, _check_data, _take
 
 __all__ = [
     "ParameterBox",
@@ -60,13 +54,6 @@ _REFINE_RTOL = 1e-8
 _REFINE_MAX_ITER = 200
 # inverse golden ratio, (sqrt(5) - 1) / 2
 _INVPHI = 0.6180339887498949
-# Most (replicate x theta x point) elements one objective evaluation may
-# hold; it sets the replicates per chunk and the grid nodes per call.
-# Arrays of 2^13 doubles (64 KB) stay cache-sized and under the
-# allocator's 128 KB trim threshold: at 2^14 the heap was returned and
-# refaulted on every call, at up to 1700 page faults per estimate. It
-# also keeps n = 1e5 at one grid node per call, the memory of one estimate.
-_ELEMENT_BUDGET = 1 << 13
 # relative slack when deciding whether an estimate sits on a box edge
 _BOUNDARY_RTOL = 1e-8
 
@@ -105,6 +92,9 @@ class EstimateResult:
     the optimum sits on (``theta_lower``, ``theta_upper``,
     ``sigma2_lower``, ``sigma2_upper``), for coordinates whose range is
     not collapsed only: a fixed parameter is never flagged.
+    ``grid_minima`` counts the local minima among the theta grid's
+    values (1 on a collapsed range); more than one flags an objective
+    with several wells, where the search may have kept the wrong one.
     """
 
     theta_hat: float
@@ -115,6 +105,7 @@ class EstimateResult:
     boundary_flags: tuple[str, ...]
     iterations: int
     evaluations: int  # objective evaluations made by the theta search
+    grid_minima: int
 
 
 def profile_sigma2(decomp: ScoreDecomposition, box: ParameterBox) -> float:
@@ -144,7 +135,8 @@ def _boundary_flags(name: str, x: float, lo: float, hi: float) -> list[str]:
 
 
 def replicate_chunk(n: int) -> int:
-    """How many replicates of n points to estimate in one batch."""
+    """How many replicates of n points to estimate in one batch: as many
+    as one block of the per-point kernel holds at one theta."""
     return max(1, _ELEMENT_BUDGET // n)
 
 
@@ -165,7 +157,18 @@ def _fail_nonfinite(failed: dict, thetas: np.ndarray, values: np.ndarray) -> Non
             failed[r] = NumericalFailureError(f"objective is not finite at theta = {bad}", theta=bad)
 
 
-def _minimize_theta(objective: Callable, lo: float, hi: float, rows: int, width: int) -> tuple:
+def _local_minima(values: np.ndarray) -> np.ndarray:
+    """Per row of ``values`` (rows, nodes), the nodes no higher than the
+    node before and lower than the node after, the ends compared on
+    their one side; a flat run counts once, at its right end."""
+    rows = values.shape[0]
+    edge = np.ones((rows, 1), dtype=bool)
+    falls_into = np.concatenate([edge, values[:, 1:] <= values[:, :-1]], axis=1)
+    rises_from = np.concatenate([values[:, :-1] < values[:, 1:], edge], axis=1)
+    return np.count_nonzero(falls_into & rises_from, axis=1)
+
+
+def _minimize_theta(objective: Callable, lo: float, hi: float, rows: int) -> tuple:
     """Coarse log-spaced grid plus golden-section refinement, all rows in lockstep.
 
     ``objective(rows, thetas, failed)`` returns the values at row indices
@@ -173,8 +176,7 @@ def _minimize_theta(objective: Callable, lo: float, hi: float, rows: int, width:
     or one set per row, shape (len(rows), k); the values have shape
     (len(rows), T) or (len(rows), k). An objective that fails on a row
     records the error in ``failed`` and the row leaves the search.
-    ``width`` is the number of array elements one (row, theta) value
-    takes; with the element budget it sets the grid nodes per call.
+    The whole grid is one call.
 
     Each row keeps its own bracket around its grid argmin and stops when
     the bracket is narrower than ``_REFINE_RTOL`` times its midpoint.
@@ -182,7 +184,8 @@ def _minimize_theta(objective: Callable, lo: float, hi: float, rows: int, width:
     included; ties go to the smaller theta. A non-finite value on a
     row's grid fails that row alone. When ``lo == hi`` the grid is that
     one point, with no refinement. Returns per row theta, value,
-    iterations and evaluations, and the failures by row.
+    iterations, evaluations and the local minima of the grid values
+    (1 for a single point), and the failures by row.
     """
     failed: dict[int, OucvError] = {}
     everyone = np.arange(rows)
@@ -190,15 +193,13 @@ def _minimize_theta(objective: Callable, lo: float, hi: float, rows: int, width:
         theta = np.full(rows, lo)
         values = objective(everyone, theta[:, None], failed)
         _fail_nonfinite(failed, theta[:1], values)
-        return theta, values[:, 0], np.zeros(rows, int), np.ones(rows, int), failed
+        ones = np.ones(rows, int)
+        return theta, values[:, 0], np.zeros(rows, int), ones, ones, failed
 
     grid = np.geomspace(lo, hi, _GRID_SIZE)
-    block = max(1, _ELEMENT_BUDGET // (max(rows, 1) * width))
-    values = np.concatenate(
-        [objective(everyone, grid[j:j + block], failed) for j in range(0, _GRID_SIZE, block)],
-        axis=1,
-    )
+    values = objective(everyone, grid, failed)
     _fail_nonfinite(failed, grid, values)
+    minima = _local_minima(values)
     k = np.argmin(values, axis=1)  # first minimum: tie toward smaller theta
     best_x = grid[k]
     best_f = values[everyone, k]
@@ -250,7 +251,7 @@ def _minimize_theta(objective: Callable, lo: float, hi: float, rows: int, width:
     best_f[idx], best_x[idx] = _keep_best(at(idx, mid), mid, best_f[idx], best_x[idx])
     # the grid, the two interior points, one point per iteration, the midpoint
     evaluations = _GRID_SIZE + 2 + iterations + 1
-    return best_x, best_f, iterations, evaluations, failed
+    return best_x, best_f, iterations, evaluations, minima, failed
 
 
 def _data_rows(design: Design, Y) -> tuple[np.ndarray, list]:
@@ -273,16 +274,11 @@ def _unfailed(slots: list) -> np.ndarray:
     return np.flatnonzero([slot is None for slot in slots])
 
 
-def _take(Y: np.ndarray, rows: np.ndarray) -> np.ndarray:
-    """Y[rows] for sorted distinct rows, without a copy when that is all of Y."""
-    return Y if rows.size == Y.shape[0] else Y[rows]
-
-
 def _clamp(x: np.ndarray, lo: float, hi: float) -> np.ndarray:
     return np.minimum(np.maximum(x, lo), hi)
 
 
-def _result(box, theta, sigma2, value, grad, iterations, evaluations):
+def _result(box, theta, sigma2, value, grad, iterations, evaluations, minima):
     theta, sigma2 = float(theta), float(sigma2)
     flags = _boundary_flags("theta", theta, box.a, box.A) + _boundary_flags("sigma2", sigma2, box.b, box.B)
     return EstimateResult(
@@ -294,6 +290,7 @@ def _result(box, theta, sigma2, value, grad, iterations, evaluations):
         boundary_flags=tuple(flags),
         iterations=int(iterations),
         evaluations=int(evaluations),
+        grid_minima=int(minima),
     )
 
 
@@ -314,17 +311,19 @@ def _record_singular(failed: dict, rows: np.ndarray, thetas, L: np.ndarray) -> N
             )
 
 
-def _search_batch(design, Y, box, parts, gradient, width=None) -> list:
+def _search_batch(design, Y, box, kernel) -> list:
     """Profile search over theta for every row of Y.
 
-    ``parts(design, Y, thetas)`` returns L and Q like
-    :func:`~oucv.scoring.score_parts`; a NaN in L marks a theta where the
-    objective could not be factored, and a row that meets one fails
-    with :class:`ConditioningError`. ``gradient(design, Y, thetas,
-    sigma2)`` is the analytic theta-derivative; without one the result
-    carries a central difference of the objective at the profiled
-    variance. ``width`` is the array elements per (row, theta) value,
-    n by default.
+    ``kernel(design, Y, reuse)`` prepares the objective on the rows once,
+    like :class:`~oucv.scoring.CvKernel`, told whether it will be
+    evaluated at more than one theta: its ``parts(rows, thetas)`` returns
+    L and Q for the rows at indices ``rows``, batched like
+    :func:`~oucv.scoring.score_parts`, and a NaN in L marks a theta
+    where the objective could not be factored; a row that meets one
+    fails with :class:`ConditioningError`. Its ``gradient(rows, thetas,
+    sigma2)`` is the analytic theta-derivative; where it is None the
+    result carries a central difference of the objective at the
+    profiled variance.
 
     A fixed parameter is a collapsed range of the box: with a == A
     theta is fixed and the variance is the closed-form profile, with
@@ -334,25 +333,26 @@ def _search_batch(design, Y, box, parts, gradient, width=None) -> list:
     """
     Y, slots = _data_rows(design, Y)
     ok = _unfailed(slots)
-    Yok = _take(Y, ok)
+    if not ok.size:
+        return slots
+    prepared = kernel(design, _take(Y, ok), box.a < box.A)  # a fixed theta is one evaluation
     n = design.n
 
     def objective(rows, thetas, failed):
-        L, Q = parts(design, _take(Yok, rows), thetas)
+        L, Q = prepared.parts(rows, thetas)
         _record_singular(failed, rows, thetas, L)
         s2 = _clamp(Q / n, box.b, box.B)
         return n * np.log(s2) + L + Q / s2
 
-    theta_hat, values, iterations, evaluations, failed = _minimize_theta(
-        objective, box.a, box.A, len(ok), width or n
+    theta_hat, values, iterations, evaluations, minima, failed = _minimize_theta(
+        objective, box.a, box.A, len(ok)
     )
     done = np.array([i for i in range(len(ok)) if i not in failed], dtype=int)
     if done.size:
         theta = theta_hat[done, None]
-        Yd = _take(Yok, done)
 
         def at(thetas):
-            L, Q = parts(design, Yd, thetas)
+            L, Q = prepared.parts(done, thetas)
             _record_singular(failed, done, thetas, L)
             return L, Q
 
@@ -360,8 +360,8 @@ def _search_batch(design, Y, box, parts, gradient, width=None) -> list:
         sigma2 = _clamp(Q / n, box.b, box.B)
         if box.a == box.A:
             grad = n / sigma2 - Q / (sigma2 * sigma2)
-        elif gradient:
-            grad = gradient(design, Yd, theta, sigma2)
+        elif prepared.gradient:
+            grad = prepared.gradient(done, theta, sigma2)
         else:  # central difference at the profiled variance
             step = 1e-6 * theta
             hi, lo = (n * np.log(sigma2) + L + Q / sigma2 for L, Q in (at(theta + step), at(theta - step)))
@@ -369,7 +369,8 @@ def _search_batch(design, Y, box, parts, gradient, width=None) -> list:
         for j, i in enumerate(done):
             if i not in failed:
                 slots[ok[i]] = _result(
-                    box, theta[j, 0], sigma2[j, 0], values[i], grad[j, 0], iterations[i], evaluations[i]
+                    box, theta[j, 0], sigma2[j, 0], values[i], grad[j, 0], iterations[i], evaluations[i],
+                    minima[i],
                 )
     for i, err in failed.items():
         slots[ok[i]] = err
@@ -390,24 +391,24 @@ def cv_joint_batch(design: Design, Y, box: ParameterBox) -> list:
     Returns one entry per row: an :class:`EstimateResult`, or the
     :class:`OucvError` that row failed with.
     """
-    return _search_batch(design, Y, box, score_parts, score_gradient)
+    return _search_batch(design, Y, box, CvKernel)
 
 
 def ml_joint_batch(design: Design, Y, box: ParameterBox) -> list:
     """:func:`estimate_ml_joint` on every row of Y, like :func:`cv_joint_batch`."""
-    return _search_batch(design, Y, box, ml_parts, ml_gradient)
+    return _search_batch(design, Y, box, MlKernel)
 
 
 def cv_fixed_sigma_batch(design: Design, Y, sigma1_sq: float, theta_range: tuple[float, float]) -> list:
     """:func:`estimate_cv_fixed_sigma` on every row of Y, like :func:`cv_joint_batch`."""
     box = ParameterBox(*theta_range, sigma1_sq, sigma1_sq)
-    return _search_batch(design, Y, box, score_parts, score_gradient)
+    return _search_batch(design, Y, box, CvKernel)
 
 
 def cv_fixed_theta_batch(design: Design, Y, theta2: float, sigma_range: tuple[float, float]) -> list:
     """:func:`estimate_cv_fixed_theta` on every row of Y, like :func:`cv_joint_batch`."""
     box = ParameterBox(theta2, theta2, *sigma_range)
-    return _search_batch(design, Y, box, score_parts, score_gradient)
+    return _search_batch(design, Y, box, CvKernel)
 
 
 def estimate_cv_joint(design: Design, y, box: ParameterBox) -> EstimateResult:

@@ -4,7 +4,8 @@ Each replicate draws its path from an independent stream keyed by
 (base seed, replicate index). Replicates are sampled and estimated in
 chunks: every estimator runs once per chunk on all of its paths, through
 the batched estimators of :mod:`oucv.estimation`. The chunk size follows
-from that module's fixed element budget, and ``max_workers`` spreads
+from the kernels' fixed element budget
+(:func:`~oucv.estimation.replicate_chunk`), and ``max_workers`` spreads
 chunks over a thread pool. A record depends on its replicate's data
 alone, so reports are bitwise identical for any worker count. Reports
 carry per-replicate standardized statistics, summary moments against
@@ -95,6 +96,14 @@ class ExperimentConfig:
     trend: TrendSpec | None = None
 
     def __post_init__(self):
+        for key in ("replicates", "seed"):
+            value = getattr(self, key)
+            try:
+                if isinstance(value, str):
+                    raise ValueError(value)
+                object.__setattr__(self, key, _integer(value))
+            except (TypeError, ValueError):
+                raise InvalidParameterError(f"{key!r} must be an integer, got {value!r}") from None
         if self.replicates < 1:
             raise InvalidParameterError(f"need at least one replicate, got {self.replicates}")
         if not (self.theta0 > 0.0 and self.sigma0_sq > 0.0):
@@ -166,7 +175,7 @@ def _field(mapping: dict, key: str, cast, what: str):
 
 def _integer(value) -> int:
     """``value`` as an int; a bool or a fractional number is a ValueError, not a truncation."""
-    if isinstance(value, bool) or (isinstance(value, float) and not value.is_integer()):
+    if isinstance(value, bool) or (isinstance(value, (float, np.floating)) and not float(value).is_integer()):
         raise ValueError(f"not an integer: {value!r}")
     return int(value)
 

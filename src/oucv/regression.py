@@ -34,7 +34,9 @@ from .scoring import (
     _check_sigma2,
     _check_theta,
     TridiagonalPrecision,
+    _in_blocks,
     _precisions,
+    _take,
 )
 from .simulate import check_full_rank, covariance_matrix
 
@@ -176,6 +178,22 @@ def reg_parts(design: Design, Y: np.ndarray, thetas, F: np.ndarray) -> tuple[np.
     return _parts(_trend_factor(design, thetas, F), Y)
 
 
+class _TrendKernel:
+    """:func:`reg_parts` on data rows Z, in the form the batched search
+    takes (see :class:`~oucv.scoring.CvKernel`); it has no analytic
+    gradient."""
+
+    gradient = None
+
+    def __init__(self, design: Design, Z: np.ndarray, F: np.ndarray):
+        self.design, self.Z, self.F = design, Z, F
+
+    def parts(self, rows, thetas):
+        Z = _take(self.Z, rows)
+        width = self.design.n * self.F.shape[1]  # array elements per (row, theta) value
+        return _in_blocks(lambda t: reg_parts(self.design, Z, t, self.F), thetas, Z.shape[0], width)
+
+
 def reg_score_decomposition(design: Design, z, theta: float, F) -> ScoreDecomposition:
     """Variance-free split of the trend-aware score: :func:`reg_parts` at one theta.
 
@@ -292,8 +310,4 @@ def cv_reg_batch(design: Design, Z, F, box: ParameterBox) -> list:
     with.
     """
     F = _prepare_F(design, F)
-
-    def parts(design, Y, thetas):
-        return reg_parts(design, Y, thetas, F)
-
-    return _search_batch(design, Z, box, parts, None, width=design.n * F.shape[1])
+    return _search_batch(design, Z, box, lambda design, Z, reuse: _TrendKernel(design, Z, F))

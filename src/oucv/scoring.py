@@ -6,6 +6,29 @@ decomposition, its analytic derivative in the inverse length scale, and
 the Gaussian likelihood all cost O(n). A deliberately independent dense
 route (generic Cholesky on the full covariance) serves as the oracle
 for all of them.
+
+Both objectives are written in increment coordinates: with
+d_i = y_i - y_{i-1}, a point's term depends on the data through a few
+products of y_i, d_i and d_{i+1} (the increment statistics), and on
+theta through the gaps next to the point alone, Q(theta) =
+sum_k <S_k(y), C_k(theta)>. The endpoints sit next to an infinite outer
+gap. The large 1/gap coefficients multiply increments, where they do not
+cancel, so the objectives stay accurate to a few ulps on factorial-gap
+designs. Points whose neighbouring gaps are bitwise equal form a gap
+class: a (left, right) gap pair for the score, a left gap for the
+likelihood. :class:`CvKernel` and :class:`MlKernel` sum the statistics
+per class once for a batch of data rows, and an evaluation then costs as
+many operations as there are classes, not points. Regular and maximal
+designs, and the ``regular:`` and ``maximal:`` design specs of the
+command line, have at most about 50 classes at any n (49 and 34 at
+n = 1e5). Classes are used when they are few: at most a quarter of the
+points, and the tuples of distinct gaps (pairs for the score) no more
+than the points, so that one pass over a table of n counts them. With
+more, as in a minimal design (all gaps distinct, n <= 18), with
+Dirichlet gaps, or for the score below n = 90 or so, the terms are
+evaluated point by point instead; so is an evaluation at a single
+theta, where summing classes costs more than it saves. The score, the
+profile and the gradient all derive from these kernels.
 """
 
 from __future__ import annotations
@@ -21,7 +44,7 @@ from .errors import (
     InvalidParameterError,
     NumericalFailureError,
 )
-from .numerics import log_one_minus_exp_neg, one_minus_exp_neg
+from .numerics import one_minus_exp_neg
 from .simulate import covariance_matrix
 
 __all__ = [
@@ -46,6 +69,16 @@ __all__ = [
 ]
 
 _DENSE_MAX_N = 2000
+# Most (row x theta x class) elements one block of an evaluation holds,
+# and the points of one block of a per-point evaluation. Arrays of 2^13
+# doubles (64 KB) stay cache-sized and under the allocator's 128 KB trim
+# threshold: at 2^14 the heap was returned and refaulted on every call,
+# at up to 1700 page faults per estimate, and unblocked n = 1e5 arrays
+# made an estimate on Dirichlet gaps up to 1.5x slower the same way.
+_ELEMENT_BUDGET = 1 << 13
+# Gap classes are used when they number at most this share of the
+# points; with more, the per-point form is cheaper.
+_CLASS_SHARE = 0.25
 # Cholesky pivot min/max below this means the covariance is numerically
 # singular (near-duplicate points); the dense oracle refuses to answer
 _PIVOT_RATIO_MIN = 1e-5
@@ -122,37 +155,354 @@ def _check_data(design: Design, y) -> np.ndarray:
     return y
 
 
-def _two_theta_gaps(thetas, gaps: np.ndarray) -> np.ndarray:
-    """2 theta gap for ``thetas`` of any shape, with the gap axis appended last."""
-    return 2.0 * np.asarray(thetas, dtype=float)[..., None] * gaps
+def _gap_terms(gaps: np.ndarray, thetas):
+    """Per-gap decay E = e^{-theta gap}, G = 1 - E^2 and a = 1/G.
 
-
-def _kernel_arrays(design: Design, thetas):
-    """Per-gap decay E, one-minus-squared-decay G, and its reciprocal.
-
-    ``thetas`` may have any shape; the gap axis is appended last.
+    ``thetas`` may have any shape; the gap axis is appended last. An
+    infinite gap gives E = 0 and G = a = 1.
     """
-    g = design.gaps
-    E = np.exp(-np.asarray(thetas, dtype=float)[..., None] * g)
-    G = one_minus_exp_neg(_two_theta_gaps(thetas, g))
-    return g, E, G, 1.0 / G
+    x = np.asarray(thetas, dtype=float)[..., None] * gaps
+    E = np.exp(-x)
+    G = one_minus_exp_neg(2.0 * x)
+    return E, G, 1.0 / G
 
 
-def _cv_terms(design: Design, Y: np.ndarray, thetas):
-    """Leave-one-out residual pieces for data rows ``Y`` (R, n).
+def _take(a: np.ndarray, rows) -> np.ndarray:
+    """a[rows] for sorted distinct rows, without a copy when that is all of a."""
+    return a if rows is None or len(rows) == a.shape[0] else a[rows]
 
-    ``thetas`` is either shared by every row, shape (T,), or one set per
-    row, shape (R, k); every returned term broadcasts to (R, T) or
-    (R, k), with the point axis last where there is one.
+
+def _in_blocks(evaluate, thetas, rows: int, width: int):
+    """``evaluate(thetas)`` for shared ``thetas`` (T,) in blocks of at most
+    ``_ELEMENT_BUDGET`` (row x theta x width) elements, L and Q joined
+    along the theta axis; per-row thetas (R, k) go in one call.
+
+    Every value depends on its own (row, theta) pair only, so the
+    blocking does not change a bit of the result.
     """
-    g, E, G, a = _kernel_arrays(design, thetas)
-    Y = Y[:, None, :]
-    A = a[..., :-1] + a[..., 1:] - 1.0
-    c = a * E  # negated off-diagonal weights
-    w_left = Y[..., 0] - E[..., 0] * Y[..., 1]
-    w_right = Y[..., -1] - E[..., -1] * Y[..., -2]
-    resid = Y[..., 1:-1] - (c[..., :-1] * Y[..., :-2] + c[..., 1:] * Y[..., 2:]) / A
-    return g, E, G, a, A, c, w_left, w_right, resid
+    thetas = np.asarray(thetas, dtype=float)
+    block = max(1, _ELEMENT_BUDGET // (max(rows, 1) * width))
+    if thetas.ndim != 1 or thetas.size <= block:
+        return evaluate(thetas)
+    L, Q = zip(*(evaluate(thetas[j:j + block]) for j in range(0, thetas.size, block)))
+    return np.concatenate(L), np.concatenate(Q, axis=1)
+
+
+def _gap_classes(gaps: np.ndarray, keys: int, n: int):
+    """Group the n points by their ``keys`` neighbouring gaps.
+
+    Point i's gaps are ``gaps[i:i + keys]``, and two points share a class
+    when those are bitwise equal. Returns per key the gap of every
+    class, the class sizes and the class of every point. Returns None
+    when the classes would not pay: when the tuples of distinct gap
+    values outnumber the points, so that they cannot be counted in one
+    pass over a table of n, or when the classes outnumber
+    ``_CLASS_SHARE`` of the points.
+    """
+    s = np.sort(gaps)
+    values = s[np.concatenate(([True], s[1:] != s[:-1]))]
+    space = values.size ** keys
+    if space > n:
+        return None
+    index = np.searchsorted(values, gaps)
+    code = index[:n]
+    for j in range(1, keys):
+        code = code * values.size + index[j:j + n]
+    counts = np.bincount(code, minlength=space)
+    codes = np.flatnonzero(counts)
+    if codes.size > _CLASS_SHARE * n:
+        return None
+    of_point = (np.cumsum(counts > 0) - 1)[code]
+    sides = []
+    for _ in range(keys):
+        codes, m = np.divmod(codes, values.size)
+        sides.insert(0, values[m])
+    return tuple(sides), counts[counts > 0], of_point
+
+
+def _statistics(pairs, of_point=None, classes: int = 0) -> np.ndarray:
+    """The products u * v * w of ``pairs`` (u, v, w) of (R, n) arrays u, v
+    and exact factors w, stacked to (R, len(pairs), n), or summed per
+    class to (R, len(pairs), classes) when ``of_point`` gives each
+    point's class. A product is formed one array at a time; each class
+    sum runs over its points in order."""
+    if of_point is None:
+        return np.stack([u * v * w for u, v, w in pairs], axis=1)
+    rows = pairs[0][0].shape[0]
+    index = (of_point + classes * np.arange(rows)[:, None]).ravel()
+    S = np.empty((rows, len(pairs), classes))
+    for j, (u, v, w) in enumerate(pairs):
+        S[:, j] = np.bincount(index, (u * v * w).ravel(), rows * classes).reshape(rows, classes)
+    return S
+
+
+def _contract(S: np.ndarray, C) -> np.ndarray:
+    """sum_k S_k C_k per (row, theta): ``S`` is (R, s, K), ``C`` a tuple of
+    s coefficient arrays (T, K) shared by the rows or (R, k, K) per row.
+    Each sum runs over the flattened (s, K) axis of its own pair; shared
+    thetas go in blocks of at most ``_ELEMENT_BUDGET`` products."""
+    C = np.stack(C, axis=-2)
+    C = C.reshape(C.shape[:-2] + (-1,))
+    S = S.reshape(S.shape[0], 1, -1)
+    if C.ndim > 2:
+        return np.sum(S * C, axis=-1)
+    block = max(1, _ELEMENT_BUDGET // max(S.size, 1))
+    return np.concatenate([np.sum(S * C[j:j + block], axis=-1) for j in range(0, C.shape[0], block)], axis=1)
+
+
+def _increments(Y: np.ndarray, after: int) -> np.ndarray:
+    """d_i = y_i - y_{i-1} for the rows of Y (R, n), with y_{-1} = 0, for
+    i = 0 .. n - 1 + after: with ``after`` = 1 the last is d_n = -y_{n-1}."""
+    R, n = Y.shape
+    d = np.empty((R, n + after))
+    d[:, 0] = Y[:, 0]
+    np.subtract(Y[:, 1:], Y[:, :-1], out=d[:, 1:n])
+    if after:
+        d[:, n] = -Y[:, -1]
+    return d
+
+
+def _cv_precision(values: np.ndarray, members: tuple, thetas):
+    """The score's precision terms for the gap ``values``, where the
+    slices ``members`` pick each class's (or point's) left and right
+    gap: per gap E, a, c = a E and 1 + E; per class the precision
+    diagonal A, h = A - c_{i-1} - c_i, c_{i-1} and c_i."""
+    E, G, a = _gap_terms(values, thetas)
+    p = 1.0 + E
+    c = a * E
+    t = G / (p * p)  # tanh(theta g / 2)
+    il, ir = members
+    return E, a, c, p, a[..., il] + a[..., ir] - 1.0, 0.5 * (t[..., il] + t[..., ir]), c[..., il], c[..., ir]
+
+
+def _cv_residuals(Y: np.ndarray, d: np.ndarray, h: np.ndarray, c: np.ndarray) -> np.ndarray:
+    """u = A times the leave-one-out residual, point by point: data rows
+    Y (R, n), their increments d (R, n + 1), h per point and c per gap."""
+    cd = c * d[:, None, :]
+    return h * Y[:, None, :] + cd[..., :-1] - cd[..., 1:]
+
+
+@dataclass(frozen=True)
+class _Layout:
+    """Where an objective's terms are evaluated: at the gap ``values``,
+    with ``members`` slicing out each class's (or point's) gap per key,
+    and ``counts`` points per class (None when each point is its own)."""
+
+    values: np.ndarray
+    members: tuple
+    counts: np.ndarray | None
+    points: int
+
+    @classmethod
+    def per_point(cls, gaps: np.ndarray, keys: int) -> "_Layout":
+        """Each of the points that ``gaps`` surround its own class."""
+        m = gaps.size - keys + 1
+        return cls(gaps, tuple(slice(j, j + m) for j in range(keys)), None, m)
+
+    def total(self, x: np.ndarray) -> np.ndarray:
+        """The sum over points of a per-class (or per-point) quantity."""
+        return np.sum(x if self.counts is None else x * self.counts, axis=-1)
+
+    def weights(self) -> np.ndarray:
+        """The gaps as the theta-derivatives weigh them: the terms of the
+        infinite outer gap are constant."""
+        return np.where(np.isinf(self.values), 0.0, self.values)
+
+
+class _GapKernel:
+    """One objective on data rows Y (R, n), prepared once for many thetas.
+
+    Both objectives are sums over points of terms that depend on the data
+    through a few increment statistics, and on theta through the gaps
+    next to the point alone; the endpoints sit next to an infinite outer
+    gap, which needs no special case. Points whose neighbouring gaps are
+    bitwise equal form a gap class. When classes are few, their
+    statistics are summed once here, and an evaluation costs as many
+    operations as there are classes; otherwise the terms are evaluated
+    point by point. The choice follows from the class count, and from
+    ``reuse``: whether the statistics serve more than one theta per row.
+    For a single theta, summing classes costs more than it saves.
+
+    ``parts(rows, thetas)`` and ``gradient(rows, thetas, sigma2)`` are
+    batched like :func:`score_parts`, over the rows ``rows`` (sorted
+    indices, or None for all) of the prepared data.
+    """
+
+    keys = 0  # neighbouring gaps that define a point's class
+
+    def __init__(self, design: Design, Y: np.ndarray, reuse: bool = True):
+        n = design.n
+        self.n, self.rows = n, Y.shape[0]
+        self.data = self._point_arrays(np.asarray(Y, dtype=float))
+        self.gaps = np.concatenate(([np.inf], design.gaps, [np.inf]))[: n + self.keys - 1]
+        found = _gap_classes(self.gaps, self.keys, n) if reuse else None
+        if found is None:
+            self.S, self.width = None, min(n, _ELEMENT_BUDGET)
+            self.blocks = [
+                (_Layout.per_point(self.gaps[s:s + m + self.keys - 1], self.keys), s, m)
+                for s, m in ((s, min(_ELEMENT_BUDGET, n - s)) for s in range(0, n, _ELEMENT_BUDGET))
+            ]
+        else:  # the gaps of the classes, one key after the other
+            sides, counts, of_point = found
+            K = counts.size
+            members = tuple(slice(j * K, (j + 1) * K) for j in range(self.keys))
+            self.layout = _Layout(np.concatenate(sides), members, counts, n)
+            self.S = _statistics(self._pairs(*self.data), of_point, K)
+            self.width = self.S.shape[1] * K
+
+    def _point_blocks(self, rows) -> list:
+        """The per-point layout and the data of the rows, in fixed blocks
+        of ``_ELEMENT_BUDGET`` points: their temporaries stay small at any
+        n, and a row's sums do not depend on the batch."""
+        data = tuple(_take(x, rows) for x in self.data)
+        if len(self.blocks) == 1:
+            return [(self.blocks[0][0], data)]
+        return [(layout, tuple(x[:, s:s + m + x.shape[1] - self.n] for x in data)) for layout, s, m in self.blocks]
+
+    def parts(self, rows, thetas) -> tuple[np.ndarray, np.ndarray]:
+        def evaluate(thetas):
+            with np.errstate(over="ignore", invalid="ignore"):
+                if self.S is not None:
+                    L, C = self._terms(self.layout, thetas)
+                    return L, _contract(_take(self.S, rows), C)
+                L = Q = 0.0
+                for layout, block in self._point_blocks(rows):
+                    L_block, C = self._terms(layout, thetas)
+                    L, Q = L + L_block, Q + self._pointwise(block, C)
+                return L, Q
+
+        # per-point terms grow with the rows; class coefficients are shared by them
+        rows_per_term = (self.rows if rows is None else len(rows)) if self.S is None else 1
+        return _in_blocks(evaluate, thetas, rows_per_term, self.width)
+
+    def gradient(self, rows, thetas, sigma2) -> np.ndarray:
+        """The theta-derivative, through the derivatives of the coefficients."""
+        with np.errstate(over="ignore", invalid="ignore"):
+            if self.S is not None:
+                dL, dC = self._derivatives(self.layout, thetas)
+                return dL + _contract(_take(self.S, rows), dC) / sigma2
+            grad = 0.0
+            for layout, block in self._point_blocks(rows):
+                dL, dC = self._derivatives(layout, thetas)
+                grad = grad + dL + _contract(_statistics(self._pairs(*block)), dC) / sigma2
+            return grad
+
+
+class CvKernel(_GapKernel):
+    """The leave-one-out score; a point's class is its (left, right) gap pair.
+
+    With d_i = y_i - y_{i-1}, the leave-one-out residual of point i times
+    its precision diagonal A is u = h y_i + c_{i-1} d_i - c_i d_{i+1}.
+    Here c = e^{-theta g} / (1 - e^{-2 theta g}) per gap, and
+    h = A - c_{i-1} - c_i = (tanh(theta g_{i-1} / 2) + tanh(theta g_i / 2)) / 2.
+    The score is L = -sum log A and Q = sum u^2 / A; Q expands into the
+    six statistics y^2, 2 y d_i, -2 y d_{i+1}, d_i^2, d_{i+1}^2 and
+    -2 d_i d_{i+1}, with the coefficients h^2, h c_{i-1}, h c_i,
+    c_{i-1}^2, c_i^2 and c_{i-1} c_i over A. The large 1/gap
+    coefficients multiply increments, where they do not cancel.
+    """
+
+    keys = 2
+
+    @staticmethod
+    def _point_arrays(Y):
+        return Y, _increments(Y, 1)
+
+    @staticmethod
+    def _pairs(Y, d):
+        dL, dR = d[..., :-1], d[..., 1:]
+        return ((Y, Y, 1.0), (Y, dL, 2.0), (Y, dR, -2.0), (dL, dL, 1.0), (dR, dR, 1.0), (dL, dR, -2.0))
+
+    @staticmethod
+    def _coefficients(A, h, cL, cR):
+        q, rL, rR = h / A, cL / A, cR / A
+        return (h * q, h * rL, h * rR, cL * rL, cR * rR, cL * rR), (q, rL, rR)
+
+    def _terms(self, layout: _Layout, thetas):
+        _, _, c, _, A, h, cL, cR = _cv_precision(layout.values, layout.members, thetas)
+        L = -layout.total(np.log(A))
+        if layout.counts is None:  # the per-point form needs A, h and the per-gap c only
+            return L, (A, h, c)
+        return L, self._coefficients(A, h, cL, cR)[0]
+
+    @staticmethod
+    def _pointwise(data, terms):
+        A, h, c = terms
+        u = _cv_residuals(*data, h, c)
+        return np.sum(u * (u / A), axis=-1)
+
+    def _derivatives(self, layout: _Layout, thetas):
+        E, a, c, p, A, h, cL, cR = _cv_precision(layout.values, layout.members, thetas)
+        g = layout.weights()
+        ga = g * a
+        da = -2.0 * ga * c * E
+        dc = -ga * E * (1.0 + 2.0 * c * E)
+        dt = 2.0 * g * E / (p * p)
+        il, ir = layout.members
+        lam = (da[..., il] + da[..., ir]) / A  # A' / A
+        dh = 0.5 * (dt[..., il] + dt[..., ir])
+        dcL, dcR = dc[..., il], dc[..., ir]
+        C, (q, rL, rR) = self._coefficients(A, h, cL, cR)
+        dC = (
+            q * (2.0 * dh - h * lam),
+            dh * rL + q * dcL - C[1] * lam,
+            dh * rR + q * dcR - C[2] * lam,
+            rL * (2.0 * dcL - cL * lam),
+            rR * (2.0 * dcR - cR * lam),
+            dcL * rR + rL * dcR - C[5] * lam,
+        )
+        return -layout.total(lam), dC
+
+
+class MlKernel(_GapKernel):
+    """The -2 log-likelihood; a point's class is its left gap.
+
+    Each point conditions on its left neighbour: the innovation
+    w_i = d_i + (1 - E) y_{i-1} has variance G = 1 - E^2, and the first
+    point, next to the infinite outer gap, has w = y_0 and G = 1. Then
+    L = n log 2 pi + sum log G and Q = sum w^2 / G; Q expands into the
+    statistics d^2, 2 d y_{i-1} and y_{i-1}^2 with the coefficients
+    a = 1/G, 1 / (1 + E) and tanh(theta g / 2).
+    """
+
+    keys = 1  # so a class has one gap, and the per-gap terms are per class
+
+    @staticmethod
+    def _point_arrays(Y):
+        prev = np.concatenate((np.zeros_like(Y[:, :1]), Y[:, :-1]), axis=1)  # with y_{-1} = 0
+        return _increments(Y, 0), prev
+
+    @staticmethod
+    def _pairs(d, prev):
+        return ((d, d, 1.0), (d, prev, 2.0), (prev, prev, 1.0))
+
+    def _terms(self, layout: _Layout, thetas):
+        E, G, a = _gap_terms(layout.values, thetas)
+        p = 1.0 + E
+        L = layout.points * np.log(2.0 * np.pi) + layout.total(np.log(G))
+        if layout.counts is None:
+            return L, (G, G / p)
+        return L, (a, 1.0 / p, G / (p * p))
+
+    @staticmethod
+    def _pointwise(data, terms):
+        d, prev = data
+        G, m = terms  # m = 1 - E
+        w = d[:, None, :] + m * prev[:, None, :]
+        return np.sum(w * w / G, axis=-1)
+
+    def _derivatives(self, layout: _Layout, thetas):
+        E, G, a = _gap_terms(layout.values, thetas)
+        p = 1.0 + E
+        g = layout.weights()
+        ga = g * a
+        db = g * E / (p * p)  # of 1 / (1 + E); tanh(theta g / 2) has twice it
+        return layout.total(2.0 * ga * E * E), (-2.0 * ga * a * E * E, db, 2.0 * db)
+
+
+def _reused(thetas) -> bool:
+    """Whether a call at ``thetas`` evaluates each row at more than one theta."""
+    return np.shape(thetas)[-1] > 1
 
 
 def score_parts(design: Design, Y: np.ndarray, thetas) -> tuple[np.ndarray, np.ndarray]:
@@ -162,18 +512,9 @@ def score_parts(design: Design, Y: np.ndarray, thetas) -> tuple[np.ndarray, np.n
     shared, shape (T,), or per row, shape (R, k). L depends on theta
     only and has the shape of ``thetas``; Q has shape (R, T) or (R, k).
     Inputs are not validated: this is the kernel behind the checked
-    entry points.
+    entry points. It is :class:`CvKernel` prepared for one call.
     """
-    with np.errstate(over="ignore", invalid="ignore"):
-        _, _, _, a, A, _, w_left, w_right, resid = _cv_terms(design, Y, thetas)
-        ends = log_one_minus_exp_neg(_two_theta_gaps(thetas, design.gaps[[0, -1]]))
-        L = ends[..., 0] + ends[..., 1] - np.sum(np.log(A), axis=-1)
-        Q = (
-            a[..., 0] * w_left * w_left
-            + a[..., -1] * w_right * w_right
-            + np.sum(A * resid * resid, axis=-1)
-        )
-    return L, Q
+    return CvKernel(design, Y, _reused(thetas)).parts(None, thetas)
 
 
 def score_gradient(design: Design, Y: np.ndarray, thetas, sigma2) -> np.ndarray:
@@ -181,52 +522,17 @@ def score_gradient(design: Design, Y: np.ndarray, thetas, sigma2) -> np.ndarray:
 
     ``sigma2`` broadcasts against the (R, T) or (R, k) result.
     """
-    g, E, G, a, A, c, w_left, w_right, resid = _cv_terms(design, Y, thetas)
-    Y = Y[:, None, :]
-    dG = 2.0 * g * (1.0 - G)  # d/dtheta (1 - e^{-2 theta g})
-    da = -dG * a * a
-    dE = -g * E
-    dA = da[..., :-1] + da[..., 1:]
-    dc = da * E + a * dE
-
-    num = c[..., :-1] * Y[..., :-2] + c[..., 1:] * Y[..., 2:]
-    dnum = dc[..., :-1] * Y[..., :-2] + dc[..., 1:] * Y[..., 2:]
-    dresid = -(dnum * A - num * dA) / (A * A)
-    dw_left = g[0] * E[..., 0] * Y[..., 1]
-    dw_right = g[-1] * E[..., -1] * Y[..., -2]
-
-    d_logs = dG[..., 0] * a[..., 0] + dG[..., -1] * a[..., -1] - np.sum(dA / A, axis=-1)
-    d_quad = (
-        da[..., 0] * w_left * w_left
-        + 2.0 * a[..., 0] * w_left * dw_left
-        + da[..., -1] * w_right * w_right
-        + 2.0 * a[..., -1] * w_right * dw_right
-        + np.sum(dA * resid * resid + 2.0 * A * resid * dresid, axis=-1)
-    )
-    return d_logs + d_quad / sigma2
+    return CvKernel(design, Y, _reused(thetas)).gradient(None, thetas, sigma2)
 
 
 def ml_parts(design: Design, Y: np.ndarray, thetas) -> tuple[np.ndarray, np.ndarray]:
     """The likelihood objective's L and Q, batched like :func:`score_parts`."""
-    _, E, G, _ = _kernel_arrays(design, thetas)
-    Y = Y[:, None, :]
-    with np.errstate(over="ignore", invalid="ignore"):
-        W = Y[..., 1:] - E * Y[..., :-1]
-        logs = log_one_minus_exp_neg(_two_theta_gaps(thetas, design.gaps))
-        L = design.n * np.log(2.0 * np.pi) + np.sum(logs, axis=-1)
-        Q = Y[..., 0] * Y[..., 0] + np.sum(W * W / G, axis=-1)
-    return L, Q
+    return MlKernel(design, Y, _reused(thetas)).parts(None, thetas)
 
 
 def ml_gradient(design: Design, Y: np.ndarray, thetas, sigma2) -> np.ndarray:
     """Analytic theta-derivative of the likelihood objective, batched."""
-    g, E, G, _ = _kernel_arrays(design, thetas)
-    Y = Y[:, None, :]
-    dG = 2.0 * g * (1.0 - G)
-    W = Y[..., 1:] - E * Y[..., :-1]
-    dW = g * E * Y[..., :-1]
-    d_quad = np.sum((2.0 * W * dW - W * W * dG / G) / G, axis=-1)
-    return np.sum(dG / G, axis=-1) + d_quad / sigma2
+    return MlKernel(design, Y, _reused(thetas)).gradient(None, thetas, sigma2)
 
 
 def precision_matrix(design: Design, theta: float) -> TridiagonalPrecision:
@@ -243,7 +549,7 @@ def precision_matrix(design: Design, theta: float) -> TridiagonalPrecision:
 def _precisions(design: Design, thetas) -> TridiagonalPrecision:
     """:func:`precision_matrix` for ``thetas`` of any shape, unchecked;
     the point axis is appended last."""
-    _, E, _, a = _kernel_arrays(design, thetas)
+    E, _, a = _gap_terms(design.gaps, thetas)
     # a_i + a_{i+1} e^{-2 theta gap_{i+1}} == a_i + a_{i+1} - 1 exactly
     diag = np.concatenate([a[..., :1], a[..., :-1] + a[..., 1:] - 1.0, a[..., -1:]], axis=-1)
     return TridiagonalPrecision(diag=diag, off=-a * E)
@@ -259,10 +565,10 @@ def loo_predictions(design: Design, y, theta: float) -> LooSummary:
     """
     _check_theta(theta)
     y = _check_data(design, y)
-    _, _, G, _, A, _, w_left, w_right, resid = _cv_terms(design, y[None, :], [theta])
-    resid = np.concatenate([w_left[..., None], resid, w_right[..., None]], axis=-1)[0, 0]
-    v = np.concatenate([G[..., :1], 1.0 / A, G[..., -1:]], axis=-1)[0]
-    return LooSummary(predictions=y - resid, normalized_variances=v)
+    gaps = np.concatenate(([np.inf], design.gaps, [np.inf]))
+    _, _, c, _, A, h, _, _ = _cv_precision(gaps, (slice(None, -1), slice(1, None)), [theta])
+    resid = _cv_residuals(*CvKernel._point_arrays(y[None, :]), h, c) / A
+    return LooSummary(predictions=y - resid[0, 0], normalized_variances=1.0 / A[0])
 
 
 def log_score(design: Design, y, theta: float, sigma2: float) -> float:

@@ -315,14 +315,14 @@ class TestEvaluationCount:
         d = regular_design(12)
         y = sample_path(d, PARAMS0, (20260808, 1))
         pairs = []
-        kernel = estimation.score_parts
 
-        def counting(design, Y, thetas):
-            L, Q = kernel(design, Y, thetas)
-            pairs.append(Q.size)  # one (row, theta) pair per objective value
-            return L, Q
+        class Counting(estimation.CvKernel):
+            def parts(self, rows, thetas):
+                L, Q = super().parts(rows, thetas)
+                pairs.append(Q.size)  # one (row, theta) pair per objective value
+                return L, Q
 
-        monkeypatch.setattr(estimation, "score_parts", counting)
+        monkeypatch.setattr(estimation, "CvKernel", Counting)
         res = estimate_cv_joint(d, y, BOX)
         # 64 grid nodes, the two interior golden-section points, one point
         # per iteration and the final bracket midpoint; the last kernel

@@ -20,6 +20,7 @@ from oucv import (
     score_gradient_theta,
     standardized_statistic,
 )
+from oucv.estimation import _minimize_theta
 from conftest import random_instance
 
 BOX = ParameterBox(0.1, 10.0, 0.3, 30.0)
@@ -94,6 +95,43 @@ class TestJointEstimation:
             design, y, _, _ = random_instance(rng)
             res = estimate_cv_joint(design, y, BOX)
             assert res.iterations <= 200
+
+
+class TestGridMinima:
+    """``grid_minima`` counts the local minima of a row's 64 grid values."""
+
+    @staticmethod
+    def _search(f, lo=0.1, hi=10.0, rows=2):
+        def objective(idx, thetas, failed):
+            thetas = np.broadcast_to(np.asarray(thetas, dtype=float), (len(idx), np.shape(thetas)[-1]))
+            return f(np.log(thetas))
+
+        theta, _, _, _, minima, failed = _minimize_theta(objective, lo, hi, rows)
+        assert not failed
+        return theta, minima
+
+    def test_two_wells_count_two(self):
+        # wells at theta = 0.5 and 5, the one at 5 slightly deeper
+        theta, minima = self._search(lambda x: (x - np.log(0.5)) ** 2 * (x - np.log(5.0)) ** 2 - 0.01 * x)
+        assert minima.tolist() == [2, 2]
+        assert theta == pytest.approx(5.0, rel=0.05)
+
+    def test_single_minimum_counts_one(self):
+        theta, minima = self._search(lambda x: (x - np.log(2.0)) ** 2)
+        assert minima.tolist() == [1, 1]
+        assert theta == pytest.approx(2.0, rel=1e-6)
+
+    def test_monotone_and_collapsed_count_one(self):
+        _, minima = self._search(lambda x: -x)  # minimum on the upper grid edge
+        assert minima.tolist() == [1, 1]
+        _, minima = self._search(lambda x: x * 0.0, lo=2.0, hi=2.0)
+        assert minima.tolist() == [1, 1]
+
+    def test_estimates_carry_the_count(self):
+        d = regular_design(40)
+        y = sample_path(d, PARAMS0, 31)
+        assert estimate_cv_joint(d, y, BOX).grid_minima >= 1
+        assert estimate_cv_fixed_theta(d, y, 1.5, BOX.sigma2_range).grid_minima == 1
 
 
 class TestFirstOrderConditions:

@@ -1,5 +1,6 @@
 """Experiment harness: determinism, seed streams, export round-trips."""
 
+import dataclasses
 import json
 import math
 
@@ -53,6 +54,16 @@ class TestConfigValidation:
             small_config(estimators=("cv-fixed-theta",))
         with pytest.raises(InvalidParameterError):
             small_config(estimators=("cv-regression",))
+
+    def test_replicates_and_seed_must_be_integers(self):
+        # a config built in Python fails closed like one read from a file:
+        # no bool, no str, no fractional number is truncated or recorded
+        base = make_preset("fig2-n12-regular")
+        for key, value in (("seed", True), ("seed", "7"), ("replicates", 3.7), ("seed", 1.5)):
+            with pytest.raises(InvalidParameterError, match=key):
+                dataclasses.replace(base, **{key: value})
+        cfg = dataclasses.replace(base, replicates=4.0, seed=np.int64(7))
+        assert (cfg.replicates, cfg.seed) == (4, 7) and type(cfg.replicates) is type(cfg.seed) is int
 
     def test_build_design_kinds(self):
         assert build_design({"kind": "regular", "n": 12}).n == 12
