@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import itertools
 import json
 import math
 import sys
@@ -46,15 +47,16 @@ def _emit_error(err: Exception) -> None:
     print(line, file=sys.stderr)
 
 
-def _read_rows(path: str) -> Iterator[list[float]]:
+def _read_rows(path: str, widths: tuple[int, ...] | None = None) -> Iterator[list[float]]:
     """The numeric rows of a comma-separated file, one at a time.
 
     Blank lines and lines starting with '#' are skipped. The first other
-    line may be a header: it is skipped when it does not parse. Any later
-    row that does not parse raises an InvalidParameterError naming its
-    line.
+    line may be a header: it is skipped when it does not parse. Every
+    row must have the width of the first data row, which must be one of
+    ``widths`` when given. A later row that does not parse, or a row of
+    another width, raises an InvalidParameterError naming its line.
     """
-    header_allowed = True
+    width = None  # of the first data row; 0 after a header
     with open(path) as fh:
         for lineno, line in enumerate(fh, 1):
             line = line.strip()
@@ -63,18 +65,23 @@ def _read_rows(path: str) -> Iterator[list[float]]:
             try:
                 row = list(map(float, line.split(",")))
             except ValueError:
-                if not header_allowed:
+                if width is not None:
                     raise InvalidParameterError(
                         f"{path}, line {lineno}: cannot parse row {line!r}"
                     ) from None
-                header_allowed = False
+                width = 0
                 continue
-            header_allowed = False
+            width = width or len(row)
+            expected = (width,) if widths is None or width in widths else widths
+            if len(row) not in expected:
+                raise InvalidParameterError(
+                    f"{path}, line {lineno}: {len(row)} fields where rows need {' or '.join(map(str, expected))}"
+                )
             yield row
 
 
 def _read_point_file(path: str) -> np.ndarray:
-    return np.asarray([row[0] for row in _read_rows(path)], dtype=float)
+    return np.asarray([row[0] for row in _read_rows(path, (1,))], dtype=float)
 
 
 # the fields of a design spec's text form, kind:FIELD:FIELD; a point
@@ -99,15 +106,9 @@ def _design_from_spec(spec: str) -> Design:
 def _read_data_csv(path: str) -> tuple[Design, np.ndarray]:
     """Read an (index,s,value) or (s,value) CSV into a design and data vector."""
     s_vals, y_vals = [], []
-    for row in _read_rows(path):
-        if len(row) >= 3:
-            s_vals.append(row[1])
-            y_vals.append(row[2])
-        elif len(row) == 2:
-            s_vals.append(row[0])
-            y_vals.append(row[1])
-        else:
-            raise InvalidParameterError(f"cannot parse data row {row!r} in {path}")
+    for row in _read_rows(path, (2, 3)):
+        s_vals.append(row[-2])
+        y_vals.append(row[-1])
     return from_points(np.asarray(s_vals)), np.asarray(y_vals)
 
 
@@ -151,10 +152,7 @@ def _trend_columns(path: str, design: Design) -> np.ndarray:
     cfg = _json_object(path)
     if "columns" not in cfg:
         return _trend_spec(cfg, need_beta=False).design_matrix(design)
-    rows = list(_read_rows(cfg["columns"]))
-    if len({len(row) for row in rows}) > 1:
-        raise InvalidParameterError(f"rows of {cfg['columns']} differ in length")
-    return np.asarray(rows, dtype=float)
+    return np.asarray(list(_read_rows(cfg["columns"])), dtype=float)
 
 
 def _parse_box(value) -> ParameterBox:
@@ -174,9 +172,8 @@ def _cmd_design(args) -> int:
         spec = {"kind": args.kind, "n": args.n, "gamma": args.gamma, "alpha": args.alpha}
     design = build_design(spec)
     print("index,s,delta")
-    for i in range(design.n):
-        delta = "" if i == 0 else _fmt(design.gaps[i - 1])
-        print(f"{i + 1},{_fmt(design.points[i])},{delta}")
+    deltas = itertools.chain([""], map(_fmt, design.gaps))
+    sys.stdout.writelines(f"{i},{_fmt(s)},{delta}\n" for i, (s, delta) in enumerate(zip(design.points, deltas), 1))
     tau = tau_squared(design) if design.n >= 5 else math.nan
     print(f"tau_squared={_fmt(tau)}", file=sys.stderr)
     return 0
@@ -195,8 +192,7 @@ def _cmd_simulate(args) -> int:
         data = sample_path(design, params, args.seed)
         label = "y"
     print(f"index,s,{label}")
-    for i in range(design.n):
-        print(f"{i + 1},{_fmt(design.points[i])},{_fmt(data[i])}")
+    sys.stdout.writelines(f"{i},{_fmt(s)},{_fmt(v)}\n" for i, (s, v) in enumerate(zip(design.points, data), 1))
     return 0
 
 

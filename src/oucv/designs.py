@@ -200,14 +200,18 @@ def _one_sided_fractions(gaps: np.ndarray) -> np.ndarray:
     return gaps[1:] / (gaps[:-1] + gaps[1:])
 
 
+def _q_and_cross(u: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The fractions q and cross terms of the interior indices, from the
+    one-sided fractions u."""
+    return u[1:] + (1.0 - u[:-1]), u[1:] * (1.0 - u[1:])
+
+
 def gap_profile(design: Design) -> GapProfile:
     """Neighbor-gap fractions q_i and cross terms for i = 3 .. n-1."""
     n = design.n
     if n < 5:
         raise InvalidDesignError(f"gap profile needs n >= 5, got {n}")
-    u = _one_sided_fractions(design.gaps)
-    q = u[1:] + (1.0 - u[:-1])
-    cross = u[1:] * (1.0 - u[1:])
+    q, cross = _q_and_cross(_one_sided_fractions(design.gaps))
     if np.any(q <= 0.0) or np.any(q >= 2.0):
         raise InvalidDesignError("gap fraction q outside (0, 2)")
     if np.any(cross <= 0.0) or np.any(cross > 0.25):
@@ -216,8 +220,7 @@ def gap_profile(design: Design) -> GapProfile:
 
 
 def _tau_from_fractions(u: np.ndarray, n: int) -> float:
-    q = u[1:] + (1.0 - u[:-1])
-    cross = u[1:] * (1.0 - u[1:])
+    q, cross = _q_and_cross(u)
     return float(2.0 / n * np.sum(q * q + 2.0 * cross))
 
 

@@ -14,7 +14,10 @@ estimator evaluates for (replicate x theta) arrays like the centered
 kernels of :mod:`oucv.scoring`, the single-theta score and its
 correction terms, and the GLS coefficients. The factor depends on theta
 alone, so it is computed once per theta and shared by the replicates.
-Dense Cholesky factorizations remain only in the deleted-design oracle.
+P is applied in the increment form of :mod:`oucv.scoring`, where the
+large 1/gap terms of clustered points multiply the small increments of
+a smooth trend column and do not cancel. Dense Cholesky factorizations
+remain only in the deleted-design oracle.
 """
 
 from __future__ import annotations
@@ -33,9 +36,10 @@ from .scoring import (
     _check_data,
     _check_sigma2,
     _check_theta,
-    TridiagonalPrecision,
+    _apply_precision,
     _in_blocks,
-    _precisions,
+    _increments,
+    _precision_terms,
     _take,
 )
 from .simulate import check_full_rank, covariance_matrix
@@ -92,57 +96,61 @@ def _trend_factor(design: Design, thetas, F: np.ndarray):
 
     W = C^-1 F' P, with C lower triangular and C C' = F' P F, is built
     one trend column at a time: C_jl = F_j' W_l and C_jj = sqrt(F_j' w).
-    Returns P, the rows of W (point axis last), C (ending in (p, p)),
-    ebar (the column sums of W^2) and the projected diagonal
-    diag(P) - ebar. A pivot C_jj^2 <= 0 leaves W non-finite and the
-    projected diagonal not positive.
+    Returns the precision terms (A, h, c) of
+    :func:`~oucv.scoring._precision_terms`, the rows of W (point axis
+    last), C (ending in (p, p)), ebar (the column sums of W^2) and the
+    projected diagonal A - ebar. A pivot C_jj^2 <= 0 leaves W non-finite
+    and the projected diagonal not positive.
     """
-    P = _precisions(design, thetas)
-    C = np.zeros(P.diag.shape[:-1] + (F.shape[1],) * 2)
+    A, h, c = _precision_terms(design, thetas)
+    C = np.zeros(A.shape[:-1] + (F.shape[1],) * 2)
     W = []
+    Ft = np.ascontiguousarray(F.T)
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-        for j, f in enumerate(np.ascontiguousarray(F.T)):
-            w = P.matvec(f)
+        for j, (f, df) in enumerate(zip(Ft, _increments(Ft, 1))):
+            w = _apply_precision(f, df, h, c)
             for l, Wl in enumerate(W):
                 C[..., j, l] = np.sum(f * Wl, axis=-1)
                 w -= C[..., j, l][..., None] * Wl
             C[..., j, j] = np.sqrt(np.sum(f * w, axis=-1))
             W.append(w / C[..., j, j][..., None])
         ebar = sum(w * w for w in W)
-        return P, W, C, ebar, P.diag - ebar
+        return (A, h, c), W, C, ebar, A - ebar
 
 
-def _project(P: TridiagonalPrecision, W: list, Z: np.ndarray) -> np.ndarray:
-    """The projected precision P - W'W applied along the last axis of ``Z``."""
-    proj_z = P.matvec(Z)
+def _project(PZ: np.ndarray, W: list, Z: np.ndarray) -> np.ndarray:
+    """The projected precision P - W'W applied along the last axis of
+    ``Z``, from P Z, which it overwrites."""
     for w in W:
-        proj_z -= np.sum(w * Z, axis=-1)[..., None] * w
-    return proj_z
+        PZ -= np.sum(w * Z, axis=-1)[..., None] * w
+    return PZ
 
 
-def _parts(factor, Y: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """:func:`reg_parts` from a trend factor."""
-    P, W, _, _, proj_diag = factor
+def _parts(factor, Y: np.ndarray, dY: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """:func:`reg_parts` from a trend factor, for rows Y with increments dY."""
+    (_, h, c), W, _, _, proj_diag = factor
+    Y, dY = Y[:, None, :], dY[:, None, :]
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
         singular = ~(proj_diag > 0.0).all(axis=-1)
         L = np.where(singular, np.nan, -np.sum(np.log(proj_diag), axis=-1))
-        proj_z = _project(P, W, Y[:, None, :])
+        proj_z = _project(_apply_precision(Y, dY, h, c), W, Y)
         Q = np.sum(proj_z * proj_z / proj_diag, axis=-1)
     return L, Q
 
 
 def _factor_at(design: Design, z, theta: float, F):
-    """The checked data, the trend factor at one theta (a theta axis of
-    length one) and the score's decomposition there. A singular
-    projection raises ConditioningError."""
+    """The checked data with its increments, the trend factor at one
+    theta (a theta axis of length one) and the score's decomposition
+    there. A singular projection raises ConditioningError."""
     _check_theta(theta)
     z = _check_data(design, z)
+    dz = _increments(z, 1)
     factor = _trend_factor(design, [theta], _prepare_F(design, F))
-    L, Q = _parts(factor, z[None, :])
+    L, Q = _parts(factor, z[None, :], dz[None, :])
     if np.isnan(L[0]):
         raise ConditioningError(f"trend projection is singular at theta = {theta}: the normal matrix is not "
                                 "positive definite or a projected leave-one-out variance collapsed")
-    return z, factor, ScoreDecomposition(L=float(L[0]), Q=float(Q[0, 0]), n=design.n)
+    return (z, dz), factor, ScoreDecomposition(L=float(L[0]), Q=float(Q[0, 0]), n=design.n)
 
 
 def gls_beta(design: Design, z, theta: float, F) -> np.ndarray:
@@ -152,7 +160,7 @@ def gls_beta(design: Design, z, theta: float, F) -> np.ndarray:
     F' P F = C C' is the back-substitution C' beta = W z; the cost is
     O(n p^2).
     """
-    z, (_, W, C, _, _), _ = _factor_at(design, z, theta, F)
+    (z, _), (_, W, C, _, _), _ = _factor_at(design, z, theta, F)
     beta = np.zeros(len(W))
     for j in reversed(range(beta.size)):
         beta[j] = (np.sum(W[j][0] * z) - C[0, j + 1:, j] @ beta[j + 1:]) / C[0, j, j]
@@ -175,23 +183,25 @@ def reg_parts(design: Design, Y: np.ndarray, thetas, F: np.ndarray) -> tuple[np.
     (row, theta) pair, so a row's values do not depend on the rest of
     the batch.
     """
-    return _parts(_trend_factor(design, thetas, F), Y)
+    return _parts(_trend_factor(design, thetas, F), Y, _increments(Y, 1))
 
 
 class _TrendKernel:
     """:func:`reg_parts` on data rows Z, in the form the batched search
-    takes (see :class:`~oucv.scoring.CvKernel`); it has no analytic
-    gradient."""
+    takes (see :class:`~oucv.scoring.CvKernel`): the increments of the
+    rows are prepared once. It has no analytic gradient."""
 
     gradient = None
 
     def __init__(self, design: Design, Z: np.ndarray, F: np.ndarray):
-        self.design, self.Z, self.F = design, Z, F
+        self.design, self.F = design, F
+        self.data = (Z, _increments(Z, 1))
 
     def parts(self, rows, thetas):
-        Z = _take(self.Z, rows)
+        Z, dZ = (_take(x, rows) for x in self.data)
         width = self.design.n * self.F.shape[1]  # array elements per (row, theta) value
-        return _in_blocks(lambda t: reg_parts(self.design, Z, t, self.F), thetas, Z.shape[0], width)
+        return _in_blocks(lambda t: _parts(_trend_factor(self.design, t, self.F), Z, dZ),
+                          thetas, Z.shape[0], width)
 
 
 def reg_score_decomposition(design: Design, z, theta: float, F) -> ScoreDecomposition:
@@ -213,11 +223,11 @@ def reg_log_score(design: Design, z, theta: float, sigma2: float, F) -> Regressi
     differ exactly by the epsilon terms of the decomposition.
     """
     _check_sigma2(sigma2)
-    z, (P, W, _, ebar, proj_diag), decomposition = _factor_at(design, z, theta, F)
-    diag, ebar, proj_diag = P.diag[0], ebar[0], proj_diag[0]
-    Pz = P.matvec(z)[0]
+    (z, dz), ((A, h, c), W, _, ebar, proj_diag), decomposition = _factor_at(design, z, theta, F)
+    resid_trend = (_project(_apply_precision(z, dz, h, c), W, z) / proj_diag)[0]
+    diag, ebar, proj_diag = A[0], ebar[0], proj_diag[0]
+    Pz = _apply_precision(z, dz, h[0], c[0])
     resid_centered = Pz / diag
-    resid_trend = _project(P, W, z)[0] / proj_diag
     eps = resid_trend - resid_centered
     base = design.n * np.log(sigma2) - np.sum(np.log(diag)) + np.sum(diag * resid_centered**2) / sigma2
     return RegressionScore(

@@ -28,7 +28,10 @@ more, as in a minimal design (all gaps distinct, n <= 18), with
 Dirichlet gaps, or for the score below n = 90 or so, the terms are
 evaluated point by point instead; so is an evaluation at a single
 theta, where summing classes costs more than it saves. The score, the
-profile and the gradient all derive from these kernels.
+profile and the gradient all derive from these kernels. The tridiagonal
+precision P is applied in the same increment form only,
+P v = h v + c_{i-1} d_i - c_i d_{i+1}: :func:`precision_matrix`,
+:func:`loo_predictions` and the trend-aware score derive from it.
 """
 
 from __future__ import annotations
@@ -117,21 +120,7 @@ class TridiagonalPrecision:
     off: np.ndarray
 
     def to_dense(self) -> np.ndarray:
-        n = self.diag.size
-        M = np.zeros((n, n))
-        M[np.arange(n), np.arange(n)] = self.diag
-        M[np.arange(n - 1), np.arange(1, n)] = self.off
-        M[np.arange(1, n), np.arange(n - 1)] = self.off
-        return M
-
-    def matvec(self, x: np.ndarray) -> np.ndarray:
-        """The product along the last axis; a batched precision (leading
-        theta axes on ``diag`` and ``off``) broadcasts against ``x``."""
-        x = np.asarray(x, dtype=float)
-        out = self.diag * x
-        out[..., :-1] += self.off * x[..., 1:]
-        out[..., 1:] += self.off * x[..., :-1]
-        return out
+        return np.diag(self.diag) + np.diag(self.off, 1) + np.diag(self.off, -1)
 
 
 def _check_theta(theta: float) -> None:
@@ -251,14 +240,15 @@ def _contract(S: np.ndarray, C) -> np.ndarray:
 
 
 def _increments(Y: np.ndarray, after: int) -> np.ndarray:
-    """d_i = y_i - y_{i-1} for the rows of Y (R, n), with y_{-1} = 0, for
-    i = 0 .. n - 1 + after: with ``after`` = 1 the last is d_n = -y_{n-1}."""
-    R, n = Y.shape
-    d = np.empty((R, n + after))
-    d[:, 0] = Y[:, 0]
-    np.subtract(Y[:, 1:], Y[:, :-1], out=d[:, 1:n])
+    """d_i = y_i - y_{i-1} along the last axis of Y (..., n), with
+    y_{-1} = 0, for i = 0 .. n - 1 + after: with ``after`` = 1 the last
+    is d_n = -y_{n-1}."""
+    n = Y.shape[-1]
+    d = np.empty(Y.shape[:-1] + (n + after,))
+    d[..., 0] = Y[..., 0]
+    np.subtract(Y[..., 1:], Y[..., :-1], out=d[..., 1:n])
     if after:
-        d[:, n] = -Y[:, -1]
+        d[..., n] = -Y[..., -1]
     return d
 
 
@@ -275,11 +265,23 @@ def _cv_precision(values: np.ndarray, members: tuple, thetas):
     return E, a, c, p, a[..., il] + a[..., ir] - 1.0, 0.5 * (t[..., il] + t[..., ir]), c[..., il], c[..., ir]
 
 
-def _cv_residuals(Y: np.ndarray, d: np.ndarray, h: np.ndarray, c: np.ndarray) -> np.ndarray:
-    """u = A times the leave-one-out residual, point by point: data rows
-    Y (R, n), their increments d (R, n + 1), h per point and c per gap."""
-    cd = c * d[:, None, :]
-    return h * Y[:, None, :] + cd[..., :-1] - cd[..., 1:]
+def _precision_terms(design: Design, thetas):
+    """The precision point by point, for ``thetas`` of any shape (point axis
+    last): A and h per point, c per gap with the infinite outer gaps (c = 0)."""
+    gaps = np.concatenate(([np.inf], design.gaps, [np.inf]))
+    _, _, c, _, A, h, _, _ = _cv_precision(gaps, (slice(None, -1), slice(1, None)), thetas)
+    return A, h, c
+
+
+def _apply_precision(v: np.ndarray, d: np.ndarray, h: np.ndarray, c: np.ndarray) -> np.ndarray:
+    """P v = h v + c_{i-1} d_i - c_i d_{i+1} along the last axis of v, with
+    d its :func:`_increments` (``after`` = 1), h per point and c per gap;
+    leading axes broadcast. For data v it is A times the leave-one-out residual."""
+    cd = c * d
+    Pv = h * v
+    Pv += cd[..., :-1]
+    Pv -= cd[..., 1:]
+    return Pv
 
 
 @dataclass(frozen=True)
@@ -428,7 +430,8 @@ class CvKernel(_GapKernel):
     @staticmethod
     def _pointwise(data, terms):
         A, h, c = terms
-        u = _cv_residuals(*data, h, c)
+        Y, d = data
+        u = _apply_precision(Y[:, None, :], d[:, None, :], h, c)
         return np.sum(u * (u / A), axis=-1)
 
     def _derivatives(self, layout: _Layout, thetas):
@@ -538,21 +541,14 @@ def ml_gradient(design: Design, Y: np.ndarray, thetas, sigma2) -> np.ndarray:
 def precision_matrix(design: Design, theta: float) -> TridiagonalPrecision:
     """Tridiagonal inverse of the unit-variance covariance matrix.
 
-    Corner diagonal entries are 1/(1 - e^{-2 theta gap}); an interior
-    entry is the sum of the two adjacent corner-type terms minus one,
-    and the off-diagonal is -e^{-theta gap}/(1 - e^{-2 theta gap}).
+    A diagonal entry is 1/(1 - e^{-2 theta gap}) summed over the point's
+    two gaps, minus one (an outer gap adds 1); the off-diagonal is
+    -e^{-theta gap}/(1 - e^{-2 theta gap}). These are the terms that the
+    score applies in increment form.
     """
     _check_theta(theta)
-    return _precisions(design, theta)
-
-
-def _precisions(design: Design, thetas) -> TridiagonalPrecision:
-    """:func:`precision_matrix` for ``thetas`` of any shape, unchecked;
-    the point axis is appended last."""
-    E, _, a = _gap_terms(design.gaps, thetas)
-    # a_i + a_{i+1} e^{-2 theta gap_{i+1}} == a_i + a_{i+1} - 1 exactly
-    diag = np.concatenate([a[..., :1], a[..., :-1] + a[..., 1:] - 1.0, a[..., -1:]], axis=-1)
-    return TridiagonalPrecision(diag=diag, off=-a * E)
+    A, _, c = _precision_terms(design, theta)
+    return TridiagonalPrecision(diag=A, off=-c[1:-1])
 
 
 def loo_predictions(design: Design, y, theta: float) -> LooSummary:
@@ -565,10 +561,9 @@ def loo_predictions(design: Design, y, theta: float) -> LooSummary:
     """
     _check_theta(theta)
     y = _check_data(design, y)
-    gaps = np.concatenate(([np.inf], design.gaps, [np.inf]))
-    _, _, c, _, A, h, _, _ = _cv_precision(gaps, (slice(None, -1), slice(1, None)), [theta])
-    resid = _cv_residuals(*CvKernel._point_arrays(y[None, :]), h, c) / A
-    return LooSummary(predictions=y - resid[0, 0], normalized_variances=1.0 / A[0])
+    A, h, c = _precision_terms(design, theta)
+    resid = _apply_precision(y, _increments(y, 1), h, c) / A
+    return LooSummary(predictions=y - resid, normalized_variances=1.0 / A)
 
 
 def log_score(design: Design, y, theta: float, sigma2: float) -> float:
@@ -641,6 +636,20 @@ def ml_gradient_theta(design: Design, y, theta: float, sigma2: float) -> float:
     return float(ml_gradient(design, y[None, :], [theta], sigma2)[0, 0])
 
 
+def _dense_cholesky(design: Design, theta: float) -> np.ndarray:
+    """The dense lower Cholesky factor of the unit-variance covariance; n
+    is capped, and a failed factorization raises a conditioning error."""
+    _check_theta(theta)
+    if design.n > _DENSE_MAX_N:
+        raise InvalidParameterError(
+            f"dense route is capped at n = {_DENSE_MAX_N}, got {design.n}"
+        )
+    try:
+        return np.linalg.cholesky(covariance_matrix(design, theta))
+    except np.linalg.LinAlgError as err:
+        raise ConditioningError(f"covariance factorization failed: {err}") from err
+
+
 def dense_precision(design: Design, theta: float) -> np.ndarray:
     """Dense inverse covariance through a generic Cholesky factorization.
 
@@ -648,23 +657,13 @@ def dense_precision(design: Design, theta: float) -> np.ndarray:
     and near-singular covariances (duplicate-like points) raise a
     conditioning error instead of returning noise.
     """
-    _check_theta(theta)
-    if design.n > _DENSE_MAX_N:
-        raise InvalidParameterError(
-            f"dense route is capped at n = {_DENSE_MAX_N}, got {design.n}"
-        )
-    R = covariance_matrix(design, theta)
-    try:
-        chol = np.linalg.cholesky(R)
-    except np.linalg.LinAlgError as err:
-        raise ConditioningError(f"covariance factorization failed: {err}") from err
+    chol = _dense_cholesky(design, theta)
     piv = np.diag(chol)
     if float(piv.min() / piv.max()) < _PIVOT_RATIO_MIN:
         raise ConditioningError(
             "covariance is numerically singular (near-duplicate design points)"
         )
-    identity = np.eye(design.n)
-    return scipy.linalg.cho_solve((chol, True), identity)
+    return scipy.linalg.cho_solve((chol, True), np.eye(design.n))
 
 
 def dense_oracle_score(design: Design, y, theta: float, sigma2: float) -> float:
@@ -681,16 +680,7 @@ def dense_oracle_ml(design: Design, y, theta: float, sigma2: float) -> float:
     """Gaussian -2 log-likelihood from the dense covariance."""
     _check_sigma2(sigma2)
     y = _check_data(design, y)
-    _check_theta(theta)
-    if design.n > _DENSE_MAX_N:
-        raise InvalidParameterError(
-            f"dense route is capped at n = {_DENSE_MAX_N}, got {design.n}"
-        )
-    R = covariance_matrix(design, theta)
-    try:
-        chol = np.linalg.cholesky(R)
-    except np.linalg.LinAlgError as err:
-        raise ConditioningError(f"covariance factorization failed: {err}") from err
+    chol = _dense_cholesky(design, theta)
     logdet = 2.0 * float(np.sum(np.log(np.diag(chol))))
     alpha = scipy.linalg.cho_solve((chol, True), y)
     n = design.n

@@ -299,7 +299,8 @@ class TestExperimentCommand:
 
 class TestMalformedInput:
     """Only the first non-comment line may be a header; a later row that
-    does not parse is a domain error naming its line, never skipped."""
+    does not parse, or has another width than the first data row, is a
+    domain error naming its line, never skipped."""
 
     @staticmethod
     def _error(err):
@@ -338,6 +339,40 @@ class TestMalformedInput:
         code, _, err = run_cli(["simulate", "--design", f"file:{points}", "--theta", "3",
                                 "--sigma2", "1", "--seed", "1"])
         assert code == 1
+
+    @pytest.mark.parametrize("text,line", [
+        ("index,s,y\n1,0.0,0.3\n0.5,0.1\n3,1.0,0.4\n", 3),  # (s,value) among (index,s,value)
+        ("s,y\n0.0,0.3\n2,0.5,0.1\n1.0,0.4\n", 3),  # (index,s,value) among (s,value)
+        ("index,s,y\n1,0.0,0.3\n2,0.5,0.1,9\n3,1.0,0.4\n", 3),  # a 4-field row
+        ("index,s,y,w\n1,0.0,0.3,1\n2,0.5,0.1,1\n3,1.0,0.4,1\n", 2),  # 4 fields throughout
+        ("y\n0.3\n0.1\n0.4\n", 2),  # one field
+    ], ids=["short-row", "long-row", "four-field-row", "four-field-file", "one-field-file"])
+    def test_data_csv_row_width_exits_1(self, tmp_path, text, line):
+        data = tmp_path / "bad.csv"
+        data.write_text(text)
+        for argv in (["score", "--theta", "2", "--sigma2", "1"], ["estimate", "--box", "0.1,10,0.3,30"]):
+            code, out, err = run_cli(argv + ["--data", str(data)])
+            assert code == 1 and out == ""
+            assert f"line {line}" in self._error(err)
+
+    def test_point_file_needs_one_field(self, tmp_path):
+        points = tmp_path / "pts.txt"
+        points.write_text("0.0,1\n0.25,1\n0.7,1\n1.0,1\n")
+        code, out, err = run_cli(["design", "--kind", "file", "--points", str(points)])
+        assert code == 1 and out == ""
+        assert "line 1" in self._error(err)
+
+    def test_trend_column_file_ragged_row_exits_1(self, tmp_path):
+        _, out, _ = run_cli(["simulate", "--design", "regular:6", "--theta", "3", "--sigma2", "1", "--seed", "2"])
+        data = tmp_path / "data.csv"
+        data.write_text(out)
+        columns = tmp_path / "F.csv"
+        columns.write_text("1,0.0\n1,0.2\n1\n1,0.6\n1,0.8\n1,1.0\n")
+        cfg = tmp_path / "trend.json"
+        cfg.write_text(json.dumps({"columns": str(columns)}))
+        code, out, err = run_cli(["estimate", "--data", str(data), "--box", "0.1,10,0.3,30", "--trend", str(cfg)])
+        assert code == 1 and out == ""
+        assert "line 3" in self._error(err)
 
     def test_trend_column_file_bad_row_exits_1(self, tmp_path):
         _, out, _ = run_cli(["simulate", "--design", "regular:6", "--theta", "3", "--sigma2", "1", "--seed", "2"])
