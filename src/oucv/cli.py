@@ -15,7 +15,7 @@ import json
 import math
 import sys
 from pathlib import Path
-from typing import Iterator
+from typing import NoReturn
 
 import numpy as np
 
@@ -31,6 +31,7 @@ from .errors import (
 from .estimation import ParameterBox, _single
 from .montecarlo import (_DESIGN_KINDS, ExperimentConfig, _estimate_chunk, _field, _integer, build_design, export,
                          make_preset, run_experiment)
+from .numerics import _ELEMENT_BUDGET
 from .scoring import dense_oracle_ml, dense_oracle_score, log_score, ml_neg2loglik, score_decomposition
 from .simulate import CovarianceParams, TrendSpec, polynomial_basis, sample_path, sample_with_trend
 
@@ -42,46 +43,103 @@ def _fmt(x: float) -> str:
     return format(float(x), ".17g")
 
 
+def _write_rows(start: int, *columns: np.ndarray) -> None:
+    """Write CSV rows of an index counting from ``start`` and the floats
+    of equal-length ``columns`` to stdout, each float formatted as
+    :func:`_fmt` does (``%.17g``). The rows go out in blocks of
+    ``_ELEMENT_BUDGET``, one format of the block's cells each, so the
+    Python objects alive at a time stay few at any n."""
+    n, width = len(columns[0]), len(columns) + 1
+    row = "%d" + ",%.17g" * len(columns) + "\n"
+    for lo in range(0, n, _ELEMENT_BUDGET):
+        m = min(_ELEMENT_BUDGET, n - lo)
+        cells = [None] * (m * width)
+        cells[0::width] = range(start + lo, start + lo + m)
+        for k, column in enumerate(columns, 1):
+            cells[k::width] = column[lo:lo + m].tolist()
+        sys.stdout.write(row * m % tuple(cells))
+
+
 def _emit_error(err: Exception) -> None:
     line = json.dumps({"error": type(err).__name__, "message": str(err)})
     print(line, file=sys.stderr)
 
 
-def _read_rows(path: str, widths: tuple[int, ...] | None = None) -> Iterator[list[float]]:
-    """The numeric rows of a comma-separated file, one at a time.
+def _is_row(line: str) -> bool:
+    """Whether every comma-separated field of ``line`` is a number as the
+    C parser reads one: ASCII, with optional surrounding whitespace, a
+    decimal or exponent number, or inf, infinity or nan in any case, each
+    with an optional sign. Python's ``float`` also takes digit-group
+    underscores and non-ASCII digits; those are refused."""
+    for field in line.split(","):
+        field = field.strip()
+        if not field.isascii() or "_" in field:
+            return False
+        try:
+            float(field)
+        except ValueError:
+            return False
+    return True
 
-    Blank lines and lines starting with '#' are skipped. The first other
-    line may be a header: it is skipped when it does not parse. Every
-    row must have the width of the first data row, which must be one of
-    ``widths`` when given. A later row that does not parse, or a row of
-    another width, raises an InvalidParameterError naming its line.
+
+def _read_rows(path: str, widths: tuple[int, ...] | None = None) -> np.ndarray:
+    """The numeric rows of a comma-separated file as one (rows, width) array.
+
+    Lines that are blank or start with '#' are dropped. The first other
+    line may be a header: it is dropped when it does not parse. The rest
+    is one C parse (``numpy.loadtxt``). Every row must have the width of
+    the first data row, which must be one of ``widths`` when given. A
+    later row that does not parse, a row of another width, a file with
+    no data rows, or one that is not text, raises an
+    InvalidParameterError naming the line or the file at fault.
     """
-    width = None  # of the first data row; 0 after a header
+    rows = None
     with open(path) as fh:
-        for lineno, line in enumerate(fh, 1):
-            line = line.strip()
-            if not line or line.startswith("#"):
-                continue
-            try:
-                row = list(map(float, line.split(",")))
-            except ValueError:
-                if width is not None:
+        lines = (line for line in fh if line.lstrip()[:1] not in ("", "#"))
+        try:
+            first = next(lines, None)
+            if first is not None and not _is_row(first):  # a header
+                first = next(lines, None)
+            if first is not None:
+                rows = np.loadtxt(itertools.chain([first], lines), delimiter=",", comments=None, ndmin=2)
+        except ValueError:  # a field or row the parser refuses, or bytes that do not decode
+            pass
+    if rows is None or (widths is not None and rows.shape[1] not in widths):
+        _raise_bad_line(path, widths)
+    return rows
+
+
+def _raise_bad_line(path: str, widths: tuple[int, ...] | None) -> NoReturn:
+    """The error of a file :func:`_read_rows` refused, naming its first
+    line at fault. Scans the file line by line, keeping no rows."""
+    width = None  # of the first data row; 0 after a header
+    try:
+        with open(path) as fh:
+            for lineno, line in enumerate(fh, 1):
+                if line.lstrip()[:1] in ("", "#"):
+                    continue
+                line = line.strip()
+                if not _is_row(line):
+                    if width is not None:
+                        raise InvalidParameterError(f"{path}, line {lineno}: cannot parse row {line!r}")
+                    width = 0
+                    continue
+                fields = line.count(",") + 1
+                width = width or fields
+                expected = (width,) if widths is None or width in widths else widths
+                if fields not in expected:
                     raise InvalidParameterError(
-                        f"{path}, line {lineno}: cannot parse row {line!r}"
-                    ) from None
-                width = 0
-                continue
-            width = width or len(row)
-            expected = (width,) if widths is None or width in widths else widths
-            if len(row) not in expected:
-                raise InvalidParameterError(
-                    f"{path}, line {lineno}: {len(row)} fields where rows need {' or '.join(map(str, expected))}"
-                )
-            yield row
+                        f"{path}, line {lineno}: {fields} fields where rows need {' or '.join(map(str, expected))}"
+                    )
+    except UnicodeDecodeError as err:
+        raise InvalidParameterError(f"{path} is not text: {err}") from None
+    if not width:
+        raise InvalidParameterError(f"{path} holds no data rows")
+    raise InvalidParameterError(f"{path}: the rows do not parse as numbers")
 
 
 def _read_point_file(path: str) -> np.ndarray:
-    return np.asarray([row[0] for row in _read_rows(path, (1,))], dtype=float)
+    return _read_rows(path, (1,))[:, 0]
 
 
 # the fields of a design spec's text form, kind:FIELD:FIELD; a point
@@ -105,11 +163,8 @@ def _design_from_spec(spec: str) -> Design:
 
 def _read_data_csv(path: str) -> tuple[Design, np.ndarray]:
     """Read an (index,s,value) or (s,value) CSV into a design and data vector."""
-    s_vals, y_vals = [], []
-    for row in _read_rows(path, (2, 3)):
-        s_vals.append(row[-2])
-        y_vals.append(row[-1])
-    return from_points(np.asarray(s_vals)), np.asarray(y_vals)
+    s, y = np.array(_read_rows(path, (2, 3))[:, -2:].T)  # contiguous copies
+    return from_points(s), y
 
 
 def _json_object(path: str, text: str | None = None) -> dict:
@@ -152,7 +207,7 @@ def _trend_columns(path: str, design: Design) -> np.ndarray:
     cfg = _json_object(path)
     if "columns" not in cfg:
         return _trend_spec(cfg, need_beta=False).design_matrix(design)
-    return np.asarray(list(_read_rows(cfg["columns"])), dtype=float)
+    return _read_rows(cfg["columns"])
 
 
 def _parse_box(value) -> ParameterBox:
@@ -172,8 +227,8 @@ def _cmd_design(args) -> int:
         spec = {"kind": args.kind, "n": args.n, "gamma": args.gamma, "alpha": args.alpha}
     design = build_design(spec)
     print("index,s,delta")
-    deltas = itertools.chain([""], map(_fmt, design.gaps))
-    sys.stdout.writelines(f"{i},{_fmt(s)},{delta}\n" for i, (s, delta) in enumerate(zip(design.points, deltas), 1))
+    print(f"1,{_fmt(design.points[0])},")  # the first point has no gap
+    _write_rows(2, design.points[1:], design.gaps)
     tau = tau_squared(design) if design.n >= 5 else math.nan
     print(f"tau_squared={_fmt(tau)}", file=sys.stderr)
     return 0
@@ -192,7 +247,7 @@ def _cmd_simulate(args) -> int:
         data = sample_path(design, params, args.seed)
         label = "y"
     print(f"index,s,{label}")
-    sys.stdout.writelines(f"{i},{_fmt(s)},{_fmt(v)}\n" for i, (s, v) in enumerate(zip(design.points, data), 1))
+    _write_rows(1, design.points, data)
     return 0
 
 

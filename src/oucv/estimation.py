@@ -31,7 +31,8 @@ import numpy as np
 
 from .designs import Design
 from .errors import ConditioningError, InvalidParameterError, NumericalFailureError, OucvError
-from .scoring import _ELEMENT_BUDGET, CvKernel, MlKernel, ScoreDecomposition, _check_data, _take
+from .numerics import _ELEMENT_BUDGET
+from .scoring import CvKernel, MlKernel, ScoreDecomposition, _check_data, _take
 
 __all__ = [
     "ParameterBox",
@@ -54,8 +55,13 @@ _REFINE_RTOL = 1e-8
 _REFINE_MAX_ITER = 200
 # inverse golden ratio, (sqrt(5) - 1) / 2
 _INVPHI = 0.6180339887498949
-# relative slack when deciding whether an estimate sits on a box edge
-_BOUNDARY_RTOL = 1e-8
+# An estimate within this relative distance of a box edge sits on it.
+# The search stops on a bracket of _REFINE_RTOL, but where the objective
+# is flat to rounding near an edge it stops anywhere within about 50
+# such brackets of it: ulp-level changes of the data moved cv-regression
+# estimates at the lower theta edge by up to 5e-7 relative (n = 200, a
+# linear trend), while their nearest interior minima sat 1.8e-4 away.
+_BOUNDARY_RTOL = 1e3 * _REFINE_RTOL
 
 
 @dataclass(frozen=True)
@@ -91,7 +97,11 @@ class EstimateResult:
     range is collapsed (a == A). ``boundary_flags`` names the box edges
     the optimum sits on (``theta_lower``, ``theta_upper``,
     ``sigma2_lower``, ``sigma2_upper``), for coordinates whose range is
-    not collapsed only: a fixed parameter is never flagged.
+    not collapsed only: a fixed parameter is never flagged. A coordinate
+    sits on an edge when it lies within 1e-5 of it, relative to the
+    edge: a thousand times the search's stopping bracket of 1e-8, since
+    on an objective flat to rounding near an edge the search stops
+    anywhere within about 50 brackets of it.
     ``grid_minima`` counts the local minima among the theta grid's
     values (1 on a collapsed range); more than one flags an objective
     with several wells, where the search may have kept the wrong one.

@@ -106,6 +106,8 @@ class ExperimentConfig:
                 raise InvalidParameterError(f"{key!r} must be an integer, got {value!r}") from None
         if self.replicates < 1:
             raise InvalidParameterError(f"need at least one replicate, got {self.replicates}")
+        if self.seed < 0:
+            raise InvalidParameterError(f"'seed' must be non-negative, got {self.seed}")
         if not (self.theta0 > 0.0 and self.sigma0_sq > 0.0):
             raise InvalidParameterError("theta0 and sigma0_sq must be positive")
         for key in ("sigma1_sq", "theta2"):

@@ -47,7 +47,7 @@ from .errors import (
     InvalidParameterError,
     NumericalFailureError,
 )
-from .numerics import one_minus_exp_neg
+from .numerics import _ELEMENT_BUDGET, one_minus_exp_neg
 from .simulate import covariance_matrix
 
 __all__ = [
@@ -72,13 +72,6 @@ __all__ = [
 ]
 
 _DENSE_MAX_N = 2000
-# Most (row x theta x class) elements one block of an evaluation holds,
-# and the points of one block of a per-point evaluation. Arrays of 2^13
-# doubles (64 KB) stay cache-sized and under the allocator's 128 KB trim
-# threshold: at 2^14 the heap was returned and refaulted on every call,
-# at up to 1700 page faults per estimate, and unblocked n = 1e5 arrays
-# made an estimate on Dirichlet gaps up to 1.5x slower the same way.
-_ELEMENT_BUDGET = 1 << 13
 # Gap classes are used when they number at most this share of the
 # points; with more, the per-point form is cheaper.
 _CLASS_SHARE = 0.25

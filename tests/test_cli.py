@@ -3,13 +3,18 @@
 import csv
 import io
 import json
+import os
+import subprocess
+import sys
 from contextlib import redirect_stderr, redirect_stdout
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 import oucv
-from oucv import from_points, log_score, ml_neg2loglik, regular_design, sample_path, CovarianceParams
+from oucv import (CovarianceParams, from_points, log_score, maximal_design, ml_neg2loglik, regular_design,
+                  sample_path)
 from oucv.cli import main
 
 
@@ -81,6 +86,34 @@ class TestSimulateCommand:
         )
         assert code == 0
         assert out.splitlines()[0] == "index,s,z"
+
+
+class TestRowsAtScale:
+    """At n = 1e5 the rows go out in blocks; the bytes are those of one
+    ``format(x, ".17g")`` per cell, row by row."""
+
+    @staticmethod
+    def _rows(start, *columns):
+        return "".join(",".join([str(i)] + [format(float(c), ".17g") for c in cells]) + "\n"
+                       for i, cells in enumerate(zip(*columns), start))
+
+    def test_simulate_stdout(self):
+        code, out, _ = run_cli(["simulate", "--design", "regular:100000", "--theta", "3", "--sigma2", "1",
+                                "--seed", "5"])
+        assert code == 0
+        d = regular_design(100_000)
+        y = sample_path(d, CovarianceParams(3.0, 1.0), 5)
+        assert out == "index,s,y\n" + self._rows(1, d.points, y)
+
+    @pytest.mark.parametrize("argv, design", [
+        (["--kind", "regular", "--n", "100000"], regular_design(100_000)),
+        (["--kind", "maximal", "--n", "100000", "--gamma", "1e-05"], maximal_design(100_000, 1e-5)),
+    ], ids=["regular", "maximal"])
+    def test_design_stdout(self, argv, design):
+        code, out, _ = run_cli(["design"] + argv)
+        assert code == 0
+        first = f"1,{format(float(design.points[0]), '.17g')},\n"  # no gap before the first point
+        assert out == "index,s,delta\n" + first + self._rows(2, design.points[1:], design.gaps)
 
 
 class TestScoreCommand:
@@ -374,6 +407,52 @@ class TestMalformedInput:
         assert code == 1 and out == ""
         assert "line 3" in self._error(err)
 
+    def test_crlf_line_endings_are_accepted(self, tmp_path):
+        text = "# a path\n\ns,y\n0.0,0.3\n0.5,0.1\n1.0,0.4\n"
+        lf, crlf = tmp_path / "lf.csv", tmp_path / "crlf.csv"
+        lf.write_bytes(text.encode())
+        crlf.write_bytes(text.replace("\n", "\r\n").encode())
+        argv = ["score", "--theta", "2", "--sigma2", "1", "--data"]
+        code, out, _ = run_cli(argv + [str(crlf)])
+        assert code == 0
+        assert out == run_cli(argv + [str(lf)])[1]
+
+    @pytest.mark.parametrize("text", ["index,s,y\n", "# only a comment\n\n", ""], ids=["header", "comment", "empty"])
+    def test_file_without_data_rows_exits_1(self, tmp_path, text):
+        data = tmp_path / "empty.csv"
+        data.write_text(text)
+        code, out, err = run_cli(["score", "--data", str(data), "--theta", "2", "--sigma2", "1"])
+        assert code == 1 and out == ""
+        assert "no data rows" in self._error(err)
+
+    @pytest.mark.parametrize("row", ["0.5,0.2 # note", "0.5,0.2,", "0.5,1_0", "0.5,\u0661", "0.5,0x1p-3"],
+                             ids=["inline-comment", "trailing-comma", "underscore", "arabic-digit", "hex"])
+    def test_data_row_the_parser_refuses_exits_1(self, tmp_path, row):
+        data = tmp_path / "bad.csv"
+        data.write_text(f"s,y\n0.0,0.3\n{row}\n1.0,0.4\n", encoding="utf-8")
+        code, out, err = run_cli(["score", "--data", str(data), "--theta", "2", "--sigma2", "1"])
+        assert code == 1 and out == ""
+        assert "line 3" in self._error(err)
+
+    def test_file_that_is_not_text_exits_1(self, tmp_path):
+        data = tmp_path / "binary.csv"
+        data.write_bytes(b"s,y\n0.0,0.3\n0.5,\xc0\xff\n1.0,0.4\n")
+        code, out, err = run_cli(["score", "--data", str(data), "--theta", "2", "--sigma2", "1"])
+        assert code == 1 and out == ""
+        assert "is not text" in self._error(err)
+
+    def test_bad_row_of_a_long_file_is_named(self, tmp_path):
+        _, out, _ = run_cli(["simulate", "--design", "regular:100000", "--theta", "3", "--sigma2", "1",
+                             "--seed", "1"])
+        lines = out.splitlines()
+        index, s, _ = lines[50_000].split(",")
+        lines[50_000] = f"{index},{s},oops"  # line 50 001 of the file
+        data = tmp_path / "bad.csv"
+        data.write_text("\n".join(lines) + "\n")
+        code, out, err = run_cli(["estimate", "--data", str(data), "--box", "0.1,10,0.3,30"])
+        assert code == 1 and out == ""
+        assert "line 50001:" in self._error(err)
+
     def test_trend_column_file_bad_row_exits_1(self, tmp_path):
         _, out, _ = run_cli(["simulate", "--design", "regular:6", "--theta", "3", "--sigma2", "1", "--seed", "2"])
         data = tmp_path / "data.csv"
@@ -422,6 +501,9 @@ _ESTIMATE = ["estimate", "--data", "DATA", "--box"]
     (["experiment", "--config", "CONFIG"], dict(_EXPERIMENT, estimators=["cv-fixed-theta"], theta2=0), "'theta2'"),
     (["experiment", "--config", "CONFIG"], dict(_EXPERIMENT, estimators=["cv-fixed-sigma"], sigma1_sq="inf"),
      "'sigma1_sq'"),
+    # a seed the random generator refuses
+    (["experiment", "--config", "CONFIG"], dict(_EXPERIMENT, seed=-5), "'seed'"),
+    (["simulate", "--theta", "3", "--sigma2", "1", "--seed", "-1", "--design", "regular:8"], None, "seed -1"),
 ])
 def test_malformed_spec_or_config_exits_1_naming_it(tmp_path, argv, config, named):
     _, out, _ = run_cli(_SIMULATE + ["regular:8"])
@@ -453,3 +535,37 @@ class TestHelp:
         with pytest.raises(SystemExit) as exc:
             main([sub, "--help"])
         assert exc.value.code == 0
+
+
+class TestProcess:
+    """``python -m oucv`` in a child process: each failing exit code
+    leaves exactly one JSON line on stderr and no traceback."""
+
+    @staticmethod
+    def _run(argv):
+        src = str(Path(oucv.__file__).resolve().parents[1])  # the package under test
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+        return subprocess.run([sys.executable, "-m", "oucv", *argv], capture_output=True, text=True, env=env,
+                              timeout=120)
+
+    @pytest.mark.parametrize("argv, code, error", [
+        (["simulate", "--design", "regular:8", "--theta", "3", "--sigma2", "1", "--seed", "-1"], 1,
+         "InvalidParameterError"),
+        (["design", "--kind", "file", "--points", "MISSING"], 2, "FileNotFoundError"),
+        (["score", "--data", "INF", "--theta", "2", "--sigma2", "1"], 3, "NumericalFailureError"),
+    ], ids=["domain", "io", "numerical"])
+    def test_exit_code_contract(self, tmp_path, argv, code, error):
+        inf = tmp_path / "inf.csv"
+        inf.write_text("index,s,y\n1,0.0,0.1\n2,0.5,inf\n3,1.0,0.2\n")
+        proc = self._run([{"MISSING": str(tmp_path / "missing.txt"), "INF": str(inf)}.get(a, a) for a in argv])
+        assert proc.returncode == code
+        assert proc.stdout == ""
+        (line,) = proc.stderr.splitlines()
+        assert json.loads(line)["error"] == error
+        assert "Traceback" not in proc.stderr
+
+    def test_success_exits_0(self):
+        argv = ["simulate", "--design", "regular:8", "--theta", "3", "--sigma2", "1", "--seed", "4"]
+        proc = self._run(argv)
+        assert proc.returncode == 0 and proc.stderr == ""
+        assert proc.stdout == run_cli(argv)[1]

@@ -183,7 +183,34 @@ def test_zero_data_gives_zero_quadratic_part_and_the_lower_variance(design, clas
             _, Q = parts(design, Y, np.array([BOX.a, 3.0, BOX.A]))
             assert np.all(Q == 0.0)
         for estimate in (estimate_cv_joint, estimate_ml_joint):
-            assert estimate(design, Y[0], BOX).sigma2_hat == BOX.b
+            res = estimate(design, Y[0], BOX)
+            assert res.sigma2_hat == BOX.b and "sigma2_lower" in res.boundary_flags
+
+
+@settings(max_examples=40, deadline=None, derandomize=True, database=None,
+          suppress_health_check=[HealthCheck.too_slow])
+@given(design=designs(), classes=st.booleans(), level=st.sampled_from([0.0, 1.0, -3.5, 1e-150, 1e150]))
+def test_constant_data_in_both_layouts(design, classes, level):
+    """y = c: Q >= 0 for both objectives in the layout asked for, on the
+    box edges and per-row thetas; c = 0 gives Q = 0 exactly, and both
+    joint estimates then sit on the lower variance edge."""
+    Y = np.full((2, design.n), level)
+    thetas = np.array([BOX.a, 3.0, BOX.A])
+    per_row = np.array([[BOX.a], [BOX.A]])
+    with layout(classes):
+        for kernel in (CvKernel, MlKernel):
+            prepared = kernel(design, Y)
+            assert (prepared.S is not None) == classes
+            for at in (thetas, per_row):
+                _, Q = prepared.parts(None, at)
+                assert np.all(np.isfinite(Q)) and np.all(Q >= 0.0)
+                if level == 0.0:
+                    assert np.all(Q == 0.0)
+        for estimate in (estimate_cv_joint, estimate_ml_joint):
+            res = estimate(design, Y[0], BOX)
+            assert BOX.b <= res.sigma2_hat <= BOX.B
+            if level == 0.0:
+                assert res.sigma2_hat == BOX.b and "sigma2_lower" in res.boundary_flags
 
 
 @pytest.mark.parametrize("classes", [False, True], ids=["per-point", "classes"])

@@ -59,7 +59,7 @@ class TestConfigValidation:
         # a config built in Python fails closed like one read from a file:
         # no bool, no str, no fractional number is truncated or recorded
         base = make_preset("fig2-n12-regular")
-        for key, value in (("seed", True), ("seed", "7"), ("replicates", 3.7), ("seed", 1.5)):
+        for key, value in (("seed", True), ("seed", "7"), ("replicates", 3.7), ("seed", 1.5), ("seed", -5)):
             with pytest.raises(InvalidParameterError, match=key):
                 dataclasses.replace(base, **{key: value})
         cfg = dataclasses.replace(base, replicates=4.0, seed=np.int64(7))

@@ -215,6 +215,25 @@ class TestEstimateCvReg:
         res = estimate_cv_reg(d, z, F, BOX)
         assert "sigma2_lower" in res.boundary_flags
 
+    @pytest.mark.parametrize("replicate", [53, 775])
+    def test_edge_flag_does_not_follow_rounding_noise(self, replicate):
+        """Replicates 53 and 775 of the n = 200 linear-trend config with
+        seed 20261018 end on the lower theta edge, where the objective is
+        flat to rounding: an ulp-level change of the data moves the
+        estimate by up to 4.7e-7 relative, and must not flip the flag."""
+        d = regular_design(200)
+        F = LINEAR.design_matrix(d)
+        z = sample_with_trend(d, PARAMS0, LINEAR, (20261018, replicate))
+        rng = np.random.default_rng(replicate)
+        thetas = set()
+        for k in range(8):
+            sign = rng.choice([-1.0, 1.0], size=z.shape)
+            zk = z if k == 0 else np.nextafter(z, sign * np.inf) if k % 2 else z * (1.0 + sign * 2.0**-52)
+            res = estimate_cv_reg(d, zk, F, BOX)
+            assert res.boundary_flags == ("theta_lower",)
+            thetas.add(res.theta_hat)
+        assert len(thetas) > 1 and max(thetas) > BOX.a * (1.0 + 1e-8)  # beyond the search's stopping bracket
+
     def test_recovers_product_on_simulated_trend_data(self):
         d = regular_design(200)
         F = LINEAR.design_matrix(d)

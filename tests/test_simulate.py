@@ -9,6 +9,9 @@ from oucv import (
     LinearDependenceError,
     TrendSpec,
     covariance_matrix,
+    from_points,
+    maximal_design,
+    minimal_design,
     polynomial_basis,
     precision_matrix,
     regular_design,
@@ -34,6 +37,38 @@ class TestSamplePath:
         assert np.array_equal(a, b)
         c = sample_path(d, p, 1235)
         assert not np.array_equal(a, c)
+
+    @pytest.mark.parametrize("seed", [-1, (-5, 1), 1.5, "7"])
+    def test_refused_seed_is_a_domain_error(self, seed):
+        with pytest.raises(InvalidParameterError, match="seed"):
+            sample_path(regular_design(5), CovarianceParams(theta=3.0, sigma2=1.0), seed)
+
+    @pytest.mark.parametrize("design, theta", [
+        (regular_design(3), 3.0),
+        (regular_design(8193), 3.0),  # the recursion's 8192 steps fill one block exactly
+        (regular_design(8194), 3.0),  # ... and one step more
+        (regular_design(16385), 3.0),  # two blocks exactly
+        (minimal_design(17, 0.5), 3.0),
+        (maximal_design(1001, 1e-3), 3.0),
+        (from_points([0.0, 0.9, 0.95, 1.0]), 1e3),  # exp(-900) underflows to 0
+        (regular_design(3), 1e3),
+    ], ids=["n3", "n8193", "n8194", "n16385", "minimal17", "maximal1001", "underflow", "n3-theta1e3"])
+    def test_bitwise_equal_to_the_numpy_scalar_recursion(self, design, theta):
+        params = CovarianceParams(theta=theta, sigma2=2.0)
+        # the recursion on numpy scalars, one point at a time
+        eps = np.random.default_rng((20261018, 3)).standard_normal(design.n)
+        sd = np.sqrt(params.sigma2)
+        decay = np.exp(-theta * design.gaps)
+        innov_sd = sd * np.sqrt(-np.expm1(-2.0 * theta * design.gaps))
+        expected = np.empty(design.n)
+        expected[0] = sd * eps[0]
+        for i in range(1, design.n):
+            expected[i] = decay[i - 1] * expected[i - 1] + innov_sd[i - 1] * eps[i]
+        got = sample_path(design, params, (20261018, 3))
+        assert got.dtype == np.float64 and got.shape == (design.n,)
+        assert got.tobytes() == expected.tobytes()
+        if theta == 1e3 and design.n == 4:
+            assert decay[0] == 0.0
 
     def test_degenerate_variance_limit(self):
         d = regular_design(20)
