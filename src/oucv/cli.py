@@ -32,7 +32,8 @@ from .estimation import ParameterBox, _single
 from .montecarlo import (_DESIGN_KINDS, ExperimentConfig, _estimate_chunk, _field, _integer, build_design, export,
                          make_preset, run_experiment)
 from .numerics import _ELEMENT_BUDGET
-from .scoring import dense_oracle_ml, dense_oracle_score, log_score, ml_neg2loglik, score_decomposition
+from .scoring import (_score_and_decomposition, dense_oracle_ml, dense_oracle_score, ml_neg2loglik,
+                      score_decomposition)
 from .simulate import CovarianceParams, TrendSpec, polynomial_basis, sample_path, sample_with_trend
 
 _DOMAIN_ERRORS = (InvalidDesignError, InvalidParameterError, LinearDependenceError)
@@ -257,9 +258,9 @@ def _cmd_score(args) -> int:
     if args.objective == "cv":
         if args.oracle:
             result["score"] = dense_oracle_score(design, y, args.theta, args.sigma2)
+            decomp = score_decomposition(design, y, args.theta)
         else:
-            result["score"] = log_score(design, y, args.theta, args.sigma2)
-        decomp = score_decomposition(design, y, args.theta)
+            result["score"], decomp = _score_and_decomposition(design, y, args.theta, args.sigma2)
         result["L"] = decomp.L
         result["Q"] = decomp.Q
     else:
@@ -358,7 +359,7 @@ def _cmd_experiment(args) -> int:
         default_out = f"run-{Path(args.config).stem}"
     if args.replicates is not None:
         config = dataclasses.replace(config, replicates=args.replicates)
-    report = run_experiment(config, max_workers=args.threads)
+    report = run_experiment(config)
     outdir = args.output or default_out
     export(report, outdir)
     print(json.dumps({"output": str(outdir), "tau_sq": report.tau_sq, "regime": report.regime,
@@ -413,7 +414,6 @@ def build_parser() -> argparse.ArgumentParser:
     group.add_argument("--preset", help="one of the shipped reproduction panels")
     group.add_argument("--config", help="JSON or key=value experiment config file")
     p.add_argument("--output", help="run directory (default derived from the preset/config name)")
-    p.add_argument("--threads", type=int, default=None, help="replicate-level thread cap")
     p.add_argument("--replicates", type=int, default=None, help="override the configured replicate count")
     p.set_defaults(func=_cmd_experiment)
 

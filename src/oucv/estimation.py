@@ -221,6 +221,8 @@ def _minimize_theta(objective: Callable, lo: float, hi: float, rows: int) -> tup
         return idx[[r not in failed for r in idx]] if failed else idx
 
     def at(idx: np.ndarray, x: np.ndarray) -> np.ndarray:
+        if not idx.size:  # every row failed on the grid
+            return np.empty(0)
         return objective(idx, x[:, None], failed)[:, 0]
 
     # golden-section state of the rows still searching, their best point included

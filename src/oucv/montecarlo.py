@@ -2,15 +2,14 @@
 
 Each replicate draws its path from an independent stream keyed by
 (base seed, replicate index). Replicates are sampled and estimated in
-chunks: every estimator runs once per chunk on all of its paths, through
-the batched estimators of :mod:`oucv.estimation`. The chunk size follows
-from the kernels' fixed element budget
-(:func:`~oucv.estimation.replicate_chunk`), and ``max_workers`` spreads
-chunks over a thread pool. A record depends on its replicate's data
-alone, so reports are bitwise identical for any worker count. Reports
-carry per-replicate standardized statistics, summary moments against
-the design's theoretical variance, and histogram bins for external
-plotting.
+chunks, one after the other: every estimator runs once per chunk on all
+of its paths, through the batched estimators of :mod:`oucv.estimation`.
+The chunk size follows from the kernels' fixed element budget
+(:func:`~oucv.estimation.replicate_chunk`). A record depends on its
+replicate's data alone, so reports do not depend on the chunking.
+Reports carry per-replicate standardized statistics, summary moments
+against the design's theoretical variance, and histogram bins for
+external plotting.
 """
 
 from __future__ import annotations
@@ -18,7 +17,6 @@ from __future__ import annotations
 import csv
 import json
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -256,29 +254,30 @@ def _estimate_chunk(name: str, design: Design, data: np.ndarray, box: ParameterB
     raise InvalidParameterError(f"unknown estimator {name!r}")
 
 
-def _chunk_records(
+def _add_chunk_records(
+    records: dict[str, list[ReplicateRecord]],
     replicates: range,
     design: Design,
     F: np.ndarray | None,
     config: ExperimentConfig,
     tau: float,
-) -> dict[str, list[ReplicateRecord]]:
-    """Sample a chunk of replicates, each on its own (seed, r) stream, and
-    run every estimator once on the whole chunk."""
+) -> None:
+    """Sample a chunk of replicates, each on its own (seed, r) stream, run
+    every estimator once on the whole chunk, and append its records to
+    the estimator's list in ``records``."""
     params = CovarianceParams(theta=config.theta0, sigma2=config.sigma0_sq)
     Y = np.stack([sample_path(design, params, (config.seed, r)) for r in replicates])
     data = Y if F is None else F @ config.trend.beta + Y
     product0 = config.theta0 * config.sigma0_sq
-    out = {}
     for name in config.estimators:
         try:
             results = _estimate_chunk(name, design, data, config.box, config.sigma1_sq, config.theta2, F)
         except OucvError as err:
             results = [err] * len(replicates)
-        records = []
+        out = records[name]
         for r, res in zip(replicates, results):
             if isinstance(res, OucvError):
-                records.append(ReplicateRecord(
+                out.append(ReplicateRecord(
                     replicate=r,
                     seed=config.seed,
                     theta_hat=math.nan,
@@ -289,7 +288,7 @@ def _chunk_records(
                     flags=f"failed:{type(res).__name__}",
                 ))
             else:
-                records.append(ReplicateRecord(
+                out.append(ReplicateRecord(
                     replicate=r,
                     seed=config.seed,
                     theta_hat=res.theta_hat,
@@ -299,8 +298,6 @@ def _chunk_records(
                     objective=res.objective_value,
                     flags="|".join(res.boundary_flags) if res.boundary_flags else "-",
                 ))
-        out[name] = records
-    return out
 
 
 def _summary_from_records(records, tau_sq: float) -> dict:
@@ -364,10 +361,11 @@ def run_experiment(config: ExperimentConfig, max_workers: int | None = None) -> 
     """Run all replicates and estimators; deterministic for a fixed config.
 
     Replicate r draws from the stream keyed by (seed, r), so the report
-    does not depend on execution order, chunking or ``max_workers``,
-    which sets the threads the chunks are spread over. Failed replicates
-    are recorded with a failure flag and excluded from the moments; they
-    never abort the experiment or their chunk.
+    does not depend on execution order or chunking. The chunks run one
+    after the other in this thread; ``max_workers`` is accepted for
+    compatibility and ignored. Failed replicates are recorded with a
+    failure flag and excluded from the moments; they never abort the
+    experiment or their chunk.
     """
     design = build_design(config.design)
     tau_sq = tau_squared(design)
@@ -375,28 +373,19 @@ def run_experiment(config: ExperimentConfig, max_workers: int | None = None) -> 
     F = config.trend.design_matrix(design) if config.trend is not None else None
 
     chunk = replicate_chunk(design.n)
-    chunks = [
-        range(start, min(start + chunk, config.replicates + 1))
-        for start in range(1, config.replicates + 1, chunk)
-    ]
-
-    def task(replicates: range) -> dict[str, list[ReplicateRecord]]:
-        return _chunk_records(replicates, design, F, config, tau)
-
-    if max_workers is not None and max_workers > 1:
-        with ThreadPoolExecutor(max_workers=max_workers) as pool:
-            per_chunk = list(pool.map(task, chunks))
-    else:
-        per_chunk = [task(c) for c in chunks]
+    records = {name: [] for name in config.estimators}
+    for start in range(1, config.replicates + 1, chunk):
+        replicates = range(start, min(start + chunk, config.replicates + 1))
+        _add_chunk_records(records, replicates, design, F, config, tau)
 
     panels = {}
     for name in config.estimators:
-        records = tuple(rec for part in per_chunk for rec in part[name])
-        edges, counts = _histogram_from_records(records, tau_sq)
+        panel_records = tuple(records[name])
+        edges, counts = _histogram_from_records(panel_records, tau_sq)
         panels[name] = EstimatorPanel(
             name=name,
-            records=records,
-            summary=_summary_from_records(records, tau_sq),
+            records=panel_records,
+            summary=_summary_from_records(panel_records, tau_sq),
             histogram_edges=edges,
             histogram_counts=counts,
         )

@@ -57,9 +57,7 @@ __all__ = [
     "precision_matrix",
     "loo_predictions",
     "score_parts",
-    "score_gradient",
     "ml_parts",
-    "ml_gradient",
     "log_score",
     "score_decomposition",
     "score_gradient_theta",
@@ -235,11 +233,13 @@ def _contract(S: np.ndarray, C) -> np.ndarray:
 def _increments(Y: np.ndarray, after: int) -> np.ndarray:
     """d_i = y_i - y_{i-1} along the last axis of Y (..., n), with
     y_{-1} = 0, for i = 0 .. n - 1 + after: with ``after`` = 1 the last
-    is d_n = -y_{n-1}."""
+    is d_n = -y_{n-1}. An increment that overflows is infinite, and the
+    objective it enters is not finite."""
     n = Y.shape[-1]
     d = np.empty(Y.shape[:-1] + (n + after,))
     d[..., 0] = Y[..., 0]
-    np.subtract(Y[..., 1:], Y[..., :-1], out=d[..., 1:n])
+    with np.errstate(over="ignore"):
+        np.subtract(Y[..., 1:], Y[..., :-1], out=d[..., 1:n])
     if after:
         d[..., n] = -Y[..., -1]
     return d
@@ -342,7 +342,8 @@ class _GapKernel:
             K = counts.size
             members = tuple(slice(j * K, (j + 1) * K) for j in range(self.keys))
             self.layout = _Layout(np.concatenate(sides), members, counts, n)
-            self.S = _statistics(self._pairs(*self.data), of_point, K)
+            with np.errstate(over="ignore", invalid="ignore"):  # overflowing rows fail when evaluated
+                self.S = _statistics(self._pairs(*self.data), of_point, K)
             self.width = self.S.shape[1] * K
 
     def _point_blocks(self, rows) -> list:
@@ -513,22 +514,9 @@ def score_parts(design: Design, Y: np.ndarray, thetas) -> tuple[np.ndarray, np.n
     return CvKernel(design, Y, _reused(thetas)).parts(None, thetas)
 
 
-def score_gradient(design: Design, Y: np.ndarray, thetas, sigma2) -> np.ndarray:
-    """Analytic theta-derivative of the score, batched like :func:`score_parts`.
-
-    ``sigma2`` broadcasts against the (R, T) or (R, k) result.
-    """
-    return CvKernel(design, Y, _reused(thetas)).gradient(None, thetas, sigma2)
-
-
 def ml_parts(design: Design, Y: np.ndarray, thetas) -> tuple[np.ndarray, np.ndarray]:
     """The likelihood objective's L and Q, batched like :func:`score_parts`."""
     return MlKernel(design, Y, _reused(thetas)).parts(None, thetas)
-
-
-def ml_gradient(design: Design, Y: np.ndarray, thetas, sigma2) -> np.ndarray:
-    """Analytic theta-derivative of the likelihood objective, batched."""
-    return MlKernel(design, Y, _reused(thetas)).gradient(None, thetas, sigma2)
 
 
 def precision_matrix(design: Design, theta: float) -> TridiagonalPrecision:
@@ -566,11 +554,18 @@ def log_score(design: Design, y, theta: float, sigma2: float) -> float:
     squared leave-one-out residual divided by that variance; evaluated
     as :func:`score_decomposition` at ``sigma2``.
     """
+    return _score_and_decomposition(design, y, theta, sigma2)[0]
+
+
+def _score_and_decomposition(design: Design, y, theta: float, sigma2: float) -> tuple[float, ScoreDecomposition]:
+    """:func:`log_score` and the decomposition it is evaluated from; a bad
+    sigma2 is reported before a bad theta."""
     _check_sigma2(sigma2)
-    value = score_decomposition(design, y, theta).score_at(sigma2)
+    decomp = score_decomposition(design, y, theta)
+    value = decomp.score_at(sigma2)
     if not np.isfinite(value):
         raise NumericalFailureError("logarithmic score is not finite", theta=theta)
-    return float(value)
+    return float(value), decomp
 
 
 def score_decomposition(design: Design, y, theta: float) -> ScoreDecomposition:
@@ -595,7 +590,7 @@ def score_gradient_theta(design: Design, y, theta: float, sigma2: float) -> floa
     _check_theta(theta)
     _check_sigma2(sigma2)
     y = _check_data(design, y)
-    return float(score_gradient(design, y[None, :], [theta], sigma2)[0, 0])
+    return float(CvKernel(design, y[None, :], reuse=False).gradient(None, [theta], sigma2)[0, 0])
 
 
 def ml_neg2loglik(design: Design, y, theta: float, sigma2: float) -> float:
@@ -626,7 +621,7 @@ def ml_gradient_theta(design: Design, y, theta: float, sigma2: float) -> float:
     _check_theta(theta)
     _check_sigma2(sigma2)
     y = _check_data(design, y)
-    return float(ml_gradient(design, y[None, :], [theta], sigma2)[0, 0])
+    return float(MlKernel(design, y[None, :], reuse=False).gradient(None, [theta], sigma2)[0, 0])
 
 
 def _dense_cholesky(design: Design, theta: float) -> np.ndarray:

@@ -307,6 +307,19 @@ class TestFailureIsolation:
                     assert repr(a) == repr(b)
             assert dirty.panels[name].summary["excluded"] == 1
 
+    def test_run_experiment_records_every_replicate_failed(self):
+        # every path overflows, so each chunk of every estimator loses all
+        # its rows on the grid; the run completes with each one recorded
+        cfg = ExperimentConfig(
+            design={"kind": "regular", "n": 200}, theta0=3.0, sigma0_sq=1e308, replicates=4, box=BOX,
+            estimators=oucv.ESTIMATORS, seed=12, sigma1_sq=2.0, theta2=1.5,
+            trend=oucv.TrendSpec(beta=np.array([1.0, 2.0]), basis=polynomial_basis(1)),
+        )
+        report = run_experiment(cfg)
+        for panel in report.panels.values():
+            assert [rec.flags for rec in panel.records] == ["failed:NumericalFailureError"] * 4
+            assert panel.summary["excluded"] == 4
+
 
 class TestEvaluationCount:
     def test_exact_count_matches_the_objective_calls(self, monkeypatch):

@@ -318,17 +318,6 @@ class TestExperimentCommand:
         assert (outdir / "records.csv").exists()
         assert json.loads(out)["panels"]["cv-joint"]["replicates"] == 6
 
-    def test_threads_flag_matches_serial(self, tmp_path):
-        cfg = tmp_path / "exp.cfg"
-        cfg.write_text(
-            "design.kind=regular\ndesign.n=20\ntheta0=3\nsigma0_sq=1\n"
-            "replicates=6\nbox=0.1,10,0.3,30\nestimators=cv-joint\nseed=5\n"
-        )
-        a, b = tmp_path / "a", tmp_path / "b"
-        assert run_cli(["experiment", "--config", str(cfg), "--output", str(a)])[0] == 0
-        assert run_cli(["experiment", "--config", str(cfg), "--output", str(b), "--threads", "4"])[0] == 0
-        assert (a / "records.csv").read_text() == (b / "records.csv").read_text()
-
 
 class TestMalformedInput:
     """Only the first non-comment line may be a header; a later row that
@@ -536,6 +525,11 @@ class TestHelp:
             main([sub, "--help"])
         assert exc.value.code == 0
 
+    def test_experiment_has_no_threads_flag(self, capsys):
+        with pytest.raises(SystemExit):
+            main(["experiment", "--help"])
+        assert "--threads" not in capsys.readouterr().out
+
 
 class TestProcess:
     """``python -m oucv`` in a child process: each failing exit code
@@ -553,11 +547,22 @@ class TestProcess:
          "InvalidParameterError"),
         (["design", "--kind", "file", "--points", "MISSING"], 2, "FileNotFoundError"),
         (["score", "--data", "INF", "--theta", "2", "--sigma2", "1"], 3, "NumericalFailureError"),
-    ], ids=["domain", "io", "numerical"])
+        (["estimate", "--data", "HUGE", "--box", "0.1,10,0.3,30"], 3, "NumericalFailureError"),
+        (["estimate", "--data", "EDGE", "--box", "0.1,10,0.3,30"], 3, "NumericalFailureError"),
+    ], ids=["domain", "io", "numerical", "numerical-on-the-whole-grid", "numerical-increment-overflow"])
     def test_exit_code_contract(self, tmp_path, argv, code, error):
         inf = tmp_path / "inf.csv"
         inf.write_text("index,s,y\n1,0.0,0.1\n2,0.5,inf\n3,1.0,0.2\n")
-        proc = self._run([{"MISSING": str(tmp_path / "missing.txt"), "INF": str(inf)}.get(a, a) for a in argv])
+        # a path whose objective overflows at every theta of the grid
+        d = regular_design(200)
+        y = 1e200 * sample_path(d, CovarianceParams(3.0, 1.0), 4)
+        rows = enumerate(zip(d.points.tolist(), y.tolist()), 1)
+        huge = tmp_path / "huge.csv"
+        huge.write_text("index,s,y\n" + "".join(f"{i},{s!r},{v!r}\n" for i, (s, v) in rows))
+        edge = tmp_path / "edge.csv"  # an increment beyond the float range
+        edge.write_text("index,s,y\n1,0.0,1.5e308\n2,0.5,-1.5e308\n3,1.0,0.2\n")
+        files = {"MISSING": str(tmp_path / "missing.txt"), "INF": str(inf), "HUGE": str(huge), "EDGE": str(edge)}
+        proc = self._run([files.get(a, a) for a in argv])
         assert proc.returncode == code
         assert proc.stdout == ""
         (line,) = proc.stderr.splitlines()

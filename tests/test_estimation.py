@@ -13,6 +13,9 @@ from oucv import (
     estimate_cv_joint,
     estimate_ml_joint,
     log_score,
+    maximal_design,
+    minimal_design,
+    ml_decomposition,
     profile_sigma2,
     regular_design,
     sample_path,
@@ -147,6 +150,22 @@ class TestFirstOrderConditions:
             dec = score_decomposition(design, y, res.theta_hat)
             dsigma = n / res.sigma2_hat - dec.Q / res.sigma2_hat**2
             assert abs(dsigma) <= 1e-6 * n
+            checked += 1
+        assert checked >= 3
+
+    @pytest.mark.parametrize("design", [regular_design(60), maximal_design(60, 1.0 / 60), minimal_design(15, 0.5)],
+                             ids=["regular", "maximal", "minimal"])
+    def test_ml_interior_optimum_is_stationary(self, design):
+        checked = 0
+        for r in range(10):
+            y = sample_path(design, PARAMS0, (99, r))
+            res = estimate_ml_joint(design, y, BOX)
+            if res.boundary_flags:
+                continue
+            n = design.n
+            assert abs(res.gradient_at_opt) <= 1e-6 * n
+            dec = ml_decomposition(design, y, res.theta_hat)
+            assert abs(n / res.sigma2_hat - dec.Q / res.sigma2_hat**2) <= 1e-6 * n
             checked += 1
         assert checked >= 3
 

@@ -18,6 +18,7 @@ from hypothesis import strategies as st
 
 from oucv import (
     CovarianceParams,
+    NumericalFailureError,
     ParameterBox,
     estimate_cv_joint,
     estimate_ml_joint,
@@ -28,6 +29,7 @@ from oucv import (
     sample_path,
     scoring,
 )
+from oucv.estimation import cv_fixed_sigma_batch, cv_joint_batch, ml_joint_batch
 from oucv.scoring import CvKernel, MlKernel
 from conftest import random_design
 
@@ -225,3 +227,20 @@ def test_estimates_reach_both_theta_edges(classes):
         # ... and to the bottom of a box above it
         res = estimate_cv_joint(d, y, high)
         assert res.theta_hat == pytest.approx(high.a, rel=1e-8) and "theta_lower" in res.boundary_flags
+
+
+@pytest.mark.parametrize("classes", [False, True], ids=["per-point", "classes"])
+def test_a_batch_whose_rows_all_fail_reports_each_row(classes):
+    # every row overflows on the whole grid, so no row is left for the
+    # golden-section search: each fails alone, and no objective is
+    # evaluated on an empty set of rows
+    d = regular_design(200)
+    Y = 1e200 * np.stack([sample_path(d, PARAMS0, (5, r)) for r in range(3)])
+    with layout(classes):
+        assert (CvKernel(d, Y).S is not None) == classes
+        for results in (cv_joint_batch(d, Y, BOX), ml_joint_batch(d, Y, BOX),
+                        cv_fixed_sigma_batch(d, Y, 1.0, BOX.theta_range)):
+            assert all(isinstance(res, NumericalFailureError) for res in results)
+        for estimate in (estimate_cv_joint, estimate_ml_joint):
+            with pytest.raises(NumericalFailureError):
+                estimate(d, Y[0], BOX)

@@ -13,6 +13,8 @@ from oucv import (
     from_points,
     log_score,
     loo_predictions,
+    maximal_design,
+    minimal_design,
     ml_decomposition,
     ml_neg2loglik,
     precision_matrix,
@@ -21,6 +23,7 @@ from oucv import (
     score_decomposition,
     score_gradient_theta,
 )
+from oucv.scoring import ml_gradient_theta
 from conftest import random_design, random_instance
 
 THETA_LN2 = np.log(4.0)  # theta * gap == ln 2 on {0, 1/2, 1}
@@ -192,6 +195,32 @@ class TestMlObjective:
         assert dec.score_at(sigma2) == pytest.approx(
             ml_neg2loglik(design, y, theta, sigma2), rel=1e-12
         )
+
+
+ML_GRADIENT_DESIGNS = [
+    ("regular-60", regular_design(60)),
+    ("maximal-60", maximal_design(60, 1.0 / 60)),
+    ("minimal-15", minimal_design(15, 0.5)),
+    ("random-40", random_design(np.random.default_rng(7), 40)),
+]
+
+
+class TestMlGradient:
+    # against the fast objective: the dense oracle is ill-conditioned on
+    # minimal designs, about 45x off at theta = 0.1 and n = 15
+    @pytest.mark.parametrize("theta", [0.1, 0.7, 3.0, 10.0])  # the fig2 box edges and two inside
+    @pytest.mark.parametrize("name,design", ML_GRADIENT_DESIGNS, ids=[n for n, _ in ML_GRADIENT_DESIGNS])
+    def test_matches_central_difference(self, name, design, theta):
+        h = 1e-5 * theta
+        for seed in range(3):
+            y = sample_path(design, CovarianceParams(3.0, 1.0), (20261018, seed))
+            for sigma2 in (0.3, 1.3, 30.0):
+                g = ml_gradient_theta(design, y, theta, sigma2)
+                fd = (
+                    ml_neg2loglik(design, y, theta + h, sigma2)
+                    - ml_neg2loglik(design, y, theta - h, sigma2)
+                ) / (2.0 * h)
+                assert abs(g - fd) <= 1e-7 * (1.0 + abs(g))
 
 
 class TestDenseOracle:
