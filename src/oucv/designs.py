@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -43,11 +43,13 @@ class Design:
 
     ``gaps[j] == points[j + 1] - points[j]`` bitwise; both arrays are
     read-only. Use :func:`from_points` or a named constructor rather
-    than instantiating directly.
+    than instantiating directly. The objectives keep what they derive
+    from the gaps alone in a private cache, once per design.
     """
 
     points: np.ndarray
     gaps: np.ndarray
+    _cache: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     @property
     def n(self) -> int:

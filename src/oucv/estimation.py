@@ -16,7 +16,8 @@ point. A row's result depends on that row alone, so it is bitwise the
 same in any batch; the single-path ``estimate_*`` functions are batches
 of one. Each objective is prepared once per batch (a kernel of
 :mod:`oucv.scoring`, whose evaluation costs as many operations as the
-design has gap classes), and the grid is one call of it for every row.
+design has gap classes, or O(1) per row on a large design without
+classes), and the grid is one call of it for every row.
 The trend-aware estimator of :mod:`oucv.regression` runs through the
 same search with its own kernel.
 """

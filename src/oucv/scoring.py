@@ -14,22 +14,35 @@ theta through the gaps next to the point alone, Q(theta) =
 sum_k <S_k(y), C_k(theta)>. The endpoints sit next to an infinite outer
 gap. The large 1/gap coefficients multiply increments, where they do not
 cancel, so the objectives stay accurate to a few ulps on factorial-gap
-designs. Points whose neighbouring gaps are bitwise equal form a gap
-class: a (left, right) gap pair for the score, a left gap for the
-likelihood. :class:`CvKernel` and :class:`MlKernel` sum the statistics
-per class once for a batch of data rows, and an evaluation then costs as
-many operations as there are classes, not points. Regular and maximal
-designs, and the ``regular:`` and ``maximal:`` design specs of the
-command line, have at most about 50 classes at any n (49 and 34 at
-n = 1e5). Classes are used when they are few: at most a quarter of the
-points, and the tuples of distinct gaps (pairs for the score) no more
-than the points, so that one pass over a table of n counts them. With
-more, as in a minimal design (all gaps distinct, n <= 18), with
-Dirichlet gaps, or for the score below n = 90 or so, the terms are
-evaluated point by point instead; so is an evaluation at a single
-theta, where summing classes costs more than it saves. The score, the
-profile and the gradient all derive from these kernels. The tridiagonal
-precision P is applied in the same increment form only,
+designs. :class:`CvKernel` and :class:`MlKernel` prepare the data rows
+once for many thetas, in one of three layouts:
+
+- Gap classes. Points whose neighbouring gaps are bitwise equal form a
+  class: a (left, right) gap pair for the score, a left gap for the
+  likelihood. The statistics are summed per class, and an evaluation
+  costs as many operations as there are classes. Regular and maximal
+  designs, and the ``regular:`` and ``maximal:`` design specs of the
+  command line, have at most about 50 classes at any n (49 and 34 at
+  n = 1e5). Classes are used when they are few: at most a quarter of
+  the points, and the tuples of distinct gaps (pairs for the score) no
+  more than the points, so that one pass over a table of n counts
+  them. A design's classes, or their refusal, are derived once.
+- A power series in theta. On a design of ``_SERIES_MIN_N`` points or
+  more without classes, as with Dirichlet gaps, every coefficient of an
+  interior point is a power series in x = theta g (x coth x, x csch x
+  and tanh(x / 2) / (x / 2)), and so is log(1 - e^{-2x}) after its
+  exact part log 2x - x: the rest is log(sinh x / x). Each row's data
+  moments are summed once, and an evaluation costs O(1) per row. The series serves a theta
+  when theta (g_{i-1} + g_i) <= ``_SERIES_X`` at every interior point,
+  where its terms are exact to double rounding; the end points next to
+  the infinite outer gap stay exact.
+- Point by point: minimal designs (all gaps distinct, n <= 18), small
+  designs without classes (the score below n = 90 or so), a theta
+  outside the series' domain, and an evaluation at a single theta,
+  where summing statistics costs more than it saves.
+
+The score, the profile and the gradient all derive from these kernels.
+The tridiagonal precision P is applied in the same increment form only,
 P v = h v + c_{i-1} d_i - c_i d_{i+1}: :func:`precision_matrix`,
 :func:`loo_predictions` and the trend-aware score derive from it.
 """
@@ -73,6 +86,22 @@ _DENSE_MAX_N = 2000
 # Gap classes are used when they number at most this share of the
 # points; with more, the per-point form is cheaper.
 _CLASS_SHARE = 0.25
+# The per-gap terms of both objectives are power series in x = theta g:
+# the coefficients of x^0, x^2, ..., x^8 in x coth x, x csch x,
+# tanh(x / 2) / (x / 2) and log(sinh x / x). The first terms left out
+# are below 2.2e-5 x^10, so up to x = _SERIES_X they change a term by
+# less than 2.2e-18 of itself.
+_COTH = (1.0, 1 / 3, -1 / 45, 2 / 945, -1 / 4725)
+_CSCH = (1.0, -1 / 6, 7 / 360, -31 / 15120, 127 / 604800)
+_TANH = (1.0, -1 / 12, 1 / 120, -17 / 20160, 31 / 362880)
+_LOG_SINH = (0.0, 1 / 6, -1 / 180, 1 / 2835, -1 / 37800)
+_SERIES_X = 0.05
+# The series layout is used on designs of this many points or more. On
+# Dirichlet gaps and the fig2 box, a cv-joint or ml-joint estimate took
+# about as long in either layout at n = 500-800 and less in the series
+# from n = 1000 on (2-vCPU host, at n = 2000: 8.6 -> 4.8 ms and
+# 7.0 -> 3.9 ms); every Monte Carlo preset stays below it.
+_SERIES_MIN_N = 1000
 # Cholesky pivot min/max below this means the covariance is numerically
 # singular (near-duplicate points); the dense oracle refuses to answer
 _PIVOT_RATIO_MIN = 1e-5
@@ -136,15 +165,13 @@ def _check_data(design: Design, y) -> np.ndarray:
 
 
 def _gap_terms(gaps: np.ndarray, thetas):
-    """Per-gap decay E = e^{-theta gap}, G = 1 - E^2 and a = 1/G.
+    """Per-gap decay E = e^{-theta gap} and G = 1 - E^2.
 
     ``thetas`` may have any shape; the gap axis is appended last. An
-    infinite gap gives E = 0 and G = a = 1.
+    infinite gap gives E = 0 and G = 1.
     """
     x = np.asarray(thetas, dtype=float)[..., None] * gaps
-    E = np.exp(-x)
-    G = one_minus_exp_neg(2.0 * x)
-    return E, G, 1.0 / G
+    return np.exp(-x), one_minus_exp_neg(2.0 * x)
 
 
 def _take(a: np.ndarray, rows) -> np.ndarray:
@@ -177,12 +204,13 @@ def _gap_classes(gaps: np.ndarray, keys: int, n: int):
     when the classes would not pay: when the tuples of distinct gap
     values outnumber the points, so that they cannot be counted in one
     pass over a table of n, or when the classes outnumber
-    ``_CLASS_SHARE`` of the points.
+    ``_CLASS_SHARE`` of the points. A class holds at most ``keys``
+    distinct gaps, so the distinct gaps alone can tell the latter.
     """
     s = np.sort(gaps)
     values = s[np.concatenate(([True], s[1:] != s[:-1]))]
     space = values.size ** keys
-    if space > n:
+    if space > n or values.size > keys * _CLASS_SHARE * n:
         return None
     index = np.searchsorted(values, gaps)
     code = index[:n]
@@ -198,6 +226,18 @@ def _gap_classes(gaps: np.ndarray, keys: int, n: int):
         codes, m = np.divmod(codes, values.size)
         sides.insert(0, values[m])
     return tuple(sides), counts[counts > 0], of_point
+
+
+def _cached(design: Design, key, derive):
+    """``derive()``, once per design and key."""
+    if key not in design._cache:
+        design._cache[key] = derive()
+    return design._cache[key]
+
+
+def _design_classes(design: Design, keys: int, gaps: np.ndarray):
+    """:func:`_gap_classes` of the design's points, or its refusal, once per design."""
+    return _cached(design, ("classes", keys), lambda: _gap_classes(gaps, keys, design.n))
 
 
 def _statistics(pairs, of_point=None, classes: int = 0) -> np.ndarray:
@@ -250,7 +290,8 @@ def _cv_precision(values: np.ndarray, members: tuple, thetas):
     slices ``members`` pick each class's (or point's) left and right
     gap: per gap E, a, c = a E and 1 + E; per class the precision
     diagonal A, h = A - c_{i-1} - c_i, c_{i-1} and c_i."""
-    E, G, a = _gap_terms(values, thetas)
+    E, G = _gap_terms(values, thetas)
+    a = 1.0 / G
     p = 1.0 + E
     c = a * E
     t = G / (p * p)  # tanh(theta g / 2)
@@ -310,34 +351,44 @@ class _GapKernel:
     Both objectives are sums over points of terms that depend on the data
     through a few increment statistics, and on theta through the gaps
     next to the point alone; the endpoints sit next to an infinite outer
-    gap, which needs no special case. Points whose neighbouring gaps are
-    bitwise equal form a gap class. When classes are few, their
-    statistics are summed once here, and an evaluation costs as many
-    operations as there are classes; otherwise the terms are evaluated
-    point by point. The choice follows from the class count, and from
-    ``reuse``: whether the statistics serve more than one theta per row.
-    For a single theta, summing classes costs more than it saves.
+    gap, which needs no special case. The terms are summed in one of
+    three layouts, the kernel's ``route``:
+
+    - ``classes``: points whose neighbouring gaps are bitwise equal form a
+      gap class. When classes are few, their statistics are summed once
+      here, and an evaluation costs as many operations as there are
+      classes.
+    - ``series``: on a design of at least ``_SERIES_MIN_N`` points without
+      classes, each interior point's term is a power series in theta,
+      and the data's moments are summed once per row, at the first theta
+      inside the series' domain; an evaluation then costs O(1) per row. The end points next to the infinite outer
+      gap stay exact, as classes of one point each. A theta outside the
+      series' domain, theta (g_{i-1} + g_i) <= ``_SERIES_X`` at every
+      interior point i, is evaluated point by point.
+    - ``per-point``: the terms are evaluated point by point.
+
+    Classes and series are used only when the statistics serve more than
+    one theta per row (``reuse``); for a single theta, summing them costs
+    more than it saves.
 
     ``parts(rows, thetas)`` and ``gradient(rows, thetas, sigma2)`` are
     batched like :func:`score_parts`, over the rows ``rows`` (sorted
-    indices, or None for all) of the prepared data.
+    indices, or None for all) of the prepared data. Every value depends
+    on its own (row, theta) pair only, and so does its route.
     """
 
     keys = 0  # neighbouring gaps that define a point's class
 
     def __init__(self, design: Design, Y: np.ndarray, reuse: bool = True):
         n = design.n
+        Y = np.asarray(Y, dtype=float)
         self.n, self.rows = n, Y.shape[0]
-        self.data = self._point_arrays(np.asarray(Y, dtype=float))
+        self.data = self._point_arrays(Y)
         self.gaps = np.concatenate(([np.inf], design.gaps, [np.inf]))[: n + self.keys - 1]
-        found = _gap_classes(self.gaps, self.keys, n) if reuse else None
-        if found is None:
-            self.S, self.width = None, min(n, _ELEMENT_BUDGET)
-            self.blocks = [
-                (_Layout.per_point(self.gaps[s:s + m + self.keys - 1], self.keys), s, m)
-                for s, m in ((s, min(_ELEMENT_BUDGET, n - s)) for s in range(0, n, _ELEMENT_BUDGET))
-            ]
-        else:  # the gaps of the classes, one key after the other
+        self.M = None
+        found = _design_classes(design, self.keys, self.gaps) if reuse else None
+        if found is not None:  # the gaps of the classes, one key after the other
+            self.route = "classes"
             sides, counts, of_point = found
             K = counts.size
             members = tuple(slice(j * K, (j + 1) * K) for j in range(self.keys))
@@ -345,6 +396,64 @@ class _GapKernel:
             with np.errstate(over="ignore", invalid="ignore"):  # overflowing rows fail when evaluated
                 self.S = _statistics(self._pairs(*self.data), of_point, K)
             self.width = self.S.shape[1] * K
+            return
+        self.route, self.S = "per-point", None
+        self.blocks = [
+            (_Layout.per_point(self.gaps[s:s + m + self.keys - 1], self.keys), s, m)
+            for s, m in ((s, min(_ELEMENT_BUDGET, n - s)) for s in range(0, n, _ELEMENT_BUDGET))
+        ]
+        if reuse and n >= _SERIES_MIN_N:  # the moments are summed when a theta first falls in the domain
+            self.route, self._unsummed = "series", (design, Y)
+            self.span = _cached(design, "span", lambda: float(np.max(design.gaps[:-1] + design.gaps[1:])))
+
+    def _window(self, x: np.ndarray, s: int, m: int) -> np.ndarray:
+        """The columns of a point array ``x`` that points s .. s + m - 1 use."""
+        return x[:, s:s + m + x.shape[1] - self.n]
+
+    def _prepare_series(self, design: Design, Y: np.ndarray) -> None:
+        """The series layout: the end points as classes of one point each,
+        and per row the moments of the interior points, summed in blocks
+        of ``_ELEMENT_BUDGET`` points so that temporaries stay small and a
+        row's moments do not depend on its batch."""
+        n, keys = self.n, self.keys
+        ends = self._exact_ends(n)
+        with np.errstate(over="ignore", invalid="ignore"):  # overflowing rows fail when evaluated
+            if ends:
+                self.S = np.concatenate(
+                    [_statistics(self._pairs(*(self._window(x, i, 1) for x in self.data))) for i in ends], axis=-1
+                )
+                E = len(ends)
+                members = tuple(slice(j * E, (j + 1) * E) for j in range(keys))
+                self.layout = _Layout(np.concatenate([self.gaps[np.add(ends, j)] for j in range(keys)]),
+                                      members, np.ones(E), E)
+            stop = n + 1 - keys  # the interior points are 1 .. stop - 1
+            log_terms = design._cache.get(("series", keys))  # summed with the moments the first time
+            M = scalars = 0.0
+            for s in range(1, stop, _ELEMENT_BUDGET):
+                m = min(_ELEMENT_BUDGET, stop - s)
+                g = self.gaps[s:s + m + keys - 1]
+                terms = self._series_terms(g)
+                M = M + self._moments(terms, s, m, Y)
+                if log_terms is None:
+                    scalars = scalars + self._series_scalars(terms, g)
+        if log_terms is None:
+            log_terms = design._cache[("series", keys)] = scalars
+        self.M, self.log_terms, self.log_scale = M, log_terms, stop - 1
+        self.width = M.shape[1] + (0 if self.S is None else self.S.shape[1] * self.S.shape[2])
+
+    def _series(self, rows, thetas, derivative: bool):
+        """The interior's L and Q, or their theta-derivatives, from the
+        moments: Q = sum_p M_p theta^e_p and L = c + (points) log theta +
+        sum_q l_q theta^f_q, with ``log_terms`` (c, l_1, ...)."""
+        t = thetas[..., None]
+        e, f, lam = self.exponents, self.log_exponents, self.log_terms[1:]
+        if derivative:
+            L = self.log_scale / thetas + np.sum((f * lam) * t ** (f - 1.0), axis=-1)
+            C = e * t ** (e - 1.0)
+        else:
+            L = self.log_terms[0] + self.log_scale * np.log(thetas) + np.sum(lam * t ** f, axis=-1)
+            C = t ** e
+        return L, np.sum(_take(self.M, rows)[:, None, :] * C, axis=-1)
 
     def _point_blocks(self, rows) -> list:
         """The per-point layout and the data of the rows, in fixed blocks
@@ -353,35 +462,73 @@ class _GapKernel:
         data = tuple(_take(x, rows) for x in self.data)
         if len(self.blocks) == 1:
             return [(self.blocks[0][0], data)]
-        return [(layout, tuple(x[:, s:s + m + x.shape[1] - self.n] for x in data)) for layout, s, m in self.blocks]
+        return [(layout, tuple(self._window(x, s, m) for x in data)) for layout, s, m in self.blocks]
 
-    def parts(self, rows, thetas) -> tuple[np.ndarray, np.ndarray]:
-        def evaluate(thetas):
-            with np.errstate(over="ignore", invalid="ignore"):
-                if self.S is not None:
-                    L, C = self._terms(self.layout, thetas)
-                    return L, _contract(_take(self.S, rows), C)
-                L = Q = 0.0
-                for layout, block in self._point_blocks(rows):
+    def _summed(self, rows, thetas, derivative: bool):
+        """L and Q, or their theta-derivatives, from the statistics summed
+        per class (or per end point) and the series' moments."""
+        L = Q = 0.0
+        with np.errstate(over="ignore", invalid="ignore"):
+            if self.S is not None:
+                L, C = (self._derivatives if derivative else self._terms)(self.layout, thetas)
+                Q = _contract(_take(self.S, rows), C)
+            if self.M is not None:
+                L_series, Q_series = self._series(rows, thetas, derivative)
+                L, Q = L + L_series, Q + Q_series
+        return L, Q
+
+    def _point_sums(self, rows, thetas, derivative: bool):
+        """L and Q, or their theta-derivatives, point by point."""
+        L = Q = 0.0
+        with np.errstate(over="ignore", invalid="ignore"):
+            for layout, block in self._point_blocks(rows):
+                if derivative:
+                    dL, dC = self._derivatives(layout, thetas)
+                    L, Q = L + dL, Q + _contract(_statistics(self._pairs(*block)), dC)
+                else:
                     L_block, C = self._terms(layout, thetas)
                     L, Q = L + L_block, Q + self._pointwise(block, C)
-                return L, Q
+        return L, Q
 
-        # per-point terms grow with the rows; class coefficients are shared by them
-        rows_per_term = (self.rows if rows is None else len(rows)) if self.S is None else 1
-        return _in_blocks(evaluate, thetas, rows_per_term, self.width)
+    def _by_route(self, evaluate, rows, thetas):
+        """``evaluate(rows, thetas, points)``, an (L, Q)-shaped pair, with
+        each (row, theta) pair of the series route inside the series'
+        domain, and outside it point by point (``points`` True)."""
+        if self.route != "series":
+            return evaluate(rows, thetas, self.route == "per-point")
+        thetas = np.asarray(thetas, dtype=float)
+        outside = thetas * self.span > _SERIES_X
+        if self.M is None and not outside.all():
+            self._prepare_series(*self._unsummed)
+        if outside.all() or not outside.any():
+            return evaluate(rows, thetas, bool(outside.any()))
+        L, Q = evaluate(rows, thetas, False)
+        if thetas.ndim == 1:  # shared thetas: those outside, for every row
+            L[outside], Q[:, outside] = evaluate(rows, thetas[outside], True)
+        else:  # per-row thetas: the rows with one outside
+            sub = np.flatnonzero(outside.any(axis=1))
+            L_points, Q_points = evaluate(sub if rows is None else np.asarray(rows)[sub], thetas[sub], True)
+            L[sub] = np.where(outside[sub], L_points, L[sub])
+            Q[sub] = np.where(outside[sub], Q_points, Q[sub])
+        return L, Q
+
+    def parts(self, rows, thetas) -> tuple[np.ndarray, np.ndarray]:
+        def evaluate(rows, thetas, points):
+            if points:  # per-point terms grow with the rows; summed coefficients are shared by them
+                count = self.rows if rows is None else len(rows)
+                return _in_blocks(lambda t: self._point_sums(rows, t, False), thetas, count,
+                                  min(self.n, _ELEMENT_BUDGET))
+            return _in_blocks(lambda t: self._summed(rows, t, False), thetas, 1, self.width)
+
+        return self._by_route(evaluate, rows, thetas)
 
     def gradient(self, rows, thetas, sigma2) -> np.ndarray:
         """The theta-derivative, through the derivatives of the coefficients."""
-        with np.errstate(over="ignore", invalid="ignore"):
-            if self.S is not None:
-                dL, dC = self._derivatives(self.layout, thetas)
-                return dL + _contract(_take(self.S, rows), dC) / sigma2
-            grad = 0.0
-            for layout, block in self._point_blocks(rows):
-                dL, dC = self._derivatives(layout, thetas)
-                grad = grad + dL + _contract(_statistics(self._pairs(*block)), dC) / sigma2
-            return grad
+        dL, dQ = self._by_route(
+            lambda rows, thetas, points: (self._point_sums if points else self._summed)(rows, thetas, True),
+            rows, thetas,
+        )
+        return dL + dQ / sigma2
 
 
 class CvKernel(_GapKernel):
@@ -396,9 +543,25 @@ class CvKernel(_GapKernel):
     -2 d_i d_{i+1}, with the coefficients h^2, h c_{i-1}, h c_i,
     c_{i-1}^2, c_i^2 and c_{i-1} c_i over A. The large 1/gap
     coefficients multiply increments, where they do not cancel.
+
+    In the series, theta A = A0 (1 + sum_j rho_j theta^2j) with
+    A0 = (1/g_{i-1} + 1/g_i) / 2, and theta u = sum_j U_j theta^2j with
+    U_0 = d_i / (2 g_{i-1}) - d_{i+1} / (2 g_i), from the series of
+    coth, csch and tanh(x / 2). So Q = sum_k M_k theta^(2k - 1), with
+    M_k the sum over interior points of the order k in z = theta^2 of
+    (sum_j U_j z^j)^2 / (A0 (1 + sum_j rho_j z^j)), and
+    L = (n - 2) log theta - sum log A0 - sum_k Lambda_k theta^2k, with
+    Lambda_k the order k of sum log(1 + sum_j rho_j z^j).
     """
 
     keys = 2
+    exponents = 2.0 * np.arange(len(_COTH)) - 1.0  # of theta in Q's series
+    log_exponents = 2.0 * np.arange(1, len(_COTH))  # and in L's
+
+    @staticmethod
+    def _exact_ends(n):
+        """The points next to an infinite outer gap, which the series leaves exact."""
+        return (0, n - 1)
 
     @staticmethod
     def _point_arrays(Y):
@@ -450,6 +613,66 @@ class CvKernel(_GapKernel):
         )
         return -layout.total(lam), dC
 
+    @staticmethod
+    def _series_terms(g):
+        """From the gaps g around m interior points (m + 1 of them): A0 and
+        rho_j per point, the weights w_l of z^l in 1 / (A0 (1 + sum_j
+        rho_j z^j)), and the factors of d (per gap) and of y in U_j."""
+        inv = 0.5 / g
+        A0 = inv[:-1] + inv[1:]
+        g2 = g * g
+        odd = [g]  # g^(2j - 1) for j = 1 .. K
+        for _ in _COTH[2:]:
+            odd.append(odd[-1] * g2)
+        both = [p[:-1] + p[1:] for p in odd]
+        w = [1.0 / A0]
+        rho = [(0.5 * f * b) * w[0] for f, b in zip(_COTH[1:], both)]
+        for k in range(1, len(_COTH)):
+            w_k = rho[0] * w[k - 1]
+            for j in range(2, k + 1):
+                w_k += rho[j - 1] * w[k - j]
+            w.append(-w_k)
+        d_factors = [inv] + [(0.5 * f) * p for f, p in zip(_CSCH[1:], odd)]
+        y_factors = [(0.25 * t) * b for t, b in zip(_TANH, both)]
+        return A0, rho, w, d_factors, y_factors
+
+    def _moments(self, terms, s: int, m: int, Y: np.ndarray) -> np.ndarray:
+        """M_k of the interior points s .. s + m - 1, per row (R, K + 1)."""
+        _, _, w, d_factors, y_factors = terms
+        y, d = Y[:, s:s + m], self.data[1][:, s:s + m + 1]
+        U = []
+        for j, f in enumerate(d_factors):
+            e = d * f
+            u = e[:, :-1] - e[:, 1:]
+            if j:
+                u += y * y_factors[j - 1]
+            U.append(u)
+        M = []
+        P = []  # the orders of (theta u)^2
+        for k in range(len(U)):
+            p = U[0] * U[k]
+            for a in range(1, (k + 1) // 2):
+                p += U[a] * U[k - a]
+            if k:
+                p *= 2.0
+                if k % 2 == 0:
+                    p += U[k // 2] * U[k // 2]
+            P.append(p)
+            m_k = w[0] * p
+            for l in range(1, k + 1):
+                m_k += w[l] * P[k - l]
+            M.append(np.sum(m_k, axis=-1))
+        return np.stack(M, axis=-1)
+
+    @staticmethod
+    def _series_scalars(terms, g) -> np.ndarray:
+        """(-sum log A0, -Lambda_1, ..., -Lambda_K) of the interior points."""
+        A0, rho = terms[:2]
+        lam = []  # the orders of log(1 + sum_j rho_j z^j)
+        for k in range(1, len(rho) + 1):
+            lam.append(rho[k - 1] - sum(j * lam[j - 1] * rho[k - j - 1] for j in range(1, k)) / k)
+        return np.array([-np.sum(np.log(A0))] + [-np.sum(x) for x in lam])
+
 
 class MlKernel(_GapKernel):
     """The -2 log-likelihood; a point's class is its left gap.
@@ -460,9 +683,21 @@ class MlKernel(_GapKernel):
     L = n log 2 pi + sum log G and Q = sum w^2 / G; Q expands into the
     statistics d^2, 2 d y_{i-1} and y_{i-1}^2 with the coefficients
     a = 1/G, 1 / (1 + E) and tanh(theta g / 2).
+
+    In the series, theta w^2 / G = theta (y_i^2 - y_{i-1}^2) / 2
+    + d^2 x coth(x) / (2 g) + theta y_i y_{i-1} tanh(x / 2), x = theta g,
+    whose first terms telescope to (y_{n-1}^2 - y_0^2) / 2; so Q is a
+    sum of moments sum d^2 g^(2j - 1) and sum y_i y_{i-1} g^(2j + 1)
+    times odd powers of theta. With log G = log 2x - x + log(sinh x / x),
+    L is a sum of powers of theta with the design's sum log g, sum g and
+    sum g^2j.
     """
 
     keys = 1  # so a class has one gap, and the per-gap terms are per class
+    # sum d^2 g^(2j - 1) and y_i y_{i-1} g^(2j - 1) at theta^(2j - 1), and
+    # (y_0^2 + y_{n-1}^2) / 2: the first point's y_0^2 and the telescoped sum
+    exponents = np.append(2.0 * np.arange(len(_COTH) + 1) - 1.0, 0.0)
+    log_exponents = np.append(1.0, 2.0 * np.arange(1, len(_COTH)))  # -sum g at theta, then theta^2j
 
     @staticmethod
     def _point_arrays(Y):
@@ -474,12 +709,12 @@ class MlKernel(_GapKernel):
         return ((d, d, 1.0), (d, prev, 2.0), (prev, prev, 1.0))
 
     def _terms(self, layout: _Layout, thetas):
-        E, G, a = _gap_terms(layout.values, thetas)
+        E, G = _gap_terms(layout.values, thetas)
         p = 1.0 + E
         L = layout.points * np.log(2.0 * np.pi) + layout.total(np.log(G))
         if layout.counts is None:
             return L, (G, G / p)
-        return L, (a, 1.0 / p, G / (p * p))
+        return L, (1.0 / G, 1.0 / p, G / (p * p))
 
     @staticmethod
     def _pointwise(data, terms):
@@ -489,12 +724,58 @@ class MlKernel(_GapKernel):
         return np.sum(w * w / G, axis=-1)
 
     def _derivatives(self, layout: _Layout, thetas):
-        E, G, a = _gap_terms(layout.values, thetas)
+        E, G = _gap_terms(layout.values, thetas)
+        a = 1.0 / G
         p = 1.0 + E
         g = layout.weights()
         ga = g * a
         db = g * E / (p * p)  # of 1 / (1 + E); tanh(theta g / 2) has twice it
         return layout.total(2.0 * ga * E * E), (-2.0 * ga * a * E * E, db, 2.0 * db)
+
+    @staticmethod
+    def _exact_ends(n):
+        """None: the first point's terms, y_0^2 and log 2 pi, do not depend
+        on theta and join the series' constant terms."""
+        return ()
+
+    def _prepare_series(self, design: Design, Y: np.ndarray) -> None:
+        super()._prepare_series(design, Y)
+        first, last = Y[:, :1], Y[:, -1:]
+        with np.errstate(over="ignore", invalid="ignore"):
+            self.M = np.append(self.M, 0.5 * (first * first + last * last), axis=1)
+        self.log_terms = np.concatenate(([self.log_terms[0] + np.log(2.0 * np.pi)], self.log_terms[1:]))
+        self.width += 1
+
+    @staticmethod
+    def _series_terms(g):
+        """From the left gaps g of the interior points: the factors of d^2
+        at theta^(2j - 1) and of y_i y_{i-1} at theta^(2j + 1)."""
+        g2 = g * g
+        odd = [g]  # g^(2j + 1) for j = 0 .. K
+        for _ in _COTH[1:]:
+            odd.append(odd[-1] * g2)
+        d_factors = [0.5 / g] + [(0.5 * f) * p for f, p in zip(_COTH[1:], odd)]
+        y_factors = [(0.5 * t) * p for t, p in zip(_TANH, odd)]
+        return d_factors, y_factors
+
+    def _moments(self, terms, s: int, m: int, Y: np.ndarray) -> np.ndarray:
+        """The moments at theta^-1, theta, ..., theta^(2K + 1) of the
+        interior points s .. s + m - 1, per row."""
+        d_factors, y_factors = terms
+        d = self.data[0][:, s:s + m]
+        d2, yy = d * d, Y[:, s:s + m] * self.data[1][:, s:s + m]
+        columns = [d2 * d_factors[0]] + [d2 * a + yy * b for a, b in zip(d_factors[1:], y_factors)]
+        return np.stack([np.sum(c, axis=-1) for c in columns + [yy * y_factors[-1]]], axis=-1)
+
+    @staticmethod
+    def _series_scalars(terms, g) -> np.ndarray:
+        """(m log 4 pi + sum log g, -sum g, l_j sum g^2j) of the m interior points."""
+        g2 = g * g
+        even, sums = g2, []
+        for f in _LOG_SINH[1:]:
+            sums.append(f * np.sum(even))
+            even = even * g2
+        return np.array([g.size * np.log(4.0 * np.pi) + np.sum(np.log(g)), -np.sum(g)] + sums)
 
 
 def _reused(thetas) -> bool:
@@ -538,13 +819,18 @@ def loo_predictions(design: Design, y, theta: float) -> LooSummary:
     Each interior prediction is the precision-weighted combination of
     the two neighbors; the endpoints condition on their single
     neighbor. Both are the data minus the leave-one-out residuals the
-    score is built from. No dependence on the variance parameter.
+    score is built from. No dependence on the variance parameter. Data
+    whose residuals overflow raise :class:`NumericalFailureError`, as
+    :func:`log_score` does.
     """
     _check_theta(theta)
     y = _check_data(design, y)
     A, h, c = _precision_terms(design, theta)
-    resid = _apply_precision(y, _increments(y, 1), h, c) / A
-    return LooSummary(predictions=y - resid, normalized_variances=1.0 / A)
+    with np.errstate(over="ignore", invalid="ignore"):
+        predictions = y - _apply_precision(y, _increments(y, 1), h, c) / A
+    if not np.all(np.isfinite(predictions)):
+        raise NumericalFailureError("leave-one-out predictions are not finite", theta=theta)
+    return LooSummary(predictions=predictions, normalized_variances=1.0 / A)
 
 
 def log_score(design: Design, y, theta: float, sigma2: float) -> float:

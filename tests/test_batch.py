@@ -34,6 +34,7 @@ from oucv import (
     regular_design,
     run_experiment,
     sample_path,
+    scoring,
 )
 from oucv.estimation import (
     cv_fixed_sigma_batch,
@@ -42,6 +43,7 @@ from oucv.estimation import (
     ml_joint_batch,
 )
 from oucv.regression import cv_reg_batch, reg_parts
+from oucv.scoring import CvKernel, MlKernel
 from conftest import random_design
 
 BOX = ParameterBox(0.1, 10.0, 0.3, 30.0)
@@ -145,6 +147,18 @@ def test_regression_batch_rows_equal_single_estimates(design, degree, rows, seed
         F = _trend_matrix(design, degree)
         Z = F @ beta + Y
     assert batch == [_outcome(lambda z=z: estimate_cv_reg(design, z, F, box)) for z in Z]
+
+
+@pytest.mark.parametrize("box", [BOX, ParameterBox(0.1, 300.0, 0.3, 30.0)], ids=["inside", "straddling"])
+def test_series_rows_equal_single_estimates(box):
+    # Dirichlet gaps above the series' size floor: the fig2 box lies inside
+    # the series' domain, and the wider box reaches past its edge, where
+    # the rows sampled at theta0 = 150 search point by point
+    d = random_design(np.random.default_rng(11), scoring._SERIES_MIN_N + 500)
+    Y = np.stack([sample_path(d, params, (12, r)) for r in range(3)
+                  for params in (PARAMS0, CovarianceParams(theta=150.0, sigma2=1.0))])
+    assert CvKernel(d, Y).route == MlKernel(d, Y).route == "series"
+    _assert_rows_match_single(d, Y, box, 2.0, 1.5)
 
 
 def test_grid_blocks_do_not_change_rows():

@@ -1,14 +1,17 @@
-"""The gap-class kernels against 60-digit arithmetic and their per-point form.
+"""The objective kernels' three layouts against 60-digit arithmetic and each other.
 
 A design's points fall into gap classes: the points whose neighbouring
 gaps are bitwise equal. When classes are few the kernels sum the data's
-increment statistics once per class; otherwise they evaluate each point.
-Both forms must give the same objective, and both must match the exact
-objective computed with 60 significant digits from the same float points
-and data.
+increment statistics once per class. On a large design without classes
+they sum the moments of a power series in theta once per row, where
+theta times the largest sum of two neighbouring gaps is at most
+``scoring._SERIES_X``. Otherwise they evaluate each point. Every layout
+must give the same objective, and each must match the exact objective
+computed with 60 significant digits from the same float points and data.
 """
 
 import contextlib
+import sys
 
 import mpmath
 import numpy as np
@@ -45,15 +48,33 @@ def grouped(gaps, keys, n):
     return tuple(classes.T), counts, of_point.ravel()
 
 
+ROUTES = ["per-point", "classes", "series"]
+
+
 @contextlib.contextmanager
-def layout(classes: bool):
-    """Every design in gap classes (True) or point by point (False)."""
-    saved = scoring._gap_classes
-    scoring._gap_classes = grouped if classes else (lambda gaps, keys, n: None)
+def layout(route: str):
+    """Every kernel prepared for more than one theta in the layout ``route``:
+    in gap classes, in the series (whose thetas outside its domain are
+    evaluated point by point), or point by point, whatever the design."""
+    saved = scoring._design_classes, scoring._SERIES_MIN_N
+    if route == "classes":
+        scoring._design_classes = lambda design, keys, gaps: grouped(gaps, keys, design.n)
+    else:
+        scoring._design_classes = lambda design, keys, gaps: None
+    scoring._SERIES_MIN_N = 0 if route == "series" else sys.maxsize
     try:
         yield
     finally:
-        scoring._gap_classes = saved
+        scoring._design_classes, scoring._SERIES_MIN_N = saved
+
+
+def series_thetas(design):
+    """A theta inside the series' domain, and its largest theta."""
+    span = float(np.max(design.gaps[:-1] + design.gaps[1:]))
+    edge = scoring._SERIES_X / span
+    while edge * span > scoring._SERIES_X:
+        edge = np.nextafter(edge, 0.0)
+    return [0.5 * edge, edge]
 
 
 def exact_parts(points, y, theta):
@@ -81,21 +102,23 @@ def exact_parts(points, y, theta):
 
 ACCURACY_DESIGNS = [("regular-12", regular_design(12))] + [
     (f"minimal-{n}", minimal_design(n, 0.5)) for n in range(11, 18)
-]
+] + [("dirichlet-400", random_design(np.random.default_rng(400), 400))]
 
 
-@pytest.mark.parametrize("classes", [False, True], ids=["per-point", "classes"])
+@pytest.mark.parametrize("route", ROUTES)
 @pytest.mark.parametrize("name,design", ACCURACY_DESIGNS, ids=[n for n, _ in ACCURACY_DESIGNS])
-def test_sixty_digit_accuracy(name, design, classes):
+def test_sixty_digit_accuracy(name, design, route):
     # The per-point kernel before the increment form erred by up to
     # 5.1e-13 (n = 12) and 1.3e-10 (n = 17) relative in Q on the minimal
-    # designs, whose gaps shrink like 1/k!; both forms now stay near
-    # double rounding.
-    thetas = np.array([BOX.a, 0.7, 3.0, BOX.A])
+    # designs, whose gaps shrink like 1/k!; every layout now stays near
+    # double rounding. The last two thetas are inside the series' domain
+    # and on its edge.
+    thetas = np.array([BOX.a, 0.7, 3.0, BOX.A] + series_thetas(design))
     worst = 0.0
     for seed in range(3):
         y = sample_path(design, PARAMS0, (20261018, seed))
-        with layout(classes):
+        with layout(route):
+            assert CvKernel(design, y[None, :]).route == MlKernel(design, y[None, :]).route == route
             L_cv, Q_cv = scoring.score_parts(design, y[None, :], thetas)
             L_ml, Q_ml = scoring.ml_parts(design, y[None, :], thetas)
         for j, theta in enumerate(thetas):
@@ -144,10 +167,10 @@ def test_classes_agree_with_the_per_point_form(design, rows, seed, scale):
     n = design.n
     for kernel in (CvKernel, MlKernel):
         results = []
-        for classes in (False, True):
-            with layout(classes):
+        for route in ("per-point", "classes"):
+            with layout(route):
                 prepared = kernel(design, Y)
-                assert (prepared.S is not None) == classes
+                assert prepared.route == route
                 results.append(prepared.parts(None, thetas) + prepared.parts(None, per_row))
         (L0, Q0, l0, q0), (L1, Q1, l1, q1) = results
         for Q in (Q0, Q1, q0, q1):
@@ -156,6 +179,102 @@ def test_classes_agree_with_the_per_point_form(design, rows, seed, scale):
         np.testing.assert_allclose(q1, q0, rtol=1e-12, atol=0.0)
         np.testing.assert_allclose(L1, L0, rtol=1e-12, atol=1e-12 * n)
         np.testing.assert_allclose(l1, l0, rtol=1e-12, atol=1e-12 * n)
+
+
+@st.composite
+def fine_designs(draw):
+    """Designs whose thetas up to a few units fall in the series' domain."""
+    n = draw(st.integers(300, 3000))
+    kind = draw(st.sampled_from(["dirichlet", "regular", "moved"]))
+    if kind == "regular":
+        return regular_design(n)
+    if kind == "moved":
+        return moved_regular(n, draw(st.integers(1, n - 2)), draw(st.sampled_from([0.25, -0.4, 1e-6])))
+    return random_design(np.random.default_rng(draw(st.integers(0, 2**32 - 1))), n)
+
+
+@settings(max_examples=30, deadline=None, derandomize=True, database=None,
+          suppress_health_check=[HealthCheck.too_slow])
+@given(
+    design=fine_designs(),
+    rows=st.integers(1, 3),
+    seed=st.integers(0, 2**32 - 1),
+    scale=st.sampled_from([1.0, 1e-6, 1e3]),
+)
+def test_series_agrees_with_the_per_point_form(design, rows, seed, scale):
+    Y = scale * np.stack([sample_path(design, PARAMS0, (seed, r)) for r in range(rows)])
+    inside, edge = series_thetas(design)
+    # inside the domain up to its edge, and the box edges, which may lie outside it
+    thetas = np.concatenate((np.geomspace(BOX.a, edge, 6), [inside, BOX.A]))
+    per_row = np.stack([np.geomspace(BOX.a, edge, rows), np.full(rows, BOX.A)], axis=1)
+    n = design.n
+    for kernel in (CvKernel, MlKernel):
+        results = []
+        for route in ("per-point", "series"):
+            with layout(route):
+                prepared = kernel(design, Y)
+                assert prepared.route == route
+                results.append(prepared.parts(None, thetas) + prepared.parts(None, per_row)
+                               + (prepared.gradient(None, per_row, 2.0),))
+        (L0, Q0, l0, q0, g0), (L1, Q1, l1, q1, g1) = results
+        for Q in (Q1, q1):
+            assert np.all(Q >= 0.0)
+        np.testing.assert_allclose(Q1, Q0, rtol=1e-14, atol=0.0)
+        np.testing.assert_allclose(q1, q0, rtol=1e-14, atol=0.0)
+        np.testing.assert_allclose(L1, L0, rtol=1e-14, atol=1e-14 * n)
+        np.testing.assert_allclose(l1, l0, rtol=1e-14, atol=1e-14 * n)
+        # the gradient's two parts cancel near the optimum
+        np.testing.assert_allclose(g1, g0, rtol=1e-12, atol=1e-12 * n)
+
+
+def test_series_coefficients_are_the_taylor_coefficients():
+    with mpmath.workdps(40):
+        for table, f in ((scoring._COTH, lambda x: x * mpmath.coth(x) if x else 1),
+                         (scoring._CSCH, lambda x: x / mpmath.sinh(x) if x else 1),
+                         (scoring._TANH, lambda x: 2 * mpmath.tanh(x / 2) / x if x else 1),
+                         (scoring._LOG_SINH, lambda x: mpmath.log(mpmath.sinh(x) / x) if x else 0)):
+            want = mpmath.taylor(f, 0, 2 * len(table) - 2)
+            assert list(table) == [float(c) for c in want[::2]]
+            assert all(abs(c) < 1e-30 for c in want[1::2])
+
+
+def test_estimates_on_a_large_fine_design_take_no_per_point_evaluation(monkeypatch):
+    # the series serves every theta of the box: a Dirichlet design of
+    # 10^4 points has no gap classes, and theta (g_{i-1} + g_i) <= 0.05
+    d = random_design(np.random.default_rng(10_000), 10_000)
+    assert d.n >= scoring._SERIES_MIN_N
+    assert BOX.A * np.max(d.gaps[:-1] + d.gaps[1:]) <= scoring._SERIES_X
+    y = sample_path(d, PARAMS0, 9)
+
+    def per_point(*args):
+        raise AssertionError("a per-point evaluation")
+
+    monkeypatch.setattr(scoring._GapKernel, "_point_sums", per_point)
+    for kernel in (CvKernel, MlKernel):
+        assert kernel(d, y[None, :]).route == "series"
+    for estimate in (estimate_cv_joint, estimate_ml_joint):
+        res = estimate(d, y, BOX)
+        assert res.evaluations > 64 and np.isfinite(res.gradient_at_opt)
+
+
+def test_a_wide_gap_keeps_the_series_moments_unsummed(monkeypatch):
+    # one wide gap puts every theta of the box outside the series'
+    # domain: the estimates run point by point and never sum the moments
+    fine = random_design(np.random.default_rng(2_000), 2_000).points
+    d = from_points(np.concatenate((0.4 * fine, [1.0])))
+    assert d.n >= scoring._SERIES_MIN_N
+    assert BOX.a * np.max(d.gaps[:-1] + d.gaps[1:]) > scoring._SERIES_X
+    y = sample_path(d, PARAMS0, 11)
+
+    def summed(*args):
+        raise AssertionError("series moments summed")
+
+    for kernel in (CvKernel, MlKernel):
+        assert kernel(d, y[None, :]).route == "series"
+    expected = [estimate(d, y, BOX) for estimate in (estimate_cv_joint, estimate_ml_joint)]
+    monkeypatch.setattr(scoring._GapKernel, "_prepare_series", summed)
+    for estimate, res in zip((estimate_cv_joint, estimate_ml_joint), expected):
+        assert estimate(d, y, BOX) == res
 
 
 @settings(max_examples=40, deadline=None, derandomize=True, database=None,
@@ -177,10 +296,10 @@ def test_classes_are_the_reference_grouping_when_they_pay(design):
 
 @settings(max_examples=20, deadline=None, derandomize=True, database=None,
           suppress_health_check=[HealthCheck.too_slow])
-@given(design=designs(), classes=st.booleans())
-def test_zero_data_gives_zero_quadratic_part_and_the_lower_variance(design, classes):
+@given(design=designs(), route=st.sampled_from(ROUTES))
+def test_zero_data_gives_zero_quadratic_part_and_the_lower_variance(design, route):
     Y = np.zeros((2, design.n))
-    with layout(classes):
+    with layout(route):
         for parts in (scoring.score_parts, scoring.ml_parts):
             _, Q = parts(design, Y, np.array([BOX.a, 3.0, BOX.A]))
             assert np.all(Q == 0.0)
@@ -191,18 +310,19 @@ def test_zero_data_gives_zero_quadratic_part_and_the_lower_variance(design, clas
 
 @settings(max_examples=40, deadline=None, derandomize=True, database=None,
           suppress_health_check=[HealthCheck.too_slow])
-@given(design=designs(), classes=st.booleans(), level=st.sampled_from([0.0, 1.0, -3.5, 1e-150, 1e150]))
-def test_constant_data_in_both_layouts(design, classes, level):
-    """y = c: Q >= 0 for both objectives in the layout asked for, on the
-    box edges and per-row thetas; c = 0 gives Q = 0 exactly, and both
-    joint estimates then sit on the lower variance edge."""
+@given(design=designs(), route=st.sampled_from(ROUTES),
+       level=st.sampled_from([0.0, 1.0, -3.5, 1e-150, 1e150]))
+def test_constant_data_in_both_layouts(design, route, level):
+    """y = c: Q >= 0 for both objectives in each layout, on the box
+    edges, the series' domain and per-row thetas; c = 0 gives Q = 0
+    exactly, and both joint estimates then sit on the lower variance edge."""
     Y = np.full((2, design.n), level)
-    thetas = np.array([BOX.a, 3.0, BOX.A])
+    thetas = np.array([BOX.a, 3.0, BOX.A] + series_thetas(design))
     per_row = np.array([[BOX.a], [BOX.A]])
-    with layout(classes):
+    with layout(route):
         for kernel in (CvKernel, MlKernel):
             prepared = kernel(design, Y)
-            assert (prepared.S is not None) == classes
+            assert prepared.route == route
             for at in (thetas, per_row):
                 _, Q = prepared.parts(None, at)
                 assert np.all(np.isfinite(Q)) and np.all(Q >= 0.0)
@@ -215,29 +335,39 @@ def test_constant_data_in_both_layouts(design, classes, level):
                 assert res.sigma2_hat == BOX.b and "sigma2_lower" in res.boundary_flags
 
 
-@pytest.mark.parametrize("classes", [False, True], ids=["per-point", "classes"])
-def test_estimates_reach_both_theta_edges(classes):
+@pytest.mark.parametrize("route", ROUTES)
+def test_estimates_reach_both_theta_edges(route):
     # rough data drives theta to the top of a box below theta0 = 3 ...
     d = regular_design(400)
     y = sample_path(d, PARAMS0, 8)
     low, high = ParameterBox(0.1, 0.5, 0.3, 30.0), ParameterBox(50.0, 100.0, 0.3, 30.0)
-    with layout(classes):
+    with layout(route):
         res = estimate_cv_joint(d, y, low)
         assert res.theta_hat == pytest.approx(low.A, rel=1e-8) and "theta_upper" in res.boundary_flags
-        # ... and to the bottom of a box above it
+        # ... and to the bottom of a box above it, where the series
+        # serves no theta of the box
+        assert high.a * 2.0 * np.max(d.gaps) > scoring._SERIES_X
+        res = estimate_cv_joint(d, y, high)
+        assert res.theta_hat == pytest.approx(high.a, rel=1e-8) and "theta_lower" in res.boundary_flags
+    # ... and of the same box on a design fine enough that the whole box
+    # lies in the series' domain
+    d = regular_design(8000)
+    y = sample_path(d, PARAMS0, 8)
+    assert high.A * 2.0 * np.max(d.gaps) <= scoring._SERIES_X
+    with layout(route):
         res = estimate_cv_joint(d, y, high)
         assert res.theta_hat == pytest.approx(high.a, rel=1e-8) and "theta_lower" in res.boundary_flags
 
 
-@pytest.mark.parametrize("classes", [False, True], ids=["per-point", "classes"])
-def test_a_batch_whose_rows_all_fail_reports_each_row(classes):
+@pytest.mark.parametrize("route", ROUTES)
+def test_a_batch_whose_rows_all_fail_reports_each_row(route):
     # every row overflows on the whole grid, so no row is left for the
     # golden-section search: each fails alone, and no objective is
     # evaluated on an empty set of rows
     d = regular_design(200)
     Y = 1e200 * np.stack([sample_path(d, PARAMS0, (5, r)) for r in range(3)])
-    with layout(classes):
-        assert (CvKernel(d, Y).S is not None) == classes
+    with layout(route):
+        assert CvKernel(d, Y).route == route
         for results in (cv_joint_batch(d, Y, BOX), ml_joint_batch(d, Y, BOX),
                         cv_fixed_sigma_batch(d, Y, 1.0, BOX.theta_range)):
             assert all(isinstance(res, NumericalFailureError) for res in results)

@@ -87,6 +87,14 @@ class TestLooPredictions:
             assert np.max(np.abs(loo.normalized_variances - dense_vars)) <= 1e-10
             assert np.all(loo.normalized_variances > 0.0)
 
+    def test_overflowing_residuals_fail_closed(self):
+        # the increments of +-1.5e308 overflow; the score fails on them too
+        d, y = regular_design(5), np.array([1.5e308, -1.5e308, 1.0, 2.0, 0.5])
+        with pytest.raises(NumericalFailureError):
+            loo_predictions(d, y, 1.0)
+        with pytest.raises(NumericalFailureError):
+            log_score(d, y, 1.0, 1.0)
+
 
 class TestLogScore:
     def test_zero_data_closed_form(self):
