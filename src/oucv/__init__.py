@@ -29,17 +29,18 @@ from .errors import (
     OucvError,
 )
 from .estimation import (
+    ESTIMATORS,
     EstimateResult,
     ParameterBox,
     estimate_cv_fixed_sigma,
     estimate_cv_fixed_theta,
     estimate_cv_joint,
+    estimate_cv_reg,
     estimate_ml_joint,
     profile_sigma2,
     standardized_statistic,
 )
 from .montecarlo import (
-    ESTIMATORS,
     PRESET_NAMES,
     EstimatorPanel,
     ExperimentConfig,
@@ -54,7 +55,6 @@ from .montecarlo import (
 )
 from .regression import (
     RegressionScore,
-    estimate_cv_reg,
     gls_beta,
     loo_beta,
     loo_trend_prediction,

@@ -28,9 +28,9 @@ from .errors import (
     NumericalFailureError,
     OucvError,
 )
-from .estimation import ParameterBox, _single
-from .montecarlo import (_DESIGN_KINDS, ExperimentConfig, _estimate_chunk, _field, _integer, build_design, export,
-                         make_preset, run_experiment)
+from .estimation import ESTIMATOR_TABLE, ParameterBox, _single, estimate_batch
+from .montecarlo import (_DESIGN_KINDS, ExperimentConfig, _field, _integer, build_design, export, make_preset,
+                         run_experiment)
 from .numerics import _ELEMENT_BUDGET
 from .scoring import (_score_and_decomposition, dense_oracle_ml, dense_oracle_score, ml_neg2loglik,
                       score_decomposition)
@@ -291,11 +291,10 @@ def _estimator_name(args) -> str:
         raise InvalidParameterError(
             f"no estimator for --objective {args.objective} --mode {args.mode}{trend}"
         )
-    for flag, value, mode in (("--sigma1", args.sigma1, "fixed-sigma"), ("--theta2", args.theta2, "fixed-theta")):
-        if value is None and args.mode == mode:
-            raise InvalidParameterError(f"--mode {mode} needs {flag}")
-        if value is not None and args.mode != mode:
-            raise InvalidParameterError(f"{flag} applies to --mode {mode} only")
+    fixes = ESTIMATOR_TABLE[name].fixes
+    for fixed, flag, value in (("sigma2", "--sigma1", args.sigma1), ("theta", "--theta2", args.theta2)):
+        if (value is not None) != (fixes == fixed):
+            raise InvalidParameterError(f"{name} needs {flag}" if value is None else f"{flag} does not apply to {name}")
     return name
 
 
@@ -304,7 +303,8 @@ def _cmd_estimate(args) -> int:
     design, data = _read_data_csv(args.data)
     box = _parse_box(args.box)
     F = _trend_columns(args.trend, design) if args.trend else None
-    res = _single(_estimate_chunk(name, design, data[None, :], box, args.sigma1, args.theta2, F))
+    value = {"sigma2": args.sigma1, "theta": args.theta2, "trend": F}.get(ESTIMATOR_TABLE[name].fixes)
+    res = _single(estimate_batch(name, design, data[None, :], box, value))
     fields = {k: v for k, v in dataclasses.asdict(res).items() if k not in ("evaluations", "grid_minima")}
     print(json.dumps({"mode": name, **fields}))
     return 0

@@ -12,7 +12,6 @@ product estimator.
 from __future__ import annotations
 
 import math
-import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -151,9 +150,9 @@ def minimal_design(n: int, alpha: float) -> Design:
     Gaps are 1/i! for i above floor(n^alpha), with the remaining mass
     spread evenly over the first gaps; the resulting points cluster
     densely near 1. Gaps shrink so fast that positions collapse below
-    double resolution once n exceeds ~18, in which case construction
-    fails with an invalid-design error; a warning is emitted for n > 20
-    where the family is numerically out of reach regardless.
+    double resolution once n exceeds ~18: construction then fails with
+    an invalid-design error naming the underflow, and it always does
+    for n > 20, where the last gap 1/n! is below half an ulp of 1.
     """
     if n < 5:
         raise InvalidParameterError(f"minimal design needs n >= 5, got {n}")
@@ -166,12 +165,6 @@ def minimal_design(n: int, alpha: float) -> Design:
     m = math.floor(n**alpha)
     if m < 2:
         raise InvalidParameterError(f"floor(n^alpha) = {m} < 2")
-    if n > 20:
-        warnings.warn(
-            f"factorial gaps below double resolution for n = {n};"
-            " the design points cannot be represented distinctly",
-            stacklevel=2,
-        )
     # factorial gaps by iterative division, never forming i! itself
     fac = np.empty(n - m, dtype=float)
     g = 1.0

@@ -8,8 +8,9 @@ cases are covered: joint estimation, fixed variance, fixed inverse
 length scale. They are one search: a fixed parameter is a box range of
 zero width.
 
-Estimation is batched: each ``*_batch`` function estimates every row of
-a data array (R, n) at once. The grid is evaluated as whole arrays of
+The estimators are the rows of one table, :data:`ESTIMATOR_TABLE`, and
+:func:`estimate_batch` runs any of them on every row of a data array
+(R, n) at once. The grid is evaluated as whole arrays of
 (row, theta) pairs, and golden-section search then runs on all rows in
 lockstep, each with its own bracket, iteration count and stopping
 point. A row's result depends on that row alone, so it is bitwise the
@@ -18,14 +19,13 @@ of one. Each objective is prepared once per batch (a kernel of
 :mod:`oucv.scoring`, whose evaluation costs as many operations as the
 design has gap classes, or O(1) per row on a large design without
 classes), and the grid is one call of it for every row.
-The trend-aware estimator of :mod:`oucv.regression` runs through the
-same search with its own kernel.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import partial
 from typing import Callable
 
 import numpy as np
@@ -33,6 +33,7 @@ import numpy as np
 from .designs import Design
 from .errors import ConditioningError, InvalidParameterError, NumericalFailureError, OucvError
 from .numerics import _ELEMENT_BUDGET
+from .regression import TrendKernel, _prepare_F
 from .scoring import CvKernel, MlKernel, ScoreDecomposition, _check_data, _take
 
 __all__ = [
@@ -43,10 +44,10 @@ __all__ = [
     "estimate_cv_fixed_sigma",
     "estimate_cv_fixed_theta",
     "estimate_ml_joint",
-    "cv_joint_batch",
-    "cv_fixed_sigma_batch",
-    "cv_fixed_theta_batch",
-    "ml_joint_batch",
+    "estimate_cv_reg",
+    "ESTIMATORS",
+    "ESTIMATOR_TABLE",
+    "estimate_batch",
     "replicate_chunk",
     "standardized_statistic",
 ]
@@ -390,6 +391,51 @@ def _search_batch(design, Y, box, kernel) -> list:
     return slots
 
 
+@dataclass(frozen=True)
+class Estimator:
+    """A row of the estimator table: its objective's kernel, prepared as
+    ``kernel(design, Y, reuse)``, and what the estimator's value fixes:
+    ``"sigma2"``, ``"theta"``, ``"trend"`` (the columns F, passed to the
+    kernel), or None for a joint search."""
+
+    kernel: type
+    fixes: str | None = None
+
+
+ESTIMATOR_TABLE = {
+    "cv-joint": Estimator(CvKernel),
+    "cv-fixed-sigma": Estimator(CvKernel, "sigma2"),
+    "cv-fixed-theta": Estimator(CvKernel, "theta"),
+    "ml-joint": Estimator(MlKernel),
+    "cv-regression": Estimator(TrendKernel, "trend"),
+}
+ESTIMATORS = tuple(ESTIMATOR_TABLE)
+
+
+def estimate_batch(name: str, design: Design, Y, box: ParameterBox, value=None) -> list:
+    """Estimator ``name`` on every row of Y (R, n), at the fixed ``value``
+    of the variance or theta (the collapsed range of the box) or of the
+    trend columns F (n, p); a joint estimator takes none.
+
+    Returns one entry per row: an :class:`EstimateResult`, or the
+    :class:`OucvError` that row failed with.
+    """
+    row = ESTIMATOR_TABLE.get(name)
+    if row is None:
+        raise InvalidParameterError(f"unknown estimator {name!r}")
+    if (value is None) != (row.fixes is None):
+        raise InvalidParameterError(f"{name} needs a fixed {row.fixes}" if value is None
+                                    else f"{name} fixes no parameter, got {value!r}")
+    kernel = row.kernel
+    if row.fixes == "sigma2":
+        box = ParameterBox(box.a, box.A, value, value)
+    elif row.fixes == "theta":
+        box = ParameterBox(value, value, box.b, box.B)
+    elif row.fixes == "trend":
+        kernel = partial(kernel, F=_prepare_F(design, value))
+    return _search_batch(design, Y, box, kernel)
+
+
 def _single(results: list) -> EstimateResult:
     """The one result of a batch of one, raising its failure."""
     (res,) = results
@@ -398,30 +444,9 @@ def _single(results: list) -> EstimateResult:
     return res
 
 
-def cv_joint_batch(design: Design, Y, box: ParameterBox) -> list:
-    """:func:`estimate_cv_joint` on every row of Y (R, n).
-
-    Returns one entry per row: an :class:`EstimateResult`, or the
-    :class:`OucvError` that row failed with.
-    """
-    return _search_batch(design, Y, box, CvKernel)
-
-
-def ml_joint_batch(design: Design, Y, box: ParameterBox) -> list:
-    """:func:`estimate_ml_joint` on every row of Y, like :func:`cv_joint_batch`."""
-    return _search_batch(design, Y, box, MlKernel)
-
-
-def cv_fixed_sigma_batch(design: Design, Y, sigma1_sq: float, theta_range: tuple[float, float]) -> list:
-    """:func:`estimate_cv_fixed_sigma` on every row of Y, like :func:`cv_joint_batch`."""
-    box = ParameterBox(*theta_range, sigma1_sq, sigma1_sq)
-    return _search_batch(design, Y, box, CvKernel)
-
-
-def cv_fixed_theta_batch(design: Design, Y, theta2: float, sigma_range: tuple[float, float]) -> list:
-    """:func:`estimate_cv_fixed_theta` on every row of Y, like :func:`cv_joint_batch`."""
-    box = ParameterBox(theta2, theta2, *sigma_range)
-    return _search_batch(design, Y, box, CvKernel)
+def _estimate(name: str, design: Design, y, box: ParameterBox, value=None) -> EstimateResult:
+    """Estimator ``name`` on the one path y, raising its failure."""
+    return _single(estimate_batch(name, design, _check_data(design, y)[None, :], box, value))
 
 
 def estimate_cv_joint(design: Design, y, box: ParameterBox) -> EstimateResult:
@@ -431,7 +456,7 @@ def estimate_cv_joint(design: Design, y, box: ParameterBox) -> EstimateResult:
     sampling, so only the product coordinate of the result is
     consistent.
     """
-    return _single(cv_joint_batch(design, _check_data(design, y)[None, :], box))
+    return _estimate("cv-joint", design, y, box)
 
 
 def estimate_cv_fixed_sigma(
@@ -442,7 +467,7 @@ def estimate_cv_fixed_sigma(
     The estimand is theta0 * sigma0^2 / sigma1_sq: fixing the variance
     at the wrong level rescales the target inverse length scale.
     """
-    return _single(cv_fixed_sigma_batch(design, _check_data(design, y)[None, :], sigma1_sq, theta_range))
+    return _estimate("cv-fixed-sigma", design, y, ParameterBox(*theta_range, sigma1_sq, sigma1_sq), sigma1_sq)
 
 
 def estimate_cv_fixed_theta(
@@ -454,7 +479,7 @@ def estimate_cv_fixed_theta(
     clamped profile value, so no search is needed; the reported gradient
     is the sigma2-derivative of the score at the optimum.
     """
-    return _single(cv_fixed_theta_batch(design, _check_data(design, y)[None, :], theta2, sigma_range))
+    return _estimate("cv-fixed-theta", design, y, ParameterBox(theta2, theta2, *sigma_range), theta2)
 
 
 def estimate_ml_joint(design: Design, y, box: ParameterBox) -> EstimateResult:
@@ -464,4 +489,14 @@ def estimate_ml_joint(design: Design, y, box: ParameterBox) -> EstimateResult:
     log-likelihood; serves as the variance baseline the score-based
     estimator is compared against.
     """
-    return _single(ml_joint_batch(design, _check_data(design, y)[None, :], box))
+    return _estimate("ml-joint", design, y, box)
+
+
+def estimate_cv_reg(design: Design, z, F, box: ParameterBox) -> EstimateResult:
+    """Joint trend-aware score minimizer over the box.
+
+    Identical profile-plus-refinement scheme as the centered case; the
+    reported gradient is a central finite difference of the score in
+    theta at the profiled variance.
+    """
+    return _estimate("cv-regression", design, z, box, F)

@@ -3,7 +3,7 @@
 Each replicate draws its path from an independent stream keyed by
 (base seed, replicate index). Replicates are sampled and estimated in
 chunks, one after the other: every estimator runs once per chunk on all
-of its paths, through the batched estimators of :mod:`oucv.estimation`.
+of its paths, through :func:`~oucv.estimation.estimate_batch`.
 The chunk size follows from the kernels' fixed element budget
 (:func:`~oucv.estimation.replicate_chunk`). A record depends on its
 replicate's data alone, so reports do not depend on the chunking.
@@ -25,19 +25,15 @@ import numpy as np
 from .designs import Design, from_points, maximal_design, minimal_design, regular_design, tau_squared
 from .errors import InvalidParameterError, OucvError
 from .estimation import (
+    ESTIMATOR_TABLE,
     ParameterBox,
-    cv_fixed_sigma_batch,
-    cv_fixed_theta_batch,
-    cv_joint_batch,
-    ml_joint_batch,
+    estimate_batch,
     replicate_chunk,
     standardized_statistic,
 )
-from .regression import cv_reg_batch
 from .simulate import CovarianceParams, TrendSpec, sample_path
 
 __all__ = [
-    "ESTIMATORS",
     "PRESET_NAMES",
     "ExperimentConfig",
     "ReplicateRecord",
@@ -51,7 +47,8 @@ __all__ = [
     "read_records",
 ]
 
-ESTIMATORS = ("cv-joint", "cv-fixed-sigma", "cv-fixed-theta", "ml-joint", "cv-regression")
+# the config field that holds what each kind of estimator fixes
+_FIXED_FIELDS = {"sigma2": "sigma1_sq", "theta": "theta2", "trend": "trend"}
 
 _RECORD_FIELDS = (
     "replicate",
@@ -106,24 +103,20 @@ class ExperimentConfig:
             raise InvalidParameterError(f"need at least one replicate, got {self.replicates}")
         if self.seed < 0:
             raise InvalidParameterError(f"'seed' must be non-negative, got {self.seed}")
-        if not (self.theta0 > 0.0 and self.sigma0_sq > 0.0):
-            raise InvalidParameterError("theta0 and sigma0_sq must be positive")
-        for key in ("sigma1_sq", "theta2"):
+        for key in ("theta0", "sigma0_sq", "sigma1_sq", "theta2"):
             value = getattr(self, key)
-            if value is not None and not (math.isfinite(value) and value > 0.0):
+            required = key in ("theta0", "sigma0_sq")
+            if (required or value is not None) and not (math.isfinite(value) and value > 0.0):
                 raise InvalidParameterError(f"{key!r} must be positive and finite, got {value!r}")
         object.__setattr__(self, "estimators", tuple(self.estimators))
         if not self.estimators:
             raise InvalidParameterError("estimator list is empty")
         for name in self.estimators:
-            if name not in ESTIMATORS:
+            if name not in ESTIMATOR_TABLE:
                 raise InvalidParameterError(f"unknown estimator {name!r}")
-        if "cv-fixed-sigma" in self.estimators and self.sigma1_sq is None:
-            raise InvalidParameterError("cv-fixed-sigma needs sigma1_sq")
-        if "cv-fixed-theta" in self.estimators and self.theta2 is None:
-            raise InvalidParameterError("cv-fixed-theta needs theta2")
-        if "cv-regression" in self.estimators and self.trend is None:
-            raise InvalidParameterError("cv-regression needs a trend spec")
+            fixes = ESTIMATOR_TABLE[name].fixes
+            if fixes and getattr(self, _FIXED_FIELDS[fixes]) is None:
+                raise InvalidParameterError(f"{name} needs {_FIXED_FIELDS[fixes]}")
 
 
 @dataclass(frozen=True)
@@ -235,25 +228,6 @@ def make_preset(name: str) -> ExperimentConfig:
     )
 
 
-def _estimate_chunk(name: str, design: Design, data: np.ndarray, box: ParameterBox,
-                    sigma1_sq: float | None, theta2: float | None, F: np.ndarray | None) -> list:
-    """Estimator ``name`` on every row of ``data`` (R, n), as its batch
-    function returns it. ``sigma1_sq`` (cv-fixed-sigma), ``theta2``
-    (cv-fixed-theta) and the trend matrix ``F`` (cv-regression) are
-    read by their estimator only."""
-    if name == "cv-joint":
-        return cv_joint_batch(design, data, box)
-    if name == "ml-joint":
-        return ml_joint_batch(design, data, box)
-    if name == "cv-fixed-sigma":
-        return cv_fixed_sigma_batch(design, data, sigma1_sq, box.theta_range)
-    if name == "cv-fixed-theta":
-        return cv_fixed_theta_batch(design, data, theta2, box.sigma2_range)
-    if name == "cv-regression":
-        return cv_reg_batch(design, data, F, box)
-    raise InvalidParameterError(f"unknown estimator {name!r}")
-
-
 def _add_chunk_records(
     records: dict[str, list[ReplicateRecord]],
     replicates: range,
@@ -269,9 +243,10 @@ def _add_chunk_records(
     Y = np.stack([sample_path(design, params, (config.seed, r)) for r in replicates])
     data = Y if F is None else F @ config.trend.beta + Y
     product0 = config.theta0 * config.sigma0_sq
+    fixed = {"sigma2": config.sigma1_sq, "theta": config.theta2, "trend": F}
     for name in config.estimators:
         try:
-            results = _estimate_chunk(name, design, data, config.box, config.sigma1_sq, config.theta2, F)
+            results = estimate_batch(name, design, data, config.box, fixed.get(ESTIMATOR_TABLE[name].fixes))
         except OucvError as err:
             results = [err] * len(replicates)
         out = records[name]

@@ -1,4 +1,4 @@
-"""Unknown-mean extension: trend-aware scoring and estimation.
+"""Unknown-mean extension: the trend-aware score.
 
 When the observed process carries a linear trend over known basis
 functions, the leave-one-out machinery runs on the projected precision
@@ -10,10 +10,14 @@ score for verification.
 
 One factor of the projected precision, P - W'W with W = C^-1 F' P,
 serves every route: the batched kernel :func:`reg_parts` that the
-estimator evaluates for (replicate x theta) arrays like the centered
-kernels of :mod:`oucv.scoring`, the single-theta score and its
-correction terms, and the GLS coefficients. The factor depends on theta
-alone, so it is computed once per theta and shared by the replicates.
+``cv-regression`` estimator of :mod:`oucv.estimation` evaluates for
+(replicate x theta) arrays like the centered kernels of
+:mod:`oucv.scoring`, the single-theta score and its correction terms,
+and the GLS coefficients. The factor depends on theta alone, so it is
+built once per theta value: a node of the search's theta grid shares
+its factor between the replicates, but each golden-section step
+evaluates one theta per replicate, and so builds one factor per
+replicate.
 P is applied in the increment form of :mod:`oucv.scoring`, where the
 large 1/gap terms of clustered points multiply the small increments of
 a smooth trend column and do not cancel. Dense Cholesky factorizations
@@ -29,7 +33,6 @@ import scipy.linalg
 
 from .designs import Design
 from .errors import ConditioningError, InvalidParameterError
-from .estimation import EstimateResult, ParameterBox, _search_batch, _single
 from .scoring import (
     _DENSE_MAX_N,
     ScoreDecomposition,
@@ -52,8 +55,6 @@ __all__ = [
     "reg_parts",
     "loo_beta",
     "loo_trend_prediction",
-    "estimate_cv_reg",
-    "cv_reg_batch",
 ]
 
 @dataclass(frozen=True)
@@ -186,14 +187,16 @@ def reg_parts(design: Design, Y: np.ndarray, thetas, F: np.ndarray) -> tuple[np.
     return _parts(_trend_factor(design, thetas, F), Y, _increments(Y, 1))
 
 
-class _TrendKernel:
-    """:func:`reg_parts` on data rows Z, in the form the batched search
-    takes (see :class:`~oucv.scoring.CvKernel`): the increments of the
-    rows are prepared once. It has no analytic gradient."""
+class TrendKernel:
+    """:func:`reg_parts` on data rows Z for checked trend columns F, in
+    the form the batched search takes (see
+    :class:`~oucv.scoring.CvKernel`): the increments of the rows are
+    prepared once, whatever ``reuse`` says. It has no analytic
+    gradient."""
 
     gradient = None
 
-    def __init__(self, design: Design, Z: np.ndarray, F: np.ndarray):
+    def __init__(self, design: Design, Z: np.ndarray, reuse: bool, F: np.ndarray):
         self.design, self.F = design, F
         self.data = (Z, _increments(Z, 1))
 
@@ -297,27 +300,3 @@ def loo_trend_prediction(design: Design, z, theta: float, F, i: int) -> tuple[fl
     u = f_i - F_minus.T @ Kir
     var = float(1.0 - r @ Kir + u @ scipy.linalg.cho_solve(mchol, u))
     return pred, var
-
-
-def estimate_cv_reg(design: Design, z, F, box: ParameterBox) -> EstimateResult:
-    """Joint trend-aware score minimizer over the box.
-
-    Identical profile-plus-refinement scheme as the centered case; the
-    reported gradient is a central finite difference of the score in
-    theta at the profiled variance.
-    """
-    return _single(cv_reg_batch(design, _check_data(design, z)[None, :], F, box))
-
-
-def cv_reg_batch(design: Design, Z, F, box: ParameterBox) -> list:
-    """:func:`estimate_cv_reg` on every row of Z (R, n).
-
-    The rows share the batched search of :mod:`oucv.estimation`, with
-    :func:`reg_parts` as the objective's kernel; a theta where the
-    trend projection is singular fails its rows with
-    :class:`ConditioningError`. Returns one entry per row: an
-    :class:`EstimateResult`, or the :class:`OucvError` that row failed
-    with.
-    """
-    F = _prepare_F(design, F)
-    return _search_batch(design, Z, box, lambda design, Z, reuse: _TrendKernel(design, Z, F))

@@ -40,9 +40,9 @@ class CovarianceParams:
 
     def __post_init__(self):
         if not (np.isfinite(self.theta) and self.theta > 0.0):
-            raise InvalidParameterError(f"theta must be positive, got {self.theta}")
+            raise InvalidParameterError(f"theta must be positive and finite, got {self.theta}")
         if not (np.isfinite(self.sigma2) and self.sigma2 > 0.0):
-            raise InvalidParameterError(f"sigma2 must be positive, got {self.sigma2}")
+            raise InvalidParameterError(f"sigma2 must be positive and finite, got {self.sigma2}")
 
 
 @dataclass(frozen=True)
@@ -140,6 +140,6 @@ def sample_with_trend(design: Design, params: CovarianceParams, trend: TrendSpec
 def covariance_matrix(design: Design, theta: float) -> np.ndarray:
     """Dense unit-variance covariance matrix exp(-theta |s_j - s_k|)."""
     if not (np.isfinite(theta) and theta > 0.0):
-        raise InvalidParameterError(f"theta must be positive, got {theta}")
+        raise InvalidParameterError(f"theta must be positive and finite, got {theta}")
     s = design.points
     return np.exp(-theta * np.abs(s[:, None] - s[None, :]))

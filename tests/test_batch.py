@@ -6,6 +6,7 @@ batch, so every field of every row is compared bitwise (through repr)
 with the single-path estimator on that row alone.
 """
 
+import dataclasses
 import math
 
 import numpy as np
@@ -36,13 +37,8 @@ from oucv import (
     sample_path,
     scoring,
 )
-from oucv.estimation import (
-    cv_fixed_sigma_batch,
-    cv_fixed_theta_batch,
-    cv_joint_batch,
-    ml_joint_batch,
-)
-from oucv.regression import cv_reg_batch, reg_parts
+from oucv.estimation import ESTIMATOR_TABLE, estimate_batch
+from oucv.regression import reg_parts
 from oucv.scoring import CvKernel, MlKernel
 from conftest import random_design
 
@@ -65,14 +61,14 @@ def _batched(results):
 
 def _assert_rows_match_single(design, Y, box, sigma1_sq, theta2):
     cases = [
-        (cv_joint_batch(design, Y, box), lambda y: estimate_cv_joint(design, y, box)),
-        (ml_joint_batch(design, Y, box), lambda y: estimate_ml_joint(design, y, box)),
+        (estimate_batch("cv-joint", design, Y, box), lambda y: estimate_cv_joint(design, y, box)),
+        (estimate_batch("ml-joint", design, Y, box), lambda y: estimate_ml_joint(design, y, box)),
         (
-            cv_fixed_sigma_batch(design, Y, sigma1_sq, box.theta_range),
+            estimate_batch("cv-fixed-sigma", design, Y, box, sigma1_sq),
             lambda y: estimate_cv_fixed_sigma(design, y, sigma1_sq, box.theta_range),
         ),
         (
-            cv_fixed_theta_batch(design, Y, theta2, box.sigma2_range),
+            estimate_batch("cv-fixed-theta", design, Y, box, theta2),
             lambda y: estimate_cv_fixed_theta(design, y, theta2, box.sigma2_range),
         ),
     ]
@@ -141,7 +137,7 @@ def test_regression_batch_rows_equal_single_estimates(design, degree, rows, seed
     try:
         F = _trend_matrix(design, degree)
         Z = F @ beta + Y
-        batch = _batched(cv_reg_batch(design, Z, F, box))
+        batch = _batched(estimate_batch("cv-regression", design, Z, box, F))
     except oucv.OucvError as err:  # a basis dependent on this design fails every row
         batch = [f"{type(err).__name__}: {err}"] * rows
         F = _trend_matrix(design, degree)
@@ -161,24 +157,32 @@ def test_series_rows_equal_single_estimates(box):
     _assert_rows_match_single(d, Y, box, 2.0, 1.5)
 
 
+def test_estimate_batch_refuses_an_unknown_name_and_a_missing_or_stray_value():
+    # the table's names, in the order the records and the CLI have always used
+    assert oucv.ESTIMATORS == ("cv-joint", "cv-fixed-sigma", "cv-fixed-theta", "ml-joint", "cv-regression")
+    d = regular_design(12)
+    Y = np.stack([sample_path(d, PARAMS0, (2, r)) for r in range(2)])
+    for name, value in (("cv-join", None), ("cv-fixed-sigma", None), ("cv-fixed-theta", None),
+                        ("cv-regression", None), ("cv-joint", 2.0), ("ml-joint", 2.0)):
+        with pytest.raises(oucv.InvalidParameterError):
+            estimate_batch(name, d, Y, BOX, value)
+
+
 def test_grid_blocks_do_not_change_rows():
     # at n = 2000 sixteen rows split the 64-node grid into blocks of two
     d = regular_design(2000)
     Y = np.stack([sample_path(d, PARAMS0, (3, r)) for r in range(16)])
-    batch = cv_joint_batch(d, Y, BOX)
+    batch = estimate_batch("cv-joint", d, Y, BOX)
     for r in (0, 7, 15):
         assert repr(batch[r]) == repr(estimate_cv_joint(d, Y[r], BOX))
 
 
 def test_regression_rows_equal_single_estimates():
-    from oucv import estimate_cv_reg
-    from oucv.regression import cv_reg_batch
-
     d = regular_design(30)
     F = np.column_stack([np.ones(d.n), d.points])
     Z = np.stack([F @ [1.0, 2.0] + sample_path(d, PARAMS0, (9, r)) for r in range(4)])
     Z[1, 0] = np.inf
-    batch = cv_reg_batch(d, Z, F, BOX)
+    batch = estimate_batch("cv-regression", d, Z, BOX, F)
     assert isinstance(batch[1], NumericalFailureError)
     for r in (0, 2, 3):
         assert repr(batch[r]) == repr(estimate_cv_reg(d, Z[r], F, BOX))
@@ -221,7 +225,7 @@ class TestRegressionKernel:
         Z = np.stack([F @ [1.0, 2.0] + sample_path(d, PARAMS0, (10, r)) for r in range(5)])
         Z[1, 7] = np.nan
         Z[3] = 1e200 * (-1.0) ** np.arange(d.n)  # the quadratic part overflows
-        batch = cv_reg_batch(d, Z, F, BOX)
+        batch = estimate_batch("cv-regression", d, Z, BOX, F)
         for r in (1, 3):
             assert isinstance(batch[r], NumericalFailureError)
             with pytest.raises(NumericalFailureError):
@@ -237,7 +241,7 @@ class TestRegressionKernel:
         F = np.column_stack([np.ones(d.n), np.eye(d.n)[:, 0]])
         Z = np.stack([sample_path(d, PARAMS0, (11, r)) for r in range(3)])
         Z[2, 4] = np.inf
-        batch = cv_reg_batch(d, Z, F, BOX)
+        batch = estimate_batch("cv-regression", d, Z, BOX, F)
         assert [type(res) for res in batch] == [ConditioningError, ConditioningError, NumericalFailureError]
         with pytest.raises(ConditioningError):
             estimate_cv_reg(d, Z[0], F, BOX)
@@ -258,9 +262,9 @@ class TestFailureIsolation:
         Y = np.stack([sample_path(d, PARAMS0, (8, r)) for r in range(5)])
         Y[2] = 1e200  # the quadratic part overflows on the grid
         for batch, single in [
-            (cv_joint_batch(d, Y, BOX), lambda y: estimate_cv_joint(d, y, BOX)),
-            (ml_joint_batch(d, Y, BOX), lambda y: estimate_ml_joint(d, y, BOX)),
-            (cv_fixed_sigma_batch(d, Y, 2.0, BOX.theta_range),
+            (estimate_batch("cv-joint", d, Y, BOX), lambda y: estimate_cv_joint(d, y, BOX)),
+            (estimate_batch("ml-joint", d, Y, BOX), lambda y: estimate_ml_joint(d, y, BOX)),
+            (estimate_batch("cv-fixed-sigma", d, Y, BOX, 2.0),
              lambda y: estimate_cv_fixed_sigma(d, y, 2.0, BOX.theta_range)),
         ]:
             assert isinstance(batch[2], NumericalFailureError)
@@ -274,7 +278,7 @@ class TestFailureIsolation:
         d = regular_design(10)
         Y = np.stack([sample_path(d, PARAMS0, (8, r)) for r in range(3)])
         Y[1, 4] = np.nan
-        batch = cv_joint_batch(d, Y, BOX)
+        batch = estimate_batch("cv-joint", d, Y, BOX)
         assert isinstance(batch[1], NumericalFailureError)
         assert repr(batch[0]) == repr(estimate_cv_joint(d, Y[0], BOX))
         assert repr(batch[2]) == repr(estimate_cv_joint(d, Y[2], BOX))
@@ -287,9 +291,9 @@ class TestFailureIsolation:
         Y[1, 5] = 1e200  # the quadratic part overflows
         box = ParameterBox(1.5, 1.5, 0.3, 30.0)
         for batch, single in [
-            (cv_fixed_theta_batch(d, Y, 1.5, box.sigma2_range),
+            (estimate_batch("cv-fixed-theta", d, Y, box, 1.5),
              lambda y: estimate_cv_fixed_theta(d, y, 1.5, box.sigma2_range)),
-            (cv_joint_batch(d, Y, box), lambda y: estimate_cv_joint(d, y, box)),
+            (estimate_batch("cv-joint", d, Y, box), lambda y: estimate_cv_joint(d, y, box)),
         ]:
             assert isinstance(batch[1], NumericalFailureError) and batch[1].theta == 1.5
             with pytest.raises(NumericalFailureError):
@@ -349,7 +353,8 @@ class TestEvaluationCount:
                 pairs.append(Q.size)  # one (row, theta) pair per objective value
                 return L, Q
 
-        monkeypatch.setattr(estimation, "CvKernel", Counting)
+        row = ESTIMATOR_TABLE["cv-joint"]
+        monkeypatch.setitem(ESTIMATOR_TABLE, "cv-joint", dataclasses.replace(row, kernel=Counting))
         res = estimate_cv_joint(d, y, BOX)
         # 64 grid nodes, the two interior golden-section points, one point
         # per iteration and the final bracket midpoint; the last kernel
@@ -367,5 +372,5 @@ class TestEvaluationCount:
     def test_counts_are_per_row(self):
         d = regular_design(50)
         Y = np.stack([sample_path(d, PARAMS0, (5, r)) for r in range(8)])
-        for res in ml_joint_batch(d, Y, BOX):
+        for res in estimate_batch("ml-joint", d, Y, BOX):
             assert res.evaluations == 64 + 2 + res.iterations + 1

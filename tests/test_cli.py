@@ -493,6 +493,9 @@ _ESTIMATE = ["estimate", "--data", "DATA", "--box"]
     # a seed the random generator refuses
     (["experiment", "--config", "CONFIG"], dict(_EXPERIMENT, seed=-5), "'seed'"),
     (["simulate", "--theta", "3", "--sigma2", "1", "--seed", "-1", "--design", "regular:8"], None, "seed -1"),
+    # a generating parameter is checked when the config is read, not at the first sampled path
+    (["experiment", "--config", "CONFIG"], dict(_EXPERIMENT, theta0="inf"), "'theta0'"),
+    (["experiment", "--config", "CONFIG"], dict(_EXPERIMENT, sigma0_sq="inf"), "'sigma0_sq'"),
 ])
 def test_malformed_spec_or_config_exits_1_naming_it(tmp_path, argv, config, named):
     _, out, _ = run_cli(_SIMULATE + ["regular:8"])
@@ -549,7 +552,12 @@ class TestProcess:
         (["score", "--data", "INF", "--theta", "2", "--sigma2", "1"], 3, "NumericalFailureError"),
         (["estimate", "--data", "HUGE", "--box", "0.1,10,0.3,30"], 3, "NumericalFailureError"),
         (["estimate", "--data", "EDGE", "--box", "0.1,10,0.3,30"], 3, "NumericalFailureError"),
-    ], ids=["domain", "io", "numerical", "numerical-on-the-whole-grid", "numerical-increment-overflow"])
+        # a minimal design past n = 20 always underflows, and says so in one line, with no warning
+        (["design", "--kind", "minimal", "--n", "25"], 1, "InvalidDesignError"),
+        (["simulate", "--design", "minimal:25:0.5", "--theta", "3", "--sigma2", "1", "--seed", "1"], 1,
+         "InvalidDesignError"),
+    ], ids=["domain", "io", "numerical", "numerical-on-the-whole-grid", "numerical-increment-overflow",
+            "design-underflow", "simulate-design-underflow"])
     def test_exit_code_contract(self, tmp_path, argv, code, error):
         inf = tmp_path / "inf.csv"
         inf.write_text("index,s,y\n1,0.0,0.1\n2,0.5,inf\n3,1.0,0.2\n")

@@ -80,11 +80,10 @@ class TestMinimalDesign:
         with pytest.raises(FactorialOverflowError):
             minimal_design(200, 0.5)
 
-    def test_large_n_warns_then_fails_on_underflow(self):
+    def test_large_n_fails_on_underflow(self):
         # gaps below the double grid near 1: the points cannot stay distinct
-        with pytest.warns(UserWarning):
-            with pytest.raises(InvalidDesignError):
-                minimal_design(25, 0.5)
+        with pytest.raises(InvalidDesignError, match="underflow"):
+            minimal_design(25, 0.5)
 
     def test_alpha_floor_guard(self):
         with pytest.raises(InvalidParameterError):
