@@ -18,7 +18,12 @@ same in any batch; the single-path ``estimate_*`` functions are batches
 of one. Each objective is prepared once per batch (a kernel of
 :mod:`oucv.scoring`, whose evaluation costs as many operations as the
 design has gap classes, or O(1) per row on a large design without
-classes), and the grid is one call of it for every row.
+classes, or the trend kernel of :mod:`oucv.regression`). The grid is
+one call of it for every row, which the kernel cuts into blocks: the
+trend kernel builds its theta-only factor per block of nodes sized by
+n p and projects the rows in blocks sized by rows x n. The two interior
+points of the brackets are one call, and so are the two sides of a
+central difference.
 """
 
 from __future__ import annotations
@@ -188,7 +193,8 @@ def _minimize_theta(objective: Callable, lo: float, hi: float, rows: int) -> tup
     or one set per row, shape (len(rows), k); the values have shape
     (len(rows), T) or (len(rows), k). An objective that fails on a row
     records the error in ``failed`` and the row leaves the search.
-    The whole grid is one call.
+    The whole grid is one call, and so are the two interior points of
+    the golden-section brackets.
 
     Each row keeps its own bracket around its grid argmin and stops when
     the bracket is narrower than ``_REFINE_RTOL`` times its midpoint.
@@ -223,17 +229,17 @@ def _minimize_theta(objective: Callable, lo: float, hi: float, rows: int) -> tup
         return idx[[r not in failed for r in idx]] if failed else idx
 
     def at(idx: np.ndarray, x: np.ndarray) -> np.ndarray:
+        """The values at per-row thetas ``x`` (len(idx), k), in one call."""
         if not idx.size:  # every row failed on the grid
-            return np.empty(0)
-        return objective(idx, x[:, None], failed)[:, 0]
+            return np.empty(x.shape)
+        return objective(idx, x, failed)
 
     # golden-section state of the rows still searching, their best point included
     idx = unfailed(everyone)
     a, b = lo_[idx], hi_[idx]
     c = b - _INVPHI * (b - a)
     d = a + _INVPHI * (b - a)
-    fc = at(idx, c)
-    fd = at(idx, d)
+    fc, fd = at(idx, np.stack([c, d], axis=1)).T
     bf, bx = _keep_best(fc, c, best_f[idx], best_x[idx])
     bf, bx = _keep_best(fd, d, bf, bx)
     it = np.zeros(idx.size, int)
@@ -255,14 +261,14 @@ def _minimize_theta(objective: Callable, lo: float, hi: float, rows: int) -> tup
         b = np.where(left, d, b)
         step = _INVPHI * (b - a)
         probe = np.where(left, b - step, a + step)
-        f = at(idx, probe)
+        f = at(idx, probe[:, None])[:, 0]
         bf, bx = _keep_best(f, probe, bf, bx)
         c, d = np.where(left, probe, d), np.where(left, c, probe)
         fc, fd = np.where(left, f, fd), np.where(left, fc, f)
         it += 1
     idx = unfailed(everyone)
     mid = 0.5 * (lo_[idx] + hi_[idx])
-    best_f[idx], best_x[idx] = _keep_best(at(idx, mid), mid, best_f[idx], best_x[idx])
+    best_f[idx], best_x[idx] = _keep_best(at(idx, mid[:, None])[:, 0], mid, best_f[idx], best_x[idx])
     # the grid, the two interior points, one point per iteration, the midpoint
     evaluations = _GRID_SIZE + 2 + iterations + 1
     return best_x, best_f, iterations, evaluations, minima, failed
@@ -378,7 +384,8 @@ def _search_batch(design, Y, box, kernel) -> list:
             grad = prepared.gradient(done, theta, sigma2)
         else:  # central difference at the profiled variance
             step = 1e-6 * theta
-            hi, lo = (n * np.log(sigma2) + L + Q / sigma2 for L, Q in (at(theta + step), at(theta - step)))
+            L, Q = at(np.concatenate([theta + step, theta - step], axis=1))
+            hi, lo = np.hsplit(n * np.log(sigma2) + L + Q / sigma2, 2)
             grad = (hi - lo) / (2.0 * step)
         for j, i in enumerate(done):
             if i not in failed:

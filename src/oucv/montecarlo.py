@@ -17,6 +17,7 @@ from __future__ import annotations
 import csv
 import json
 import math
+import numbers
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -105,9 +106,12 @@ class ExperimentConfig:
             raise InvalidParameterError(f"'seed' must be non-negative, got {self.seed}")
         for key in ("theta0", "sigma0_sq", "sigma1_sq", "theta2"):
             value = getattr(self, key)
-            required = key in ("theta0", "sigma0_sq")
-            if (required or value is not None) and not (math.isfinite(value) and value > 0.0):
-                raise InvalidParameterError(f"{key!r} must be positive and finite, got {value!r}")
+            if value is None and key in ("sigma1_sq", "theta2"):
+                continue
+            if isinstance(value, bool) or not isinstance(value, numbers.Real) or not (
+                math.isfinite(value) and value > 0.0
+            ):
+                raise InvalidParameterError(f"{key!r} must be a positive finite number, got {value!r}")
         object.__setattr__(self, "estimators", tuple(self.estimators))
         if not self.estimators:
             raise InvalidParameterError("estimator list is empty")

@@ -13,9 +13,11 @@ serves every route: the batched kernel :func:`reg_parts` that the
 ``cv-regression`` estimator of :mod:`oucv.estimation` evaluates for
 (replicate x theta) arrays like the centered kernels of
 :mod:`oucv.scoring`, the single-theta score and its correction terms,
-and the GLS coefficients. The factor depends on theta alone, so it is
-built once per theta value: a node of the search's theta grid shares
-its factor between the replicates, but each golden-section step
+and the GLS coefficients. The factor depends on theta alone. On the
+search's theta grid, :class:`TrendKernel` builds it once per block of
+nodes sized by the factor's own width (n p per node) and projects the
+replicates onto it in sub-blocks sized by rows x n, so a grid costs a
+few factors however many replicates share it. Each golden-section step
 evaluates one theta per replicate, and so builds one factor per
 replicate.
 P is applied in the increment form of :mod:`oucv.scoring`, where the
@@ -33,6 +35,7 @@ import scipy.linalg
 
 from .designs import Design
 from .errors import ConditioningError, InvalidParameterError
+from .numerics import _ELEMENT_BUDGET
 from .scoring import (
     _DENSE_MAX_N,
     ScoreDecomposition,
@@ -91,9 +94,16 @@ def _prepare_F(design: Design, F) -> np.ndarray:
     return F
 
 
-def _trend_factor(design: Design, thetas, F: np.ndarray):
+def _columns(F: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The trend columns as :func:`_trend_factor` takes them: the rows of
+    F' (p, n) and their :func:`~oucv.scoring._increments`."""
+    Ft = np.ascontiguousarray(F.T)
+    return Ft, _increments(Ft, 1)
+
+
+def _trend_factor(design: Design, thetas, columns):
     """The theta-only part of the projected precision P - W'W, for
-    ``thetas`` of any shape, unchecked.
+    ``thetas`` of any shape and the trend :func:`_columns` of F, unchecked.
 
     W = C^-1 F' P, with C lower triangular and C C' = F' P F, is built
     one trend column at a time: C_jl = F_j' W_l and C_jj = sqrt(F_j' w).
@@ -104,11 +114,11 @@ def _trend_factor(design: Design, thetas, F: np.ndarray):
     and the projected diagonal not positive.
     """
     A, h, c = _precision_terms(design, thetas)
-    C = np.zeros(A.shape[:-1] + (F.shape[1],) * 2)
+    Ft, dFt = columns
+    C = np.zeros(A.shape[:-1] + (Ft.shape[0],) * 2)
     W = []
-    Ft = np.ascontiguousarray(F.T)
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-        for j, (f, df) in enumerate(zip(Ft, _increments(Ft, 1))):
+        for j, (f, df) in enumerate(zip(Ft, dFt)):
             w = _apply_precision(f, df, h, c)
             for l, Wl in enumerate(W):
                 C[..., j, l] = np.sum(f * Wl, axis=-1)
@@ -117,6 +127,12 @@ def _trend_factor(design: Design, thetas, F: np.ndarray):
             W.append(w / C[..., j, j][..., None])
         ebar = sum(w * w for w in W)
         return (A, h, c), W, C, ebar, A - ebar
+
+
+def _theta_block(factor, block: slice):
+    """The trend factor of shared thetas (T,) at the thetas ``block``."""
+    (A, h, c), W, C, ebar, proj_diag = factor
+    return (A[block], h[block], c[block]), [w[block] for w in W], C[block], ebar[block], proj_diag[block]
 
 
 def _project(PZ: np.ndarray, W: list, Z: np.ndarray) -> np.ndarray:
@@ -146,7 +162,7 @@ def _factor_at(design: Design, z, theta: float, F):
     _check_theta(theta)
     z = _check_data(design, z)
     dz = _increments(z, 1)
-    factor = _trend_factor(design, [theta], _prepare_F(design, F))
+    factor = _trend_factor(design, [theta], _columns(_prepare_F(design, F)))
     L, Q = _parts(factor, z[None, :], dz[None, :])
     if np.isnan(L[0]):
         raise ConditioningError(f"trend projection is singular at theta = {theta}: the normal matrix is not "
@@ -184,27 +200,42 @@ def reg_parts(design: Design, Y: np.ndarray, thetas, F: np.ndarray) -> tuple[np.
     (row, theta) pair, so a row's values do not depend on the rest of
     the batch.
     """
-    return _parts(_trend_factor(design, thetas, F), Y, _increments(Y, 1))
+    return _parts(_trend_factor(design, thetas, _columns(F)), Y, _increments(Y, 1))
 
 
 class TrendKernel:
     """:func:`reg_parts` on data rows Z for checked trend columns F, in
     the form the batched search takes (see
-    :class:`~oucv.scoring.CvKernel`): the increments of the rows are
-    prepared once, whatever ``reuse`` says. It has no analytic
-    gradient."""
+    :class:`~oucv.scoring.CvKernel`): the increments of the rows and of
+    the trend columns are prepared once, whatever ``reuse`` says. It has
+    no analytic gradient."""
 
     gradient = None
 
     def __init__(self, design: Design, Z: np.ndarray, reuse: bool, F: np.ndarray):
-        self.design, self.F = design, F
+        self.design, self.columns = design, _columns(F)
         self.data = (Z, _increments(Z, 1))
 
     def parts(self, rows, thetas):
+        """L and Q at ``rows``. Shared thetas (T,) build one factor per
+        block of ``_ELEMENT_BUDGET`` // (n p) of them, the factor's own
+        width, and project the rows onto it in blocks of
+        ``_ELEMENT_BUDGET`` // (rows n) thetas; per-row thetas (R, k) are
+        one call. Every value depends on its own (row, theta) pair only,
+        so the blocking does not change a bit of the result."""
         Z, dZ = (_take(x, rows) for x in self.data)
-        width = self.design.n * self.F.shape[1]  # array elements per (row, theta) value
-        return _in_blocks(lambda t: _parts(_trend_factor(self.design, t, self.F), Z, dZ),
-                          thetas, Z.shape[0], width)
+        n = self.design.n
+        block = max(1, _ELEMENT_BUDGET // (Z.shape[0] * n))
+
+        def evaluate(thetas):
+            factor = _trend_factor(self.design, thetas, self.columns)
+            if thetas.ndim != 1:
+                return _parts(factor, Z, dZ)
+            L, Q = zip(*(_parts(_theta_block(factor, slice(j, j + block)), Z, dZ)
+                         for j in range(0, thetas.size, block)))
+            return np.concatenate(L), np.concatenate(Q, axis=1)
+
+        return _in_blocks(evaluate, thetas, 1, n * self.columns[0].shape[0])
 
 
 def reg_score_decomposition(design: Design, z, theta: float, F) -> ScoreDecomposition:

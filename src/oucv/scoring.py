@@ -103,7 +103,7 @@ _SERIES_X = 0.05
 # 7.0 -> 3.9 ms); every Monte Carlo preset stays below it.
 _SERIES_MIN_N = 1000
 # Cholesky pivot min/max below this means the covariance is numerically
-# singular (near-duplicate points); the dense oracle refuses to answer
+# singular (near-duplicate points); the dense oracles refuse to answer
 _PIVOT_RATIO_MIN = 1e-5
 
 
@@ -912,31 +912,33 @@ def ml_gradient_theta(design: Design, y, theta: float, sigma2: float) -> float:
 
 def _dense_cholesky(design: Design, theta: float) -> np.ndarray:
     """The dense lower Cholesky factor of the unit-variance covariance; n
-    is capped, and a failed factorization raises a conditioning error."""
+    is capped, and a failed factorization or a near-singular covariance
+    (duplicate-like points) raises a conditioning error instead of
+    returning noise."""
     _check_theta(theta)
     if design.n > _DENSE_MAX_N:
         raise InvalidParameterError(
             f"dense route is capped at n = {_DENSE_MAX_N}, got {design.n}"
         )
     try:
-        return np.linalg.cholesky(covariance_matrix(design, theta))
+        chol = np.linalg.cholesky(covariance_matrix(design, theta))
     except np.linalg.LinAlgError as err:
         raise ConditioningError(f"covariance factorization failed: {err}") from err
+    piv = np.diag(chol)
+    if float(piv.min() / piv.max()) < _PIVOT_RATIO_MIN:
+        raise ConditioningError(
+            "covariance is numerically singular (near-duplicate design points)"
+        )
+    return chol
 
 
 def dense_precision(design: Design, theta: float) -> np.ndarray:
     """Dense inverse covariance through a generic Cholesky factorization.
 
     Independent of the tridiagonal closed form on purpose; n is capped
-    and near-singular covariances (duplicate-like points) raise a
-    conditioning error instead of returning noise.
+    and near-singular covariances raise a conditioning error.
     """
     chol = _dense_cholesky(design, theta)
-    piv = np.diag(chol)
-    if float(piv.min() / piv.max()) < _PIVOT_RATIO_MIN:
-        raise ConditioningError(
-            "covariance is numerically singular (near-duplicate design points)"
-        )
     return scipy.linalg.cho_solve((chol, True), np.eye(design.n))
 
 
@@ -951,7 +953,8 @@ def dense_oracle_score(design: Design, y, theta: float, sigma2: float) -> float:
 
 
 def dense_oracle_ml(design: Design, y, theta: float, sigma2: float) -> float:
-    """Gaussian -2 log-likelihood from the dense covariance."""
+    """Gaussian -2 log-likelihood from the dense covariance; like
+    :func:`dense_precision`, it refuses a near-singular covariance."""
     _check_sigma2(sigma2)
     y = _check_data(design, y)
     chol = _dense_cholesky(design, theta)

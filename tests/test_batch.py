@@ -38,7 +38,7 @@ from oucv import (
     scoring,
 )
 from oucv.estimation import ESTIMATOR_TABLE, estimate_batch
-from oucv.regression import reg_parts
+from oucv.regression import TrendKernel, reg_parts
 from oucv.scoring import CvKernel, MlKernel
 from conftest import random_design
 
@@ -219,6 +219,33 @@ class TestRegressionKernel:
                 value = n * np.log(2.0) + L[j] + Q[0, j] / 2.0
                 assert abs(value - dense) <= 1e-7 * (1.0 + abs(dense))
 
+    @pytest.mark.parametrize("n", [12, 200, 2000])
+    def test_grid_blocks_equal_one_node_one_row_calls(self, n):
+        # the kernel builds the trend factor for blocks of 2^13 // (n p)
+        # grid nodes and projects the rows in blocks of 2^13 // (rows n):
+        # at these sizes a block holds one node, several or the whole grid,
+        # and no value may depend on where its node falls
+        rng = np.random.default_rng(n)
+        design = random_design(rng, n)
+        grid = np.geomspace(BOX.a, BOX.A, 64)
+        for p in (1, 2, 3):
+            F = _trend_matrix(design, p - 1)
+            Z = F @ np.arange(1.0, p + 1) + rng.standard_normal((40, n)).cumsum(axis=1) / np.sqrt(n)
+            want = [[reg_parts(design, z[None, :], grid[j:j + 1], F) for j in range(grid.size)] for z in Z]
+            want_L = np.array([L[0] for L, _ in want[0]])
+            want_Q = np.array([[Q[0, 0] for _, Q in row] for row in want])
+            for rows in (1, 3, 11, 12, 40):
+                L, Q = TrendKernel(design, Z[:rows], True, F).parts(None, grid)
+                assert np.array_equal(L, want_L) and np.array_equal(Q, want_Q[:rows]), (p, rows)
+
+    def test_forty_rows_equal_single_estimates(self):
+        # a chunk of 2^13 // n rows at n = 200, one node per projection block
+        d = regular_design(200)
+        F = _trend_matrix(d, 1)
+        Z = np.stack([F @ [1.0, 2.0] + sample_path(d, PARAMS0, (13, r)) for r in range(40)])
+        batch = estimate_batch("cv-regression", d, Z, BOX, F)
+        assert _batched(batch) == [_outcome(lambda z=z: estimate_cv_reg(d, z, F, BOX)) for z in Z]
+
     def test_nonfinite_and_overflowing_rows_fail_alone(self):
         d = regular_design(30)
         F = _trend_matrix(d, 1)
@@ -362,6 +389,45 @@ class TestEvaluationCount:
         assert res.evaluations == 64 + 2 + res.iterations + 1
         assert sum(pairs[:-1]) == res.evaluations and pairs[-1] == 1
         assert (res.iterations, res.evaluations) == (35, 102)
+
+    @pytest.mark.parametrize("name", oucv.ESTIMATORS)
+    def test_kernel_calls_per_search(self, monkeypatch, name):
+        # one kernel call each for the grid, the two interior points, every
+        # iteration, the midpoint and the variance profile, and one for the
+        # central difference of a kernel without a gradient; a fixed theta
+        # is one point and its profile
+        d = regular_design(50)
+        F = _trend_matrix(d, 1)
+        Y = np.stack([sample_path(d, PARAMS0, (14, r)) for r in range(3)])
+        value = {"cv-fixed-sigma": 2.0, "cv-fixed-theta": 1.5, "cv-regression": F}.get(name)
+        calls = []
+        row = ESTIMATOR_TABLE[name]
+
+        class Counting(row.kernel):
+            def parts(self, rows, thetas):
+                calls.append(np.shape(thetas))
+                return super().parts(rows, thetas)
+
+        monkeypatch.setitem(ESTIMATOR_TABLE, name, dataclasses.replace(row, kernel=Counting))
+        results = estimate_batch(name, d, Y + F @ [1.0, 2.0] if row.fixes == "trend" else Y, BOX, value)
+        if row.fixes == "theta":
+            assert calls == [(3, 1)] * 2
+            return
+        iterations = max(res.iterations for res in results)
+        assert len(calls) == 4 + iterations + (row.kernel.gradient is None)
+        assert calls[:2] == [(64,), (3, 2)]
+
+    def test_trend_grid_builds_a_factor_per_block_of_nodes(self, monkeypatch):
+        from oucv import regression
+
+        d = regular_design(200)
+        F = _trend_matrix(d, 1)
+        Z = np.stack([F @ [1.0, 2.0] + sample_path(d, PARAMS0, (15, r)) for r in range(12)])
+        builds = []
+        build = regression._trend_factor
+        monkeypatch.setattr(regression, "_trend_factor", lambda *args: builds.append(args[1].size) or build(*args))
+        TrendKernel(d, Z, True, F).parts(None, np.geomspace(BOX.a, BOX.A, 64))
+        assert len(builds) <= 4 and sum(builds) == 64  # 2^13 // (n p) nodes per factor
 
     def test_closed_form_and_collapsed_box_take_one(self):
         d = regular_design(12)

@@ -13,8 +13,8 @@ import numpy as np
 import pytest
 
 import oucv
-from oucv import (CovarianceParams, from_points, log_score, maximal_design, ml_neg2loglik, regular_design,
-                  sample_path)
+from oucv import (CovarianceParams, from_points, log_score, maximal_design, minimal_design, ml_neg2loglik,
+                  regular_design, sample_path)
 from oucv.cli import main
 
 
@@ -556,8 +556,11 @@ class TestProcess:
         (["design", "--kind", "minimal", "--n", "25"], 1, "InvalidDesignError"),
         (["simulate", "--design", "minimal:25:0.5", "--theta", "3", "--sigma2", "1", "--seed", "1"], 1,
          "InvalidDesignError"),
+        # the dense likelihood refuses a covariance too ill-conditioned to factor accurately
+        (["score", "--data", "MINIMAL", "--theta", "0.1", "--sigma2", "1", "--objective", "ml", "--oracle"], 3,
+         "ConditioningError"),
     ], ids=["domain", "io", "numerical", "numerical-on-the-whole-grid", "numerical-increment-overflow",
-            "design-underflow", "simulate-design-underflow"])
+            "design-underflow", "simulate-design-underflow", "ml-oracle-ill-conditioned"])
     def test_exit_code_contract(self, tmp_path, argv, code, error):
         inf = tmp_path / "inf.csv"
         inf.write_text("index,s,y\n1,0.0,0.1\n2,0.5,inf\n3,1.0,0.2\n")
@@ -569,7 +572,12 @@ class TestProcess:
         huge.write_text("index,s,y\n" + "".join(f"{i},{s!r},{v!r}\n" for i, (s, v) in rows))
         edge = tmp_path / "edge.csv"  # an increment beyond the float range
         edge.write_text("index,s,y\n1,0.0,1.5e308\n2,0.5,-1.5e308\n3,1.0,0.2\n")
-        files = {"MISSING": str(tmp_path / "missing.txt"), "INF": str(inf), "HUGE": str(huge), "EDGE": str(edge)}
+        minimal = tmp_path / "minimal.csv"  # a pivot ratio of 1e-8 at theta = 0.1
+        d = minimal_design(18, 0.5)
+        rows = enumerate(zip(d.points.tolist(), sample_path(d, CovarianceParams(3.0, 1.0), 4).tolist()), 1)
+        minimal.write_text("index,s,y\n" + "".join(f"{i},{s!r},{v!r}\n" for i, (s, v) in rows))
+        files = {"MISSING": str(tmp_path / "missing.txt"), "INF": str(inf), "HUGE": str(huge), "EDGE": str(edge),
+                 "MINIMAL": str(minimal)}
         proc = self._run([files.get(a, a) for a in argv])
         assert proc.returncode == code
         assert proc.stdout == ""

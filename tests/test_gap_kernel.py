@@ -411,7 +411,8 @@ def test_box_corners_against_the_dense_oracle(design, seed, scale):
     the smallest gap g as n (1 + 2 / (1 - e^(-2 theta g))), a bound on
     n max diag(R^-1) that needs none of the code under test. The values must agree to 1e-8 where that bound is
     below 1e-8, and to the bound elsewhere: on minimal designs with
-    n >= 12 the oracle answers, but off by up to 3e-2 at n = 18. Measured
+    n >= 12 both oracles refuse a Cholesky pivot ratio below 1e-5, but
+    answer above it off by up to 1.6e-6. Measured
     on these families, the oracle's error stayed below 0.6 of the bound;
     the kernels' own accuracy on the worst-conditioned designs is
     checked against 60-digit arithmetic in test_sixty_digit_accuracy.

@@ -65,6 +65,19 @@ class TestConfigValidation:
         cfg = dataclasses.replace(base, replicates=4.0, seed=np.int64(7))
         assert (cfg.replicates, cfg.seed) == (4, 7) and type(cfg.replicates) is type(cfg.seed) is int
 
+    def test_real_parameters_must_be_positive_finite_numbers(self):
+        # a str, a bool or a missing required value fails closed naming the
+        # key, as a bad value read from a config file does
+        base = make_preset("fig2-n12-regular")
+        bad = [(key, value) for key in ("theta0", "sigma0_sq", "sigma1_sq", "theta2")
+               for value in ("3", True, math.inf, -1.0, [1.0])]
+        bad += [("theta0", None), ("sigma0_sq", None)]
+        for key, value in bad:
+            with pytest.raises(InvalidParameterError, match=key):
+                dataclasses.replace(base, **{key: value})
+        cfg = dataclasses.replace(base, theta0=np.float64(2.5), sigma0_sq=2, sigma1_sq=None, theta2=None)
+        assert (cfg.theta0, cfg.sigma0_sq, cfg.sigma1_sq, cfg.theta2) == (2.5, 2, None, None)
+
     def test_build_design_kinds(self):
         assert build_design({"kind": "regular", "n": 12}).n == 12
         assert build_design({"kind": "maximal", "n": 12, "gamma": 1 / 12}).n == 12

@@ -240,10 +240,19 @@ class TestDenseOracle:
         pts = np.array([0.0, 0.5, 0.5 + 1e-13, 1.0])
         d = from_points(pts)
         y = np.array([0.1, -0.2, -0.2, 0.4])
-        with pytest.raises(ConditioningError):
-            dense_oracle_score(d, y, 3.0, 1.0)
+        for dense in (dense_oracle_score, dense_oracle_ml):
+            with pytest.raises(ConditioningError):
+                dense(d, y, 3.0, 1.0)
         # the matrix-free path survives the same inputs
         assert np.isfinite(log_score(d, y, 3.0, 1.0))
+        # a covariance that factors, but with a pivot ratio of 1e-8, where
+        # an answer would be off by 2e-2 relative: both oracles refuse
+        d = minimal_design(18, 0.5)
+        y = sample_path(d, CovarianceParams(3.0, 1.0), 4)
+        for dense in (dense_oracle_score, dense_oracle_ml):
+            with pytest.raises(ConditioningError):
+                dense(d, y, 0.1, 1.0)
+        assert np.isfinite(ml_neg2loglik(d, y, 0.1, 1.0))
 
     def test_size_guard(self):
         from oucv import InvalidParameterError
