@@ -4,12 +4,19 @@ All numerical output is machine readable: CSV cells carry 17
 significant digits, results and errors are JSON (errors as one line on
 stderr). Exit codes: 0 success, 1 domain error, 2 I/O error, 3
 numerical failure.
+
+:func:`main` parses with one parser per process, built on its first
+call: argparse keeps no state in a parser between parses, and building
+the five subcommands costs about a millisecond, as much as a small-n
+command's own work. :func:`build_parser` returns a new parser on every
+call, so no caller can change the shared one.
 """
 
 from __future__ import annotations
 
 import argparse
 import dataclasses
+import functools
 import itertools
 import json
 import math
@@ -420,9 +427,15 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """The parser :func:`main` reuses: each parse makes a new namespace,
+    and no default is mutable."""
+    return build_parser()
+
+
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = _parser().parse_args(argv)
     try:
         return args.func(args)
     except _DOMAIN_ERRORS as err:

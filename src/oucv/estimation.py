@@ -29,6 +29,7 @@ central difference.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 from functools import partial
 from typing import Callable
@@ -155,6 +156,11 @@ def replicate_chunk(n: int) -> int:
     """How many replicates of n points to estimate in one batch: as many
     as one block of the per-point kernel holds at one theta."""
     return max(1, _ELEMENT_BUDGET // n)
+
+
+def _positive_finite(value) -> bool:
+    """Whether ``value`` is a real number, not a bool, finite and positive."""
+    return not isinstance(value, bool) and isinstance(value, numbers.Real) and math.isfinite(value) and value > 0.0
 
 
 def _keep_best(f, x, best_f, best_x):
@@ -340,29 +346,31 @@ def _search_batch(design, Y, box, kernel) -> list:
     L and Q for the rows at indices ``rows``, batched like
     :func:`~oucv.scoring.score_parts`, and a NaN in L marks a theta
     where the objective could not be factored; a row that meets one
-    fails with :class:`ConditioningError`. Its ``gradient(rows, thetas,
-    sigma2)`` is the analytic theta-derivative; where it is None the
-    result carries a central difference of the objective at the
-    profiled variance.
+    fails with :class:`ConditioningError`. Its ``count`` is the number
+    of observations the variance is profiled over, the objective being
+    count log sigma2 + L + Q / sigma2 with the profile Q / count. Its
+    ``gradient(rows, thetas, sigma2)`` is the analytic
+    theta-derivative; where it is None the result carries a central
+    difference of the objective at the profiled variance.
 
     A fixed parameter is a collapsed range of the box: with a == A
     theta is fixed and the variance is the closed-form profile, with
     b == B the variance is fixed. The reported gradient is the
     derivative in the free coordinate, theta unless a == A, where it
-    is the variance derivative n / sigma2 - Q / sigma2^2.
+    is the variance derivative count / sigma2 - Q / sigma2^2.
     """
     Y, slots = _data_rows(design, Y)
     ok = _unfailed(slots)
     if not ok.size:
         return slots
     prepared = kernel(design, _take(Y, ok), box.a < box.A)  # a fixed theta is one evaluation
-    n = design.n
+    count = prepared.count
 
     def objective(rows, thetas, failed):
         L, Q = prepared.parts(rows, thetas)
         _record_singular(failed, rows, thetas, L)
-        s2 = _clamp(Q / n, box.b, box.B)
-        return n * np.log(s2) + L + Q / s2
+        s2 = _clamp(Q / count, box.b, box.B)
+        return count * np.log(s2) + L + Q / s2
 
     theta_hat, values, iterations, evaluations, minima, failed = _minimize_theta(
         objective, box.a, box.A, len(ok)
@@ -377,15 +385,15 @@ def _search_batch(design, Y, box, kernel) -> list:
             return L, Q
 
         _, Q = at(theta)
-        sigma2 = _clamp(Q / n, box.b, box.B)
+        sigma2 = _clamp(Q / count, box.b, box.B)
         if box.a == box.A:
-            grad = n / sigma2 - Q / (sigma2 * sigma2)
+            grad = count / sigma2 - Q / (sigma2 * sigma2)
         elif prepared.gradient:
             grad = prepared.gradient(done, theta, sigma2)
         else:  # central difference at the profiled variance
             step = 1e-6 * theta
             L, Q = at(np.concatenate([theta + step, theta - step], axis=1))
-            hi, lo = np.hsplit(n * np.log(sigma2) + L + Q / sigma2, 2)
+            hi, lo = np.hsplit(count * np.log(sigma2) + L + Q / sigma2, 2)
             grad = (hi - lo) / (2.0 * step)
         for j, i in enumerate(done):
             if i not in failed:
@@ -417,12 +425,16 @@ ESTIMATOR_TABLE = {
     "cv-regression": Estimator(TrendKernel, "trend"),
 }
 ESTIMATORS = tuple(ESTIMATOR_TABLE)
+# what each kind of estimator fixes, by the name of the argument and the
+# experiment config field that hold it
+_FIXED_NAMES = {"sigma2": "sigma1_sq", "theta": "theta2", "trend": "trend"}
 
 
 def estimate_batch(name: str, design: Design, Y, box: ParameterBox, value=None) -> list:
     """Estimator ``name`` on every row of Y (R, n), at the fixed ``value``
     of the variance or theta (the collapsed range of the box) or of the
-    trend columns F (n, p); a joint estimator takes none.
+    trend columns F (n, p); a joint estimator takes none. A fixed variance
+    or theta must be a positive finite number.
 
     Returns one entry per row: an :class:`EstimateResult`, or the
     :class:`OucvError` that row failed with.
@@ -433,6 +445,10 @@ def estimate_batch(name: str, design: Design, Y, box: ParameterBox, value=None) 
     if (value is None) != (row.fixes is None):
         raise InvalidParameterError(f"{name} needs a fixed {row.fixes}" if value is None
                                     else f"{name} fixes no parameter, got {value!r}")
+    if row.fixes in ("sigma2", "theta") and not _positive_finite(value):
+        raise InvalidParameterError(
+            f"{name} needs a positive finite fixed {_FIXED_NAMES[row.fixes]}, got {value!r}"
+        )
     kernel = row.kernel
     if row.fixes == "sigma2":
         box = ParameterBox(box.a, box.A, value, value)

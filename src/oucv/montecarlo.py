@@ -17,7 +17,6 @@ from __future__ import annotations
 import csv
 import json
 import math
-import numbers
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -28,6 +27,8 @@ from .errors import InvalidParameterError, OucvError
 from .estimation import (
     ESTIMATOR_TABLE,
     ParameterBox,
+    _FIXED_NAMES,
+    _positive_finite,
     estimate_batch,
     replicate_chunk,
     standardized_statistic,
@@ -47,9 +48,6 @@ __all__ = [
     "export",
     "read_records",
 ]
-
-# the config field that holds what each kind of estimator fixes
-_FIXED_FIELDS = {"sigma2": "sigma1_sq", "theta": "theta2", "trend": "trend"}
 
 _RECORD_FIELDS = (
     "replicate",
@@ -108,9 +106,7 @@ class ExperimentConfig:
             value = getattr(self, key)
             if value is None and key in ("sigma1_sq", "theta2"):
                 continue
-            if isinstance(value, bool) or not isinstance(value, numbers.Real) or not (
-                math.isfinite(value) and value > 0.0
-            ):
+            if not _positive_finite(value):
                 raise InvalidParameterError(f"{key!r} must be a positive finite number, got {value!r}")
         object.__setattr__(self, "estimators", tuple(self.estimators))
         if not self.estimators:
@@ -119,8 +115,8 @@ class ExperimentConfig:
             if name not in ESTIMATOR_TABLE:
                 raise InvalidParameterError(f"unknown estimator {name!r}")
             fixes = ESTIMATOR_TABLE[name].fixes
-            if fixes and getattr(self, _FIXED_FIELDS[fixes]) is None:
-                raise InvalidParameterError(f"{name} needs {_FIXED_FIELDS[fixes]}")
+            if fixes and getattr(self, _FIXED_NAMES[fixes]) is None:
+                raise InvalidParameterError(f"{name} needs {_FIXED_NAMES[fixes]}")
 
 
 @dataclass(frozen=True)

@@ -207,13 +207,14 @@ class TrendKernel:
     """:func:`reg_parts` on data rows Z for checked trend columns F, in
     the form the batched search takes (see
     :class:`~oucv.scoring.CvKernel`): the increments of the rows and of
-    the trend columns are prepared once, whatever ``reuse`` says. It has
-    no analytic gradient."""
+    the trend columns are prepared once, whatever ``reuse`` says. The
+    variance profile divides Q by ``count`` = n. It has no analytic
+    gradient."""
 
     gradient = None
 
     def __init__(self, design: Design, Z: np.ndarray, reuse: bool, F: np.ndarray):
-        self.design, self.columns = design, _columns(F)
+        self.design, self.columns, self.count = design, _columns(F), design.n
         self.data = (Z, _increments(Z, 1))
 
     def parts(self, rows, thetas):

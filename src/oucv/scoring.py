@@ -374,7 +374,9 @@ class _GapKernel:
     ``parts(rows, thetas)`` and ``gradient(rows, thetas, sigma2)`` are
     batched like :func:`score_parts`, over the rows ``rows`` (sorted
     indices, or None for all) of the prepared data. Every value depends
-    on its own (row, theta) pair only, and so does its route.
+    on its own (row, theta) pair only, and so does its route. ``count``
+    is the number of observations the variance profile Q / count
+    divides by: n for both objectives.
     """
 
     keys = 0  # neighbouring gaps that define a point's class
@@ -382,7 +384,8 @@ class _GapKernel:
     def __init__(self, design: Design, Y: np.ndarray, reuse: bool = True):
         n = design.n
         Y = np.asarray(Y, dtype=float)
-        self.n, self.rows = n, Y.shape[0]
+        self.n = self.count = n
+        self.rows = Y.shape[0]
         self.data = self._point_arrays(Y)
         self.gaps = np.concatenate(([np.inf], design.gaps, [np.inf]))[: n + self.keys - 1]
         self.M = None

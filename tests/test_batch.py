@@ -168,6 +168,16 @@ def test_estimate_batch_refuses_an_unknown_name_and_a_missing_or_stray_value():
             estimate_batch(name, d, Y, BOX, value)
 
 
+@pytest.mark.parametrize("name, param", [("cv-fixed-sigma", "sigma1_sq"), ("cv-fixed-theta", "theta2")])
+@pytest.mark.parametrize("value", [math.nan, math.inf, 0.0, -1.0, "2", True],
+                         ids=["nan", "inf", "zero", "negative", "text", "bool"])
+def test_a_bad_fixed_value_is_named_with_its_estimator(name, param, value):
+    d = regular_design(12)
+    Y = np.stack([sample_path(d, PARAMS0, (2, r)) for r in range(2)])
+    with pytest.raises(oucv.InvalidParameterError, match=f"^{name} needs a positive finite fixed {param}, got "):
+        estimate_batch(name, d, Y, BOX, value)
+
+
 def test_grid_blocks_do_not_change_rows():
     # at n = 2000 sixteen rows split the 64-node grid into blocks of two
     d = regular_design(2000)
@@ -186,6 +196,44 @@ def test_regression_rows_equal_single_estimates():
     assert isinstance(batch[1], NumericalFailureError)
     for r in (0, 2, 3):
         assert repr(batch[r]) == repr(estimate_cv_reg(d, Z[r], F, BOX))
+
+
+class TestProfileCount:
+    """The search profiles the variance over the kernel's ``count``."""
+
+    def test_every_kernel_counts_the_points(self):
+        d = regular_design(30)
+        Y = np.stack([sample_path(d, PARAMS0, (6, r)) for r in range(2)])
+        kernels = (CvKernel(d, Y), MlKernel(d, Y), TrendKernel(d, Y, True, _trend_matrix(d, 1)))
+        assert [kernel.count for kernel in kernels] == [d.n] * 3
+
+    @pytest.mark.parametrize("name", ["cv-joint", "cv-fixed-theta", "ml-joint", "cv-regression"])
+    def test_a_kernel_counting_one_less_gets_the_profile_over_n_minus_1(self, monkeypatch, name):
+        d = regular_design(40)
+        F = _trend_matrix(d, 1)
+        Y = np.stack([sample_path(d, PARAMS0, (16, r)) for r in range(3)])
+        row = ESTIMATOR_TABLE[name]
+        value = {"cv-fixed-theta": 1.5, "cv-regression": F}.get(name)
+        kwargs = {"F": F} if row.fixes == "trend" else {}
+
+        class Fewer(row.kernel):
+            def __init__(self, *args, **kw):
+                super().__init__(*args, **kw)
+                self.count = d.n - 1
+
+        monkeypatch.setitem(ESTIMATOR_TABLE, name, dataclasses.replace(row, kernel=Fewer))
+        results = estimate_batch(name, d, Y, BOX, value)
+        theta = np.array([[res.theta_hat] for res in results])
+        L, Q = Fewer(d, Y, row.fixes != "theta", **kwargs).parts(None, theta)
+        m = d.n - 1
+        sigma2 = np.minimum(np.maximum(Q / m, BOX.b), BOX.B)
+        assert [res.sigma2_hat for res in results] == sigma2[:, 0].tolist()
+        assert not np.array_equal(sigma2, np.minimum(np.maximum(Q / d.n, BOX.b), BOX.B))
+        objective = m * np.log(sigma2) + L + Q / sigma2
+        for j, res in enumerate(results):
+            assert res.objective_value == pytest.approx(objective[j, 0], rel=1e-12)
+            if row.fixes == "theta":  # the variance derivative
+                assert res.gradient_at_opt == m / sigma2[j, 0] - Q[j, 0] / (sigma2[j, 0] * sigma2[j, 0])
 
 
 class TestRegressionKernel:

@@ -15,13 +15,19 @@ import pytest
 import oucv
 from oucv import (CovarianceParams, from_points, log_score, maximal_design, minimal_design, ml_neg2loglik,
                   regular_design, sample_path)
-from oucv.cli import main
+from oucv import cli
+from oucv.cli import build_parser, main
 
 
 def run_cli(argv):
+    """``main`` in this process: the exit code, an argparse exit's
+    included, stdout and stderr."""
     out, err = io.StringIO(), io.StringIO()
     with redirect_stdout(out), redirect_stderr(err):
-        code = main(argv)
+        try:
+            code = main(argv)
+        except SystemExit as exc:  # argparse refused the flags or printed help
+            code = exc.code
     return code, out.getvalue(), err.getvalue()
 
 
@@ -534,6 +540,29 @@ class TestHelp:
         assert "--threads" not in capsys.readouterr().out
 
 
+class TestParser:
+    """``main`` parses with one parser per process; ``build_parser`` still
+    returns a new one on every call."""
+
+    def test_main_builds_at_most_one_parser(self, monkeypatch):
+        built = []
+        monkeypatch.setattr(cli, "build_parser", lambda: built.append(1) or build_parser())
+        cli._parser.cache_clear()
+        try:
+            simulate = ["simulate", "--design", "regular:8", "--theta", "3", "--sigma2", "1", "--seed", "4"]
+            for argv in [simulate] * 5 + [["estimate", "--data", "x.csv"], ["--help"]]:
+                run_cli(argv)
+            assert len(built) == 1
+        finally:
+            cli._parser.cache_clear()
+
+    def test_build_parser_returns_a_new_parser(self):
+        parser = build_parser()
+        assert parser is not build_parser() and parser is not cli._parser()
+        parser.add_argument("--required-here", required=True)  # changing one does not reach main
+        assert run_cli(["design", "--kind", "regular", "--n", "6"])[0] == 0
+
+
 class TestProcess:
     """``python -m oucv`` in a child process: each failing exit code
     leaves exactly one JSON line on stderr and no traceback."""
@@ -545,23 +574,29 @@ class TestProcess:
         return subprocess.run([sys.executable, "-m", "oucv", *argv], capture_output=True, text=True, env=env,
                               timeout=120)
 
-    @pytest.mark.parametrize("argv, code, error", [
+    @pytest.mark.parametrize("argv, code, error, named", [
         (["simulate", "--design", "regular:8", "--theta", "3", "--sigma2", "1", "--seed", "-1"], 1,
-         "InvalidParameterError"),
-        (["design", "--kind", "file", "--points", "MISSING"], 2, "FileNotFoundError"),
-        (["score", "--data", "INF", "--theta", "2", "--sigma2", "1"], 3, "NumericalFailureError"),
-        (["estimate", "--data", "HUGE", "--box", "0.1,10,0.3,30"], 3, "NumericalFailureError"),
-        (["estimate", "--data", "EDGE", "--box", "0.1,10,0.3,30"], 3, "NumericalFailureError"),
+         "InvalidParameterError", ()),
+        (["design", "--kind", "file", "--points", "MISSING"], 2, "FileNotFoundError", ()),
+        (["score", "--data", "INF", "--theta", "2", "--sigma2", "1"], 3, "NumericalFailureError", ()),
+        (["estimate", "--data", "HUGE", "--box", "0.1,10,0.3,30"], 3, "NumericalFailureError", ()),
+        (["estimate", "--data", "EDGE", "--box", "0.1,10,0.3,30"], 3, "NumericalFailureError", ()),
         # a minimal design past n = 20 always underflows, and says so in one line, with no warning
-        (["design", "--kind", "minimal", "--n", "25"], 1, "InvalidDesignError"),
+        (["design", "--kind", "minimal", "--n", "25"], 1, "InvalidDesignError", ()),
         (["simulate", "--design", "minimal:25:0.5", "--theta", "3", "--sigma2", "1", "--seed", "1"], 1,
-         "InvalidDesignError"),
+         "InvalidDesignError", ()),
         # the dense likelihood refuses a covariance too ill-conditioned to factor accurately
         (["score", "--data", "MINIMAL", "--theta", "0.1", "--sigma2", "1", "--objective", "ml", "--oracle"], 3,
-         "ConditioningError"),
+         "ConditioningError", ()),
+        # a bad fixed value is named with its estimator
+        (["estimate", "--data", "MINIMAL", "--box", "0.1,10,0.3,30", "--mode", "fixed-sigma", "--sigma1", "nan"], 1,
+         "InvalidParameterError", ("cv-fixed-sigma", "sigma1")),
+        (["estimate", "--data", "MINIMAL", "--box", "0.1,10,0.3,30", "--mode", "fixed-theta", "--theta2", "-1"], 1,
+         "InvalidParameterError", ("cv-fixed-theta", "theta2")),
     ], ids=["domain", "io", "numerical", "numerical-on-the-whole-grid", "numerical-increment-overflow",
-            "design-underflow", "simulate-design-underflow", "ml-oracle-ill-conditioned"])
-    def test_exit_code_contract(self, tmp_path, argv, code, error):
+            "design-underflow", "simulate-design-underflow", "ml-oracle-ill-conditioned", "fixed-sigma-nan",
+            "fixed-theta-negative"])
+    def test_exit_code_contract(self, tmp_path, argv, code, error, named):
         inf = tmp_path / "inf.csv"
         inf.write_text("index,s,y\n1,0.0,0.1\n2,0.5,inf\n3,1.0,0.2\n")
         # a path whose objective overflows at every theta of the grid
@@ -582,8 +617,34 @@ class TestProcess:
         assert proc.returncode == code
         assert proc.stdout == ""
         (line,) = proc.stderr.splitlines()
-        assert json.loads(line)["error"] == error
+        payload = json.loads(line)
+        assert payload["error"] == error
+        assert all(name in payload["message"] for name in named)
         assert "Traceback" not in proc.stderr
+
+    def test_one_parser_serves_a_sequence_of_commands(self, tmp_path, monkeypatch):
+        # a rejection, help, a domain error, then a simulate -> score ->
+        # estimate pass, all on this process's one parser, print what each
+        # prints in a process of its own
+        monkeypatch.setenv("COLUMNS", "80")  # the help text's width, here and in the child
+        data = tmp_path / "data.csv"
+        commands = [
+            ["estimate", "--data", str(data)],
+            ["--help"],
+            ["simulate", "--design", "regular:8", "--theta", "3", "--sigma2", "1", "--seed", "-1"],
+            ["simulate", "--design", "regular:30", "--theta", "3", "--sigma2", "1", "--seed", "4"],
+            ["score", "--data", str(data), "--theta", "2", "--sigma2", "1"],
+            ["estimate", "--data", str(data), "--box", "0.1,10,0.3,30"],
+        ]
+        here = []
+        for argv in commands:
+            here.append(run_cli(argv))
+            if argv[0] == "simulate" and here[-1][0] == 0:
+                data.write_text(here[-1][1])
+        assert [code for code, _, _ in here] == [2, 0, 1, 0, 0, 0]
+        for argv, result in zip(commands, here):
+            proc = self._run(argv)
+            assert (proc.returncode, proc.stdout, proc.stderr) == result
 
     def test_success_exits_0(self):
         argv = ["simulate", "--design", "regular:8", "--theta", "3", "--sigma2", "1", "--seed", "4"]

@@ -233,6 +233,40 @@ def test_series_agrees_with_the_per_point_form(design, rows, seed, scale):
         np.testing.assert_allclose(g1, g0, rtol=1e-12, atol=1e-12 * n)
 
 
+@st.composite
+def large_designs(draw):
+    """Regular, maximal and Dirichlet designs of 10^5 points: gap classes
+    on the first two, the series on the third."""
+    n = 10**5
+    kind = draw(st.sampled_from(["regular", "maximal", "dirichlet"]))
+    if kind == "regular":
+        return regular_design(n)
+    if kind == "maximal":
+        return maximal_design(n, draw(st.sampled_from([1.0 / n, 0.5])))
+    return random_design(np.random.default_rng(draw(st.integers(0, 2**32 - 1))), n)
+
+
+@settings(max_examples=10, deadline=None, derandomize=True, database=None,
+          suppress_health_check=[HealthCheck.too_slow])
+@given(
+    design=large_designs(),
+    seed=st.integers(0, 2**32 - 1),
+    thetas=st.lists(st.floats(BOX.a, BOX.A), min_size=1, max_size=3),
+)
+def test_large_designs_agree_with_the_per_point_form(design, seed, thetas):
+    y = sample_path(design, PARAMS0, seed)
+    thetas = np.array(thetas)
+    for kernel in (CvKernel, MlKernel):
+        fast, exact = kernel(design, y[None, :]), kernel(design, y[None, :], reuse=False)
+        assert fast.route in ("classes", "series") and exact.route == "per-point"
+        (L1, Q1), (L0, Q0) = fast.parts(None, thetas), exact.parts(None, thetas)
+        assert np.all(Q1 >= 0.0) and np.all(Q0 >= 0.0)
+        np.testing.assert_allclose(Q1, Q0, rtol=1e-12, atol=0.0)
+        np.testing.assert_allclose(L1, L0, rtol=1e-12, atol=0.0)
+    for theta in thetas:
+        assert np.all(loo_predictions(design, y, float(theta)).normalized_variances > 0.0)
+
+
 def test_series_coefficients_are_the_taylor_coefficients():
     with mpmath.workdps(40):
         for table, f in ((scoring._COTH, lambda x: x * mpmath.coth(x) if x else 1),
