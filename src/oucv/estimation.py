@@ -8,22 +8,29 @@ cases are covered: joint estimation, fixed variance, fixed inverse
 length scale. They are one search: a fixed parameter is a box range of
 zero width.
 
-The estimators are the rows of one table, :data:`ESTIMATOR_TABLE`, and
-:func:`estimate_batch` runs any of them on every row of a data array
-(R, n) at once. The grid is evaluated as whole arrays of
-(row, theta) pairs, and golden-section search then runs on all rows in
-lockstep, each with its own bracket, iteration count and stopping
-point. A row's result depends on that row alone, so it is bitwise the
-same in any batch; the single-path ``estimate_*`` functions are batches
-of one. Each objective is prepared once per batch (a kernel of
-:mod:`oucv.scoring`, whose evaluation costs as many operations as the
-design has gap classes, or O(1) per row on a large design without
-classes, or the trend kernel of :mod:`oucv.regression`). The grid is
-one call of it for every row, which the kernel cuts into blocks: the
-trend kernel builds its theta-only factor per block of nodes sized by
-n p and projects the rows in blocks sized by rows x n. The two interior
-points of the brackets are one call, and so are the two sides of a
-central difference.
+The estimators are the rows of one table, :data:`ESTIMATOR_TABLE`.
+:func:`estimate_lanes` runs several of them on every row of a data
+array (R, n) in one search, and :func:`estimate_batch` is its case of
+one estimator. Each estimator holds its own copy of the rows, a lane;
+the search stacks the lanes (estimator x row) and evaluates the grid as
+whole arrays of (row, theta) pairs, and golden-section search then runs
+on all stacked rows in lockstep, each with its own bracket, variance
+bounds and stopping point. A row's result depends on that row alone, so
+it is bitwise the same in any batch and beside any other estimator; the
+single-path ``estimate_*`` functions are batches of one. Each objective
+is prepared once per call (a kernel of :mod:`oucv.scoring`, whose
+evaluation costs as many operations as the design has gap classes, or
+O(1) per row on a large design without classes, or the trend kernel of
+:mod:`oucv.regression`), and the lanes of one kernel share its calls:
+``cv-joint`` and ``cv-fixed-sigma`` evaluate one grid of L and Q. A
+fixed theta (``cv-fixed-theta``) is no search: its rows are one
+evaluation each, point by point on a kernel of their own. The grid is
+one call of each kernel for every row, which the kernel cuts into
+blocks: the trend kernel builds its theta-only factor per block of
+nodes sized by n p and projects the rows in blocks sized by rows x n.
+The two interior points of the brackets are one call per kernel, and
+so are each golden-section step and the two sides of a central
+difference.
 """
 
 from __future__ import annotations
@@ -40,7 +47,7 @@ from .designs import Design
 from .errors import ConditioningError, InvalidParameterError, NumericalFailureError, OucvError
 from .numerics import _ELEMENT_BUDGET
 from .regression import TrendKernel, _prepare_F
-from .scoring import CvKernel, MlKernel, ScoreDecomposition, _check_data, _take
+from .scoring import CvKernel, MlKernel, ScoreDecomposition, _check_data
 
 __all__ = [
     "ParameterBox",
@@ -54,6 +61,7 @@ __all__ = [
     "ESTIMATORS",
     "ESTIMATOR_TABLE",
     "estimate_batch",
+    "estimate_lanes",
     "replicate_chunk",
     "standardized_statistic",
 ]
@@ -82,6 +90,10 @@ class ParameterBox:
     B: float
 
     def __post_init__(self):
+        for bound in ("a", "A", "b", "B"):
+            value = getattr(self, bound)
+            if isinstance(value, bool) or not isinstance(value, numbers.Real):
+                raise InvalidParameterError(f"box bound {bound!r} must be a real number, got {value!r}")
         if not (0.0 < self.a <= self.A < math.inf):
             raise InvalidParameterError(f"invalid theta bounds [{self.a}, {self.A}]")
         if not (0.0 < self.b <= self.B < math.inf):
@@ -163,20 +175,14 @@ def _positive_finite(value) -> bool:
     return not isinstance(value, bool) and isinstance(value, numbers.Real) and math.isfinite(value) and value > 0.0
 
 
-def _keep_best(f, x, best_f, best_x):
-    """Per row, the better of (f, x) and (best_f, best_x): the smaller
-    value, or on a tie the smaller theta; a NaN value never wins."""
-    better = (f < best_f) | ((f == best_f) & (x < best_x))
-    return np.where(better, f, best_f), np.where(better, x, best_x)
-
-
 def _fail_nonfinite(failed: dict, thetas: np.ndarray, values: np.ndarray) -> None:
     """Fail each row with a non-finite value among ``values`` (rows, T),
-    naming the first of the shared ``thetas`` (T,) it was found at."""
+    naming the first theta it was found at; ``thetas`` is shared, (T,),
+    or per row, (rows, T)."""
     finite = np.isfinite(values)
     for r in np.flatnonzero(~finite.all(axis=1)):
         if r not in failed:
-            bad = float(thetas[np.argmin(finite[r])])
+            bad = float(np.broadcast_to(thetas, values.shape)[r, np.argmin(finite[r])])
             failed[r] = NumericalFailureError(f"objective is not finite at theta = {bad}", theta=bad)
 
 
@@ -191,6 +197,31 @@ def _local_minima(values: np.ndarray) -> np.ndarray:
     return np.count_nonzero(falls_into & rises_from, axis=1)
 
 
+def _at_one_theta(objective: Callable, theta: np.ndarray) -> tuple:
+    """The objective at one theta per row, ``theta`` (rows,), without a
+    search; returns what :func:`_minimize_theta` does, with no
+    iterations, one evaluation and one grid minimum per row."""
+    rows = theta.size
+    failed: dict[int, OucvError] = {}
+    values = objective(np.arange(rows), theta[:, None], failed)
+    _fail_nonfinite(failed, theta[:, None], values)
+    ones = np.ones(rows, int)
+    return theta, values[:, 0], np.zeros(rows, int), ones, ones, failed
+
+
+def _best_seen(seen: list, rows: int) -> tuple[np.ndarray, np.ndarray]:
+    """Per row, the point of least value among ``seen``, a list of (row
+    indices, thetas, values): ties go to the smaller theta, and a NaN
+    value never wins. A row with no value but NaN gets infinity."""
+    index, x, f = (np.concatenate(part) for part in zip(*seen))
+    best_f = np.full(rows, np.inf)
+    np.fmin.at(best_f, index, f)
+    tie = f == best_f[index]
+    best_x = np.full(rows, np.inf)
+    np.fmin.at(best_x, index[tie], x[tie])
+    return best_x, best_f
+
+
 def _minimize_theta(objective: Callable, lo: float, hi: float, rows: int) -> tuple:
     """Coarse log-spaced grid plus golden-section refinement, all rows in lockstep.
 
@@ -203,33 +234,25 @@ def _minimize_theta(objective: Callable, lo: float, hi: float, rows: int) -> tup
     the golden-section brackets.
 
     Each row keeps its own bracket around its grid argmin and stops when
-    the bracket is narrower than ``_REFINE_RTOL`` times its midpoint.
-    The returned point is the smallest objective value seen, grid nodes
-    included; ties go to the smaller theta. A non-finite value on a
-    row's grid fails that row alone. When ``lo == hi`` the grid is that
-    one point, with no refinement. Returns per row theta, value,
-    iterations, evaluations and the local minima of the grid values
-    (1 for a single point), and the failures by row.
+    the bracket is narrower than ``_REFINE_RTOL`` times its midpoint; the
+    rows still searching step together. The returned point is the
+    smallest objective value seen, grid nodes included; ties go to the
+    smaller theta. A non-finite value on a row's grid fails that row
+    alone. Returns per row theta, value, iterations, evaluations and the
+    local minima of the grid values, and the failures by row; a collapsed
+    range ``lo == hi`` is no search but :func:`_at_one_theta`.
     """
     failed: dict[int, OucvError] = {}
     everyone = np.arange(rows)
-    if lo == hi:
-        theta = np.full(rows, lo)
-        values = objective(everyone, theta[:, None], failed)
-        _fail_nonfinite(failed, theta[:1], values)
-        ones = np.ones(rows, int)
-        return theta, values[:, 0], np.zeros(rows, int), ones, ones, failed
-
     grid = np.geomspace(lo, hi, _GRID_SIZE)
     values = objective(everyone, grid, failed)
     _fail_nonfinite(failed, grid, values)
     minima = _local_minima(values)
     k = np.argmin(values, axis=1)  # first minimum: tie toward smaller theta
-    best_x = grid[k]
-    best_f = values[everyone, k]
     lo_ = grid[np.maximum(k - 1, 0)]
     hi_ = grid[np.minimum(k + 1, _GRID_SIZE - 1)]
     iterations = np.zeros(rows, int)
+    seen = [(everyone, grid[k], values[everyone, k])]  # the best grid node, then every point after the grid
 
     def unfailed(idx: np.ndarray) -> np.ndarray:
         return idx[[r not in failed for r in idx]] if failed else idx
@@ -240,26 +263,24 @@ def _minimize_theta(objective: Callable, lo: float, hi: float, rows: int) -> tup
             return np.empty(x.shape)
         return objective(idx, x, failed)
 
-    # golden-section state of the rows still searching, their best point included
+    # golden-section state of the rows still searching
     idx = unfailed(everyone)
     a, b = lo_[idx], hi_[idx]
     c = b - _INVPHI * (b - a)
     d = a + _INVPHI * (b - a)
     fc, fd = at(idx, np.stack([c, d], axis=1)).T
-    bf, bx = _keep_best(fc, c, best_f[idx], best_x[idx])
-    bf, bx = _keep_best(fd, d, bf, bx)
-    it = np.zeros(idx.size, int)
+    seen += [(idx, c, fc), (idx, d, fd)]
+    it = 0
     while idx.size:
-        keep = (b - a > _REFINE_RTOL * 0.5 * (a + b)) & (it < _REFINE_MAX_ITER)
+        keep = b - a > _REFINE_RTOL * 0.5 * (a + b)
+        if it == _REFINE_MAX_ITER:
+            keep[:] = False
         if failed:
             keep &= [r not in failed for r in idx]
         if not keep.all():
             out, stop = idx[~keep], ~keep
-            lo_[out], hi_[out], iterations[out] = a[stop], b[stop], it[stop]
-            best_f[out], best_x[out] = bf[stop], bx[stop]
-            idx, a, b, c, d, fc, fd, bf, bx, it = (
-                v[keep] for v in (idx, a, b, c, d, fc, fd, bf, bx, it)
-            )
+            lo_[out], hi_[out], iterations[out] = a[stop], b[stop], it
+            idx, a, b, c, d, fc, fd = (v[keep] for v in (idx, a, b, c, d, fc, fd))
             if not idx.size:
                 break
         left = fc <= fd  # ties shrink toward the left, keeping smaller arguments
@@ -268,13 +289,14 @@ def _minimize_theta(objective: Callable, lo: float, hi: float, rows: int) -> tup
         step = _INVPHI * (b - a)
         probe = np.where(left, b - step, a + step)
         f = at(idx, probe[:, None])[:, 0]
-        bf, bx = _keep_best(f, probe, bf, bx)
+        seen.append((idx, probe, f))
         c, d = np.where(left, probe, d), np.where(left, c, probe)
         fc, fd = np.where(left, f, fd), np.where(left, fc, f)
         it += 1
     idx = unfailed(everyone)
     mid = 0.5 * (lo_[idx] + hi_[idx])
-    best_f[idx], best_x[idx] = _keep_best(at(idx, mid[:, None])[:, 0], mid, best_f[idx], best_x[idx])
+    seen.append((idx, mid, at(idx, mid[:, None])[:, 0]))
+    best_x, best_f = _best_seen(seen, rows)
     # the grid, the two interior points, one point per iteration, the midpoint
     evaluations = _GRID_SIZE + 2 + iterations + 1
     return best_x, best_f, iterations, evaluations, minima, failed
@@ -337,19 +359,162 @@ def _record_singular(failed: dict, rows: np.ndarray, thetas, L: np.ndarray) -> N
             )
 
 
-def _search_batch(design, Y, box, kernel) -> list:
-    """Profile search over theta for every row of Y.
+class _Stack:
+    """Lanes searched together. A lane is one estimator's copy of the data
+    rows (R of them): stacked row s is data row s % R of lane s // R, and
+    the lanes of one prepared kernel lie next to each other, so that each
+    kernel is called once per evaluation for all of its lanes.
 
-    ``kernel(design, Y, reuse)`` prepares the objective on the rows once,
-    like :class:`~oucv.scoring.CvKernel`, told whether it will be
-    evaluated at more than one theta: its ``parts(rows, thetas)`` returns
-    L and Q for the rows at indices ``rows``, batched like
-    :func:`~oucv.scoring.score_parts`, and a NaN in L marks a theta
-    where the objective could not be factored; a row that meets one
-    fails with :class:`ConditioningError`. Its ``count`` is the number
-    of observations the variance is profiled over, the objective being
-    count log sigma2 + L + Q / sigma2 with the profile Q / count. Its
-    ``gradient(rows, thetas, sigma2)`` is the analytic
+    ``objective`` is the profiled objective that :func:`_minimize_theta`
+    takes: per stacked row count log sigma2 + L + Q / sigma2 at the
+    variance profile Q / count, clamped into the lane's [b, B]. With one
+    lane the kernel sees the search's own rows, None for all of them, and
+    the bounds are the lane's scalars, as if there were no stack: the
+    stacked path gives the same bits, but its per-step splitting, copies
+    and indexing made a one-estimator search up to 15% slower.
+    """
+
+    def __init__(self, lanes: list, kernels: list, R: int):
+        self.R, self.lanes = R, lanes
+        self.groups = []  # [kernel, number of its lanes], in stacked order
+        for kernel in kernels:
+            if self.groups and self.groups[-1][0] is kernel:
+                self.groups[-1][1] += 1
+            else:
+                self.groups.append([kernel, 1])
+        self.starts = R * np.cumsum([0] + [lanes for _, lanes in self.groups])
+        self.single = len(lanes) == 1
+        per_lane = ([kernel.count for kernel in kernels], [lane.box.b for lane in lanes],
+                    [lane.box.B for lane in lanes])
+        if self.single:
+            self.count, self.b, self.B = (values[0] for values in per_lane)
+        else:  # per stacked row
+            self.count, self.b, self.B = (np.repeat(np.array(values, dtype=float), R)[:, None] for values in per_lane)
+        # Q / sigma2 is at most Q / B, so it can overflow only below an upper variance bound of 1
+        self.overflows = min(per_lane[2]) < 1.0
+
+    def bounds(self, srows: np.ndarray) -> tuple:
+        """The profile's count and variance bounds of the stacked rows."""
+        if self.single:
+            return self.count, self.b, self.B
+        return self.count[srows], self.b[srows], self.B[srows]
+
+    def _calls(self, srows: np.ndarray):
+        """Per kernel with rows among the sorted stacked rows ``srows``: the
+        kernel, its data rows (None for all of a lone lane's) and the slice
+        of ``srows`` that holds them."""
+        cuts = np.searchsorted(srows, self.starts).tolist()
+        for (kernel, lanes), lo, hi in zip(self.groups, cuts, cuts[1:]):
+            if lo < hi:
+                yield kernel, (None if lanes == 1 and hi - lo == self.R else srows[lo:hi] % self.R), slice(lo, hi)
+
+    def parts(self, srows: np.ndarray, thetas: np.ndarray) -> tuple:
+        """L and Q at the stacked rows, for shared ``thetas`` (T,) or per
+        stacked row (len(srows), k). Shared thetas evaluate each data row
+        of a kernel once, for all of its lanes."""
+        if self.single:
+            return self.groups[0][0].parts(None if srows.size == self.R else srows, thetas)
+        L = np.empty((srows.size, thetas.shape[-1]))
+        Q = np.empty(L.shape)
+        for kernel, rows, s in self._calls(srows):
+            if thetas.ndim == 1:
+                L[s], Q_kernel = kernel.parts(None, thetas)
+                Q[s] = Q_kernel if rows is None else Q_kernel[rows]
+            else:
+                L[s], Q[s] = kernel.parts(rows, thetas[s])
+        return L, Q
+
+    def objective(self, srows: np.ndarray, thetas: np.ndarray, failed: dict) -> np.ndarray:
+        L, Q = self.parts(srows, thetas)
+        _record_singular(failed, srows, thetas, L)
+        count, b, B = self.bounds(srows)
+        s2 = _clamp(Q / count, b, B)
+        if self.overflows:  # a row whose value overflows fails as not finite
+            with np.errstate(over="ignore"):
+                return count * np.log(s2) + L + Q / s2
+        return count * np.log(s2) + L + Q / s2
+
+    def gradient(self, srows, theta, sigma2, failed) -> np.ndarray:
+        """The theta-derivative at per-row ``theta`` (len(srows), 1) and the
+        profiled ``sigma2``: the kernel's analytic gradient, or a central
+        difference of the objective where the kernel has none."""
+        grad = np.empty(theta.shape)
+        for kernel, rows, s in self._calls(srows):
+            if kernel.gradient:
+                grad[s] = kernel.gradient(rows, theta[s], sigma2[s])
+                continue
+            step = 1e-6 * theta[s]
+            thetas = np.concatenate([theta[s] + step, theta[s] - step], axis=1)
+            L, Q = kernel.parts(rows, thetas)
+            _record_singular(failed, srows[s], thetas, L)
+            with np.errstate(over="ignore"):
+                hi, lo = np.hsplit(kernel.count * np.log(sigma2[s]) + L + Q / sigma2[s], 2)
+            grad[s] = (hi - lo) / (2.0 * step)
+        return grad
+
+    def search(self) -> list:
+        """Every stacked row's result or failure. Lanes whose theta range is
+        not collapsed share it and run one search; on a collapsed range
+        each row is one evaluation at its lane's fixed theta, with the
+        variance derivative count / sigma2 - Q / sigma2^2 as its gradient."""
+        lanes, R = self.lanes, self.R
+        box = lanes[0].box
+        searching = box.a < box.A
+        if searching:
+            found = _minimize_theta(self.objective, box.a, box.A, R * len(lanes))
+        else:
+            found = _at_one_theta(self.objective, np.repeat([lane.box.a for lane in lanes], R))
+        theta_hat, values, iterations, evaluations, minima, failed = found
+        results = [None] * theta_hat.size
+        done = np.array([i for i in range(theta_hat.size) if i not in failed], dtype=int)
+        if done.size:
+            theta = theta_hat[done, None]
+            L, Q = self.parts(done, theta)
+            _record_singular(failed, done, theta, L)
+            count, b, B = self.bounds(done)
+            sigma2 = _clamp(Q / count, b, B)
+            if searching:
+                grad = self.gradient(done, theta, sigma2, failed)
+            else:
+                with np.errstate(over="ignore", divide="ignore"):
+                    grad = count / sigma2 - Q / (sigma2 * sigma2)
+            for j, i in enumerate(done):
+                if i not in failed:
+                    results[i] = _result(
+                        lanes[i // R].box, theta[j, 0], sigma2[j, 0], values[i], grad[j, 0], iterations[i],
+                        evaluations[i], minima[i],
+                    )
+        for i, err in failed.items():
+            results[i] = err
+        return results
+
+
+@dataclass(frozen=True)
+class _Lane:
+    """One estimator on the data rows: the box with what the estimator
+    fixes collapsed, its objective's kernel, prepared as
+    ``kernel(design, Y, reuse)``, and the key of that kernel: lanes with
+    equal keys share one prepared kernel."""
+
+    box: ParameterBox
+    kernel: Callable
+    key: tuple
+
+
+def _search_lanes(design: Design, Y, lanes: list) -> list[list]:
+    """Profile search over theta for every row of Y in every lane; one
+    list of per-row results per lane.
+
+    A lane's kernel prepares the objective on the rows once, like
+    :class:`~oucv.scoring.CvKernel`, told whether it will be evaluated at
+    more than one theta: its ``parts(rows, thetas)`` returns L and Q for
+    the rows at indices ``rows`` (None for all, and an index may repeat),
+    batched like :func:`~oucv.scoring.score_parts`, and a NaN in L marks
+    a theta where the objective could not be factored; a row that meets
+    one fails with :class:`ConditioningError`. Its ``count`` is the
+    number of observations the variance is profiled over, the objective
+    being count log sigma2 + L + Q / sigma2 with the profile Q / count.
+    Its ``gradient(rows, thetas, sigma2)`` is the analytic
     theta-derivative; where it is None the result carries a central
     difference of the objective at the profiled variance.
 
@@ -358,52 +523,35 @@ def _search_batch(design, Y, box, kernel) -> list:
     b == B the variance is fixed. The reported gradient is the
     derivative in the free coordinate, theta unless a == A, where it
     is the variance derivative count / sigma2 - Q / sigma2^2.
+
+    All lanes that search theta share one theta range and run as one
+    search (:class:`_Stack`); the lanes with a collapsed range are one
+    evaluation each. Each distinct kernel is prepared once. Every value
+    depends on its own (row, theta) pair only, so a lane's results are
+    bitwise those it gets alone.
     """
     Y, slots = _data_rows(design, Y)
+    results = [list(slots) for _ in lanes]
     ok = _unfailed(slots)
-    if not ok.size:
-        return slots
-    prepared = kernel(design, _take(Y, ok), box.a < box.A)  # a fixed theta is one evaluation
-    count = prepared.count
-
-    def objective(rows, thetas, failed):
-        L, Q = prepared.parts(rows, thetas)
-        _record_singular(failed, rows, thetas, L)
-        s2 = _clamp(Q / count, box.b, box.B)
-        return count * np.log(s2) + L + Q / s2
-
-    theta_hat, values, iterations, evaluations, minima, failed = _minimize_theta(
-        objective, box.a, box.A, len(ok)
-    )
-    done = np.array([i for i in range(len(ok)) if i not in failed], dtype=int)
-    if done.size:
-        theta = theta_hat[done, None]
-
-        def at(thetas):
-            L, Q = prepared.parts(done, thetas)
-            _record_singular(failed, done, thetas, L)
-            return L, Q
-
-        _, Q = at(theta)
-        sigma2 = _clamp(Q / count, box.b, box.B)
-        if box.a == box.A:
-            grad = count / sigma2 - Q / (sigma2 * sigma2)
-        elif prepared.gradient:
-            grad = prepared.gradient(done, theta, sigma2)
-        else:  # central difference at the profiled variance
-            step = 1e-6 * theta
-            L, Q = at(np.concatenate([theta + step, theta - step], axis=1))
-            hi, lo = np.hsplit(count * np.log(sigma2) + L + Q / sigma2, 2)
-            grad = (hi - lo) / (2.0 * step)
-        for j, i in enumerate(done):
-            if i not in failed:
-                slots[ok[i]] = _result(
-                    box, theta[j, 0], sigma2[j, 0], values[i], grad[j, 0], iterations[i], evaluations[i],
-                    minima[i],
-                )
-    for i, err in failed.items():
-        slots[ok[i]] = err
-    return slots
+    if not ok.size or not lanes:
+        return results
+    R = ok.size
+    Y = Y if R == len(slots) else Y[ok]
+    prepared = {}
+    for lane in lanes:
+        if lane.key not in prepared:  # a fixed theta is one evaluation
+            prepared[lane.key] = lane.kernel(design, Y, lane.box.a < lane.box.A)
+    keys = list(prepared)
+    for searching in (True, False):
+        stacked = sorted((j for j, lane in enumerate(lanes) if (lane.box.a < lane.box.A) == searching),
+                         key=lambda j: keys.index(lanes[j].key))
+        if not stacked:
+            continue
+        found = _Stack([lanes[j] for j in stacked], [prepared[lanes[j].key] for j in stacked], R).search()
+        for k, j in enumerate(stacked):
+            for i, res in zip(ok, found[k * R:(k + 1) * R]):
+                results[j][i] = res
+    return results
 
 
 @dataclass(frozen=True)
@@ -430,15 +578,10 @@ ESTIMATORS = tuple(ESTIMATOR_TABLE)
 _FIXED_NAMES = {"sigma2": "sigma1_sq", "theta": "theta2", "trend": "trend"}
 
 
-def estimate_batch(name: str, design: Design, Y, box: ParameterBox, value=None) -> list:
-    """Estimator ``name`` on every row of Y (R, n), at the fixed ``value``
-    of the variance or theta (the collapsed range of the box) or of the
-    trend columns F (n, p); a joint estimator takes none. A fixed variance
-    or theta must be a positive finite number.
-
-    Returns one entry per row: an :class:`EstimateResult`, or the
-    :class:`OucvError` that row failed with.
-    """
+def _check_fixed(name: str, value) -> Estimator:
+    """The table row of estimator ``name``, which takes ``value`` as its
+    fixed parameter: None for a joint estimator, a positive finite number
+    for a fixed variance or theta."""
     row = ESTIMATOR_TABLE.get(name)
     if row is None:
         raise InvalidParameterError(f"unknown estimator {name!r}")
@@ -449,6 +592,12 @@ def estimate_batch(name: str, design: Design, Y, box: ParameterBox, value=None) 
         raise InvalidParameterError(
             f"{name} needs a positive finite fixed {_FIXED_NAMES[row.fixes]}, got {value!r}"
         )
+    return row
+
+
+def _lane(name: str, design: Design, box: ParameterBox, value) -> _Lane:
+    """Estimator ``name`` at its fixed ``value``, checked, as a lane."""
+    row = _check_fixed(name, value)
     kernel = row.kernel
     if row.fixes == "sigma2":
         box = ParameterBox(box.a, box.A, value, value)
@@ -456,7 +605,44 @@ def estimate_batch(name: str, design: Design, Y, box: ParameterBox, value=None) 
         box = ParameterBox(value, value, box.b, box.B)
     elif row.fixes == "trend":
         kernel = partial(kernel, F=_prepare_F(design, value))
-    return _search_batch(design, Y, box, kernel)
+    return _Lane(box, kernel, (row.kernel, box.a < box.A))
+
+
+def estimate_batch(name: str, design: Design, Y, box: ParameterBox, value=None) -> list:
+    """Estimator ``name`` on every row of Y (R, n), at the fixed ``value``
+    of the variance or theta (the collapsed range of the box) or of the
+    trend columns F (n, p); a joint estimator takes none. A fixed variance
+    or theta must be a positive finite number.
+
+    Returns one entry per row: an :class:`EstimateResult`, or the
+    :class:`OucvError` that row failed with. It is :func:`estimate_lanes`
+    with one estimator.
+    """
+    return _search_lanes(design, Y, [_lane(name, design, box, value)])[0]
+
+
+def estimate_lanes(names, design: Design, Y, box: ParameterBox, fixed: dict) -> list[list]:
+    """Estimators ``names`` on every row of Y (R, n), each in its own lane
+    and all in one search; per name what :func:`estimate_batch` returns
+    for it, bitwise.
+
+    ``fixed`` maps what an estimator fixes (``"sigma2"``, ``"theta"`` or
+    ``"trend"``) to its value. The estimators of one kernel share it:
+    ``cv-joint`` and ``cv-fixed-sigma`` evaluate the same rows on one
+    prepared :class:`~oucv.scoring.CvKernel`, its theta grid once for
+    both. ``cv-fixed-theta`` evaluates its one point on a kernel of its
+    own. An estimator whose name or fixed value is refused gets that
+    error on every row; the others run.
+    """
+    lanes = []
+    for name in names:
+        row = ESTIMATOR_TABLE.get(name)
+        try:
+            lanes.append(_lane(name, design, box, fixed.get(row.fixes) if row else None))
+        except OucvError as err:
+            lanes.append(err)
+    searched = iter(_search_lanes(design, Y, [lane for lane in lanes if isinstance(lane, _Lane)]))
+    return [next(searched) if isinstance(lane, _Lane) else [lane] * len(Y) for lane in lanes]
 
 
 def _single(results: list) -> EstimateResult:
@@ -490,6 +676,7 @@ def estimate_cv_fixed_sigma(
     The estimand is theta0 * sigma0^2 / sigma1_sq: fixing the variance
     at the wrong level rescales the target inverse length scale.
     """
+    _check_fixed("cv-fixed-sigma", sigma1_sq)
     return _estimate("cv-fixed-sigma", design, y, ParameterBox(*theta_range, sigma1_sq, sigma1_sq), sigma1_sq)
 
 
@@ -502,6 +689,7 @@ def estimate_cv_fixed_theta(
     clamped profile value, so no search is needed; the reported gradient
     is the sigma2-derivative of the score at the optimum.
     """
+    _check_fixed("cv-fixed-theta", theta2)
     return _estimate("cv-fixed-theta", design, y, ParameterBox(theta2, theta2, *sigma_range), theta2)
 
 

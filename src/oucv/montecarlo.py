@@ -2,8 +2,11 @@
 
 Each replicate draws its path from an independent stream keyed by
 (base seed, replicate index). Replicates are sampled and estimated in
-chunks, one after the other: every estimator runs once per chunk on all
-of its paths, through :func:`~oucv.estimation.estimate_batch`.
+chunks, one after the other: the config's estimators run on all of a
+chunk's paths in one call of :func:`~oucv.estimation.estimate_lanes`,
+so that the estimators that search theta share one search and each
+objective is prepared once per chunk; ``cv-fixed-theta`` evaluates its
+one point apart.
 The chunk size follows from the kernels' fixed element budget
 (:func:`~oucv.estimation.replicate_chunk`). A record depends on its
 replicate's data alone, so reports do not depend on the chunking.
@@ -29,7 +32,7 @@ from .estimation import (
     ParameterBox,
     _FIXED_NAMES,
     _positive_finite,
-    estimate_batch,
+    estimate_lanes,
     replicate_chunk,
     standardized_statistic,
 )
@@ -237,18 +240,14 @@ def _add_chunk_records(
     tau: float,
 ) -> None:
     """Sample a chunk of replicates, each on its own (seed, r) stream, run
-    every estimator once on the whole chunk, and append its records to
-    the estimator's list in ``records``."""
+    every estimator on the whole chunk in one call, and append its
+    records to the estimator's list in ``records``."""
     params = CovarianceParams(theta=config.theta0, sigma2=config.sigma0_sq)
     Y = np.stack([sample_path(design, params, (config.seed, r)) for r in replicates])
     data = Y if F is None else F @ config.trend.beta + Y
     product0 = config.theta0 * config.sigma0_sq
     fixed = {"sigma2": config.sigma1_sq, "theta": config.theta2, "trend": F}
-    for name in config.estimators:
-        try:
-            results = estimate_batch(name, design, data, config.box, fixed.get(ESTIMATOR_TABLE[name].fixes))
-        except OucvError as err:
-            results = [err] * len(replicates)
+    for name, results in zip(config.estimators, estimate_lanes(config.estimators, design, data, config.box, fixed)):
         out = records[name]
         for r, res in zip(replicates, results):
             if isinstance(res, OucvError):

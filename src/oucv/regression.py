@@ -94,6 +94,11 @@ def _prepare_F(design: Design, F) -> np.ndarray:
     return F
 
 
+def _sum(x: np.ndarray) -> np.ndarray:
+    """np.sum(x, axis=-1), bitwise, without its Python-level dispatch."""
+    return np.add.reduce(x, axis=-1)
+
+
 def _columns(F: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """The trend columns as :func:`_trend_factor` takes them: the rows of
     F' (p, n) and their :func:`~oucv.scoring._increments`."""
@@ -118,12 +123,14 @@ def _trend_factor(design: Design, thetas, columns):
     C = np.zeros(A.shape[:-1] + (Ft.shape[0],) * 2)
     W = []
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-        for j, (f, df) in enumerate(zip(Ft, dFt)):
-            w = _apply_precision(f, df, h, c)
+        lead = (Ft.shape[0],) + (1,) * (A.ndim - 1)  # every column's P F_j in one call, column axis first
+        PF = _apply_precision(Ft.reshape(lead + Ft.shape[1:]), dFt.reshape(lead + dFt.shape[1:]), h, c)
+        for j, f in enumerate(Ft):
+            w = PF[j]
             for l, Wl in enumerate(W):
-                C[..., j, l] = np.sum(f * Wl, axis=-1)
+                C[..., j, l] = _sum(f * Wl)
                 w -= C[..., j, l][..., None] * Wl
-            C[..., j, j] = np.sqrt(np.sum(f * w, axis=-1))
+            C[..., j, j] = np.sqrt(_sum(f * w))
             W.append(w / C[..., j, j][..., None])
         ebar = sum(w * w for w in W)
         return (A, h, c), W, C, ebar, A - ebar
@@ -139,7 +146,7 @@ def _project(PZ: np.ndarray, W: list, Z: np.ndarray) -> np.ndarray:
     """The projected precision P - W'W applied along the last axis of
     ``Z``, from P Z, which it overwrites."""
     for w in W:
-        PZ -= np.sum(w * Z, axis=-1)[..., None] * w
+        PZ -= _sum(w * Z)[..., None] * w
     return PZ
 
 
@@ -149,9 +156,9 @@ def _parts(factor, Y: np.ndarray, dY: np.ndarray) -> tuple[np.ndarray, np.ndarra
     Y, dY = Y[:, None, :], dY[:, None, :]
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
         singular = ~(proj_diag > 0.0).all(axis=-1)
-        L = np.where(singular, np.nan, -np.sum(np.log(proj_diag), axis=-1))
+        L = np.where(singular, np.nan, -_sum(np.log(proj_diag)))
         proj_z = _project(_apply_precision(Y, dY, h, c), W, Y)
-        Q = np.sum(proj_z * proj_z / proj_diag, axis=-1)
+        Q = _sum(proj_z * proj_z / proj_diag)
     return L, Q
 
 

@@ -175,8 +175,9 @@ def _gap_terms(gaps: np.ndarray, thetas):
 
 
 def _take(a: np.ndarray, rows) -> np.ndarray:
-    """a[rows] for sorted distinct rows, without a copy when that is all of a."""
-    return a if rows is None or len(rows) == a.shape[0] else a[rows]
+    """a[rows], or a itself, not copied, when ``rows`` is None (all of
+    them); an index may repeat."""
+    return a if rows is None else a[rows]
 
 
 def _in_blocks(evaluate, thetas, rows: int, width: int):
@@ -372,8 +373,8 @@ class _GapKernel:
     more than it saves.
 
     ``parts(rows, thetas)`` and ``gradient(rows, thetas, sigma2)`` are
-    batched like :func:`score_parts`, over the rows ``rows`` (sorted
-    indices, or None for all) of the prepared data. Every value depends
+    batched like :func:`score_parts`, over the rows ``rows`` (indices,
+    which may repeat, or None for all) of the prepared data. Every value depends
     on its own (row, theta) pair only, and so does its route. ``count``
     is the number of observations the variance profile Q / count
     divides by: n for both objectives.

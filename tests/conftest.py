@@ -2,8 +2,17 @@
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, settings
 
 from oucv import CovarianceParams, Design, from_points, sample_path
+
+
+# Every property test runs the same examples on every run, with no
+# deadline, no example database and no complaint about slow data
+# generation; a test states only its max_examples.
+settings.register_profile("oucv", deadline=None, derandomize=True, database=None,
+                          suppress_health_check=[HealthCheck.too_slow])
+settings.load_profile("oucv")
 
 
 def random_design(rng: np.random.Generator, n: int) -> Design:

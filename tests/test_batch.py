@@ -11,7 +11,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import HealthCheck, given, settings
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import oucv
@@ -37,9 +37,10 @@ from oucv import (
     sample_path,
     scoring,
 )
-from oucv.estimation import ESTIMATOR_TABLE, estimate_batch
+from oucv import estimation
+from oucv.estimation import ESTIMATOR_TABLE, estimate_batch, estimate_lanes
 from oucv.regression import TrendKernel, reg_parts
-from oucv.scoring import CvKernel, MlKernel
+from oucv.scoring import CvKernel, MlKernel, _GapKernel
 from conftest import random_design
 
 BOX = ParameterBox(0.1, 10.0, 0.3, 30.0)
@@ -101,8 +102,7 @@ def boxes(draw):
     return ParameterBox(a, A, b, B)
 
 
-@settings(max_examples=30, deadline=None, derandomize=True, database=None,
-          suppress_health_check=[HealthCheck.too_slow])
+@settings(max_examples=30)
 @given(
     design=designs(),
     rows=st.integers(1, 16),
@@ -121,8 +121,7 @@ def _trend_matrix(design, degree):
     return np.column_stack([f(design.points) for f in polynomial_basis(degree)])
 
 
-@settings(max_examples=30, deadline=None, derandomize=True, database=None,
-          suppress_health_check=[HealthCheck.too_slow])
+@settings(max_examples=30)
 @given(
     design=designs(),
     degree=st.integers(0, 2),
@@ -176,6 +175,24 @@ def test_a_bad_fixed_value_is_named_with_its_estimator(name, param, value):
     Y = np.stack([sample_path(d, PARAMS0, (2, r)) for r in range(2)])
     with pytest.raises(oucv.InvalidParameterError, match=f"^{name} needs a positive finite fixed {param}, got "):
         estimate_batch(name, d, Y, BOX, value)
+
+
+def test_the_public_fixed_estimators_check_the_value_before_the_box():
+    d = regular_design(12)
+    y = sample_path(d, PARAMS0, 2)
+    for call, message in [
+        (lambda: estimate_cv_fixed_sigma(d, y, math.nan, (0.1, 10.0)),
+         "cv-fixed-sigma needs a positive finite fixed sigma1_sq, got nan"),
+        (lambda: estimate_cv_fixed_theta(d, y, -1.0, (0.3, 30.0)),
+         "cv-fixed-theta needs a positive finite fixed theta2, got -1.0"),
+        (lambda: estimate_cv_fixed_sigma(d, y, "2", (0.1, 10.0)),
+         "cv-fixed-sigma needs a positive finite fixed sigma1_sq, got '2'"),
+        (lambda: ParameterBox("a", 1, 1, 2), "box bound 'a' must be a real number, got 'a'"),
+        (lambda: ParameterBox(0.1, 10.0, 0.3, True), "box bound 'B' must be a real number, got True"),
+    ]:
+        with pytest.raises(oucv.InvalidParameterError) as err:
+            call()
+        assert str(err.value) == message
 
 
 def test_grid_blocks_do_not_change_rows():
@@ -488,3 +505,137 @@ class TestEvaluationCount:
         Y = np.stack([sample_path(d, PARAMS0, (5, r)) for r in range(8)])
         for res in estimate_batch("ml-joint", d, Y, BOX):
             assert res.evaluations == 64 + 2 + res.iterations + 1
+
+
+FIXED = {"sigma2": 2.0, "theta": 1.5}
+
+
+def _lanes_against_alone(names, design, Y, box, fixed):
+    """estimate_lanes on ``names`` and each estimator's own estimate_batch,
+    both as outcome strings; a refused estimator is its error on every row."""
+    def alone(name):
+        try:
+            return _batched(estimate_batch(name, design, Y, box, fixed.get(ESTIMATOR_TABLE[name].fixes)))
+        except oucv.OucvError as err:
+            return _batched([err] * len(Y))
+
+    return [_batched(results) for results in estimate_lanes(names, design, Y, box, fixed)], [alone(n) for n in names]
+
+
+class TestLanes:
+    """Several estimators in one search give each one's results alone, bitwise."""
+
+    @pytest.mark.parametrize("design, rows", [
+        (minimal_design(12, 0.5), 7), (regular_design(12), 3), (maximal_design(50, 0.02), 5),
+        (regular_design(200), 12), (random_design(np.random.default_rng(3), 1200), 4),
+    ], ids=["n12-minimal", "n12-regular", "n50-maximal", "n200-regular", "n1200-dirichlet"])
+    def test_every_estimator_as_alone(self, design, rows):
+        F = _trend_matrix(design, 1)
+        Z = np.stack([F @ [1.0, 2.0] + sample_path(design, PARAMS0, (18, r)) for r in range(rows)])
+        fixed = dict(FIXED, trend=F)
+        for names in (oucv.ESTIMATORS, ("cv-fixed-sigma", "ml-joint", "cv-joint", "cv-fixed-sigma")):
+            together, alone = _lanes_against_alone(names, design, Z, BOX, fixed)
+            assert together == alone
+
+    def test_collapsed_and_edge_boxes(self):
+        # a collapsed theta range puts cv-joint beside cv-fixed-theta on one
+        # kernel, each row at its own lane's theta; a narrow box sends the
+        # searches to its edges
+        d = regular_design(30)
+        Y = np.stack([sample_path(d, PARAMS0, (19, r)) for r in range(5)])
+        for box in (ParameterBox(2.0, 2.0, 0.3, 30.0), ParameterBox(4.0, 6.0, 0.3, 0.5),
+                    ParameterBox(0.1, 0.2, 2.0, 3.0)):
+            together, alone = _lanes_against_alone(oucv.ESTIMATORS[:4], d, Y, box, FIXED)
+            assert together == alone
+
+    def test_failures_stay_in_their_lane_and_row(self):
+        # one chunk: a nonfinite row, an overflowing row, a trend whose
+        # projection collapses on the whole grid (every cv-regression row
+        # fails with ConditioningError), and a fixed variance so small that
+        # every cv-fixed-sigma value overflows on the grid, on the kernel
+        # that cv-joint shares
+        d = regular_design(10)
+        Y = np.stack([sample_path(d, PARAMS0, (8, r)) for r in range(6)])
+        Y[1, 4] = np.nan
+        Y[3] = 1e200
+        F = np.column_stack([np.ones(d.n), np.eye(d.n)[:, 0]])
+        fixed = {"sigma2": 5e-324, "theta": 1.5, "trend": F}
+        together, alone = _lanes_against_alone(oucv.ESTIMATORS, d, Y, BOX, fixed)
+        assert together == alone
+        kinds = {name: [o.split("(")[0].split(":")[0] for o in outcomes]
+                 for name, outcomes in zip(oucv.ESTIMATORS, together)}
+        ok, singular, nonfinite = "EstimateResult", "ConditioningError", "NumericalFailureError"
+        assert kinds["cv-regression"] == [singular, nonfinite] + [singular] * 4
+        assert kinds["cv-fixed-sigma"] == [nonfinite] * 6
+        for name in ("cv-joint", "cv-fixed-theta", "ml-joint"):
+            assert kinds[name] == [ok, nonfinite, ok, nonfinite, ok, ok]
+
+    def test_a_refused_estimator_fails_its_lane_alone(self):
+        d = regular_design(12)
+        Y = np.stack([sample_path(d, PARAMS0, (20, r)) for r in range(3)])
+        names = ("cv-joint", "cv-regression", "cv-fixed-theta", "no-such")
+        results = estimate_lanes(names, d, Y, BOX, {"theta": math.nan, "trend": np.ones((d.n, 2))})
+        assert results[0] == estimate_batch("cv-joint", d, Y, BOX)
+        for j, kind in ((1, oucv.LinearDependenceError), (2, oucv.InvalidParameterError),
+                        (3, oucv.InvalidParameterError)):
+            assert len(results[j]) == 3 and all(type(err) is kind and err is results[j][0] for err in results[j])
+
+    def test_repeated_rows_at_the_batch_length_are_taken_as_named(self):
+        # two lanes on one kernel pass each data row once per lane: as many
+        # rows as the kernel holds, one of them twice, are those rows
+        rows = np.array([2, 0, 2])
+        thetas = np.array([[0.5], [1.0], [2.0]])
+        for d in (regular_design(50), random_design(np.random.default_rng(4), 1200)):
+            Y = np.stack([sample_path(d, PARAMS0, (21, r)) for r in range(3)])
+            for kernel in (CvKernel(d, Y), CvKernel(d, Y, reuse=False), MlKernel(d, Y),
+                           TrendKernel(d, Y, True, _trend_matrix(d, 1))):
+                L, Q = kernel.parts(rows, thetas)
+                gradient = kernel.gradient(rows, thetas, 2.0) if kernel.gradient else None
+                for j, r in enumerate(rows):
+                    one = np.array([r])
+                    assert (L[j, 0], Q[j, 0]) == tuple(x[0, 0] for x in kernel.parts(one, thetas[j:j + 1]))
+                    if gradient is not None:
+                        assert gradient[j, 0] == kernel.gradient(one, thetas[j:j + 1], 2.0)[0, 0]
+
+
+class TestOneSearchPerChunk:
+    def test_one_search_and_one_kernel_of_each_kind_per_chunk(self, monkeypatch):
+        # 50 replicates at n = 200 are two chunks of 40 and 10
+        calls = {"searches": 0}
+
+        def counted(key, call):
+            def wrapper(*args, **kwargs):
+                calls[key] = calls.get(key, 0) + 1
+                return call(*args, **kwargs)
+            return wrapper
+
+        monkeypatch.setattr(estimation, "_minimize_theta", counted("searches", estimation._minimize_theta))
+        for kernel in (CvKernel, MlKernel, TrendKernel):
+            monkeypatch.setattr(kernel, "__init__", counted(kernel.__name__, kernel.__init__))
+        cfg = ExperimentConfig(
+            design={"kind": "regular", "n": 200}, theta0=3.0, sigma0_sq=1.0, replicates=50, box=BOX,
+            estimators=oucv.ESTIMATORS, seed=22, sigma1_sq=2.0, theta2=1.5,
+            trend=oucv.TrendSpec(beta=np.array([1.0, 2.0]), basis=polynomial_basis(1)),
+        )
+        run_experiment(cfg)
+        # per chunk: cv-joint and cv-fixed-sigma share a CvKernel, and
+        # cv-fixed-theta evaluates on one of its own
+        assert calls == {"searches": 2, "CvKernel": 4, "MlKernel": 2, "TrendKernel": 2}
+
+    def test_the_two_cv_lanes_sum_the_series_moments_once(self, monkeypatch):
+        sums = []
+        prepare = _GapKernel._prepare_series
+
+        def counted(self, *args):
+            sums.append(type(self).__name__)
+            return prepare(self, *args)
+
+        monkeypatch.setattr(_GapKernel, "_prepare_series", counted)
+        points = random_design(np.random.default_rng(23), 1200).points
+        cfg = ExperimentConfig(
+            design={"kind": "points", "points": points}, theta0=3.0, sigma0_sq=1.0, replicates=3, box=BOX,
+            estimators=("cv-joint", "cv-fixed-sigma", "ml-joint"), seed=23, sigma1_sq=2.0,
+        )
+        report = run_experiment(cfg)
+        assert not any(rec.flags.startswith("failed") for panel in report.panels.values() for rec in panel.records)
+        assert sums == ["CvKernel", "MlKernel"]

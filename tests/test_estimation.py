@@ -23,7 +23,7 @@ from oucv import (
     score_gradient_theta,
     standardized_statistic,
 )
-from oucv.estimation import _minimize_theta
+from oucv.estimation import _at_one_theta, _minimize_theta
 from conftest import random_instance
 
 BOX = ParameterBox(0.1, 10.0, 0.3, 30.0)
@@ -127,14 +127,48 @@ class TestGridMinima:
     def test_monotone_and_collapsed_count_one(self):
         _, minima = self._search(lambda x: -x)  # minimum on the upper grid edge
         assert minima.tolist() == [1, 1]
-        _, minima = self._search(lambda x: x * 0.0, lo=2.0, hi=2.0)
-        assert minima.tolist() == [1, 1]
+        # a collapsed range is one evaluation, not a search
+        theta, _, iterations, evaluations, minima, failed = _at_one_theta(
+            lambda idx, thetas, failed: thetas * 0.0, np.full(2, 2.0)
+        )
+        assert not failed and theta.tolist() == [2.0, 2.0]
+        assert (minima.tolist(), iterations.tolist(), evaluations.tolist()) == ([1, 1], [0, 0], [1, 1])
 
     def test_estimates_carry_the_count(self):
         d = regular_design(40)
         y = sample_path(d, PARAMS0, 31)
         assert estimate_cv_joint(d, y, BOX).grid_minima >= 1
         assert estimate_cv_fixed_theta(d, y, 1.5, BOX.sigma2_range).grid_minima == 1
+
+
+class TestBestPoint:
+    """The search returns the least value it evaluated, ties to the smaller theta."""
+
+    @pytest.mark.parametrize("power", [1, 2], ids=["vee", "square"])
+    @pytest.mark.parametrize("step", [0.0, 1e-3, 1e-1], ids=["exact", "rounded", "coarse"])
+    def test_least_value_seen_with_ties_and_nans(self, step, power):
+        # values rounded to ``step`` tie across whole stretches of theta,
+        # and one in seven golden-section points is NaN, which never wins;
+        # each row's answer is checked against every point it evaluated,
+        # the final bracket's midpoint included
+        seen = {}
+
+        def objective(idx, thetas, failed):
+            thetas = np.broadcast_to(np.asarray(thetas, dtype=float), (len(idx), np.shape(thetas)[-1]))
+            values = np.abs(np.log(thetas) - np.log(1.0 + idx[:, None])) ** power
+            if step:
+                values = np.round(values / step) * step
+            if np.ndim(thetas) == 2 and thetas.shape[1] == 1:  # a probe or the midpoint, not the grid
+                values = np.where(np.floor(thetas * 1e7) % 7 == 0, np.nan, values)
+            for r, t, v in zip(np.repeat(idx, thetas.shape[1]), thetas.ravel(), values.ravel()):
+                seen.setdefault(int(r), []).append((v, t))
+            return values
+
+        theta, value, _, _, _, failed = _minimize_theta(objective, 0.1, 10.0, 6)
+        assert not failed
+        for r in range(6):
+            want_value, want_theta = min((v, t) for v, t in seen[r] if not np.isnan(v))
+            assert (value[r], theta[r]) == (want_value, want_theta)
 
 
 class TestFirstOrderConditions:

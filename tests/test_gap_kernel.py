@@ -16,7 +16,7 @@ import sys
 import mpmath
 import numpy as np
 import pytest
-from hypothesis import HealthCheck, given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from oucv import (
@@ -157,8 +157,7 @@ def designs(draw):
     return random_design(np.random.default_rng(draw(st.integers(0, 2**32 - 1))), n)
 
 
-@settings(max_examples=40, deadline=None, derandomize=True, database=None,
-          suppress_health_check=[HealthCheck.too_slow])
+@settings(max_examples=40)
 @given(
     design=designs(),
     rows=st.integers(1, 4),
@@ -199,8 +198,7 @@ def fine_designs(draw):
     return random_design(np.random.default_rng(draw(st.integers(0, 2**32 - 1))), n)
 
 
-@settings(max_examples=30, deadline=None, derandomize=True, database=None,
-          suppress_health_check=[HealthCheck.too_slow])
+@settings(max_examples=30)
 @given(
     design=fine_designs(),
     rows=st.integers(1, 3),
@@ -246,8 +244,7 @@ def large_designs(draw):
     return random_design(np.random.default_rng(draw(st.integers(0, 2**32 - 1))), n)
 
 
-@settings(max_examples=10, deadline=None, derandomize=True, database=None,
-          suppress_health_check=[HealthCheck.too_slow])
+@settings(max_examples=10)
 @given(
     design=large_designs(),
     seed=st.integers(0, 2**32 - 1),
@@ -317,8 +314,7 @@ def test_a_wide_gap_keeps_the_series_moments_unsummed(monkeypatch):
         assert estimate(d, y, BOX) == res
 
 
-@settings(max_examples=40, deadline=None, derandomize=True, database=None,
-          suppress_health_check=[HealthCheck.too_slow])
+@settings(max_examples=40)
 @given(design=designs())
 def test_classes_are_the_reference_grouping_when_they_pay(design):
     for kernel in (CvKernel, MlKernel):
@@ -334,8 +330,7 @@ def test_classes_are_the_reference_grouping_when_they_pay(design):
         assert np.array_equal(counts, want_counts) and np.array_equal(of_point, want_of_point)
 
 
-@settings(max_examples=20, deadline=None, derandomize=True, database=None,
-          suppress_health_check=[HealthCheck.too_slow])
+@settings(max_examples=20)
 @given(design=designs(), route=st.sampled_from(ROUTES))
 def test_zero_data_gives_zero_quadratic_part_and_the_lower_variance(design, route):
     Y = np.zeros((2, design.n))
@@ -348,8 +343,7 @@ def test_zero_data_gives_zero_quadratic_part_and_the_lower_variance(design, rout
             assert res.sigma2_hat == BOX.b and "sigma2_lower" in res.boundary_flags
 
 
-@settings(max_examples=40, deadline=None, derandomize=True, database=None,
-          suppress_health_check=[HealthCheck.too_slow])
+@settings(max_examples=40)
 @given(design=designs(), route=st.sampled_from(ROUTES),
        level=st.sampled_from([0.0, 1.0, -3.5, 1e-150, 1e150]))
 def test_constant_data_in_both_layouts(design, route, level):
@@ -431,8 +425,7 @@ def corner_designs(draw):
     return random_design(np.random.default_rng(draw(st.integers(0, 2**32 - 1))), n)
 
 
-@settings(max_examples=25, deadline=None, derandomize=True, database=None,
-          suppress_health_check=[HealthCheck.too_slow])
+@settings(max_examples=25)
 @given(design=corner_designs(), seed=st.integers(0, 2**32 - 1), scale=st.sampled_from([1.0, 1e-6, 1e3]))
 def test_box_corners_against_the_dense_oracle(design, seed, scale):
     """Both objectives at the four corners of the fig2 box, in every layout:
@@ -451,7 +444,52 @@ def test_box_corners_against_the_dense_oracle(design, seed, scale):
     the kernels' own accuracy on the worst-conditioned designs is
     checked against 60-digit arithmetic in test_sixty_digit_accuracy.
     """
-    y = scale * sample_path(design, PARAMS0, seed)
+    _check_box_corners(design, scale * sample_path(design, PARAMS0, seed))
+
+
+def clustered_design(n: int, exponents: list, seed: int | None):
+    """A design of n points with gaps of 10^-e / n at 0, one per exponent e
+    and the smallest first, so that no point is lost to rounding, then the
+    rest of [0, 1] in regular gaps, or Dirichlet gaps drawn from ``seed``."""
+    head = np.concatenate(([0.0], np.cumsum(np.sort(10.0 ** -np.array(exponents, dtype=float)) / n)))
+    if seed is None:
+        rest = np.linspace(head[-1], 1.0, n - head.size + 1)[1:]
+    else:
+        gaps = np.random.default_rng(seed).dirichlet(np.ones(n - head.size))
+        rest = head[-1] + (1.0 - head[-1]) * np.cumsum(gaps)
+        rest[-1] = 1.0
+    return from_points(np.concatenate((head, rest)))
+
+
+@st.composite
+def clustered_designs(draw):
+    """Clustered designs with one to four gaps of 10^-e / n, e up to 300,
+    so that neighbouring gaps differ by factors down to 1e-300, and n
+    from 5 to 2000, about log-uniform."""
+    n = round(5 * 400 ** (draw(st.integers(0, 100)) / 100))
+    exponents = draw(st.lists(st.integers(0, 300), min_size=1, max_size=min(4, n - 3)))
+    return clustered_design(n, exponents, draw(st.none() | st.integers(0, 2**32 - 1)))
+
+
+@settings(max_examples=25)
+@given(design=clustered_designs(), seed=st.integers(0, 2**32 - 1), scale=st.sampled_from([1.0, 1e-6, 1e3]))
+@example(design=clustered_design(2000, [300, 300, 0], None), seed=1, scale=1e3)
+@example(design=clustered_design(1500, [300, 150], 7), seed=2, scale=1e3)
+def test_gap_ratios_down_to_1e_300_at_the_box_corners(design, seed, scale):
+    """The invariants of test_box_corners_against_the_dense_oracle on
+    designs with a cluster of gaps as small as 1e-300 / n next to gaps of
+    about 1 / n, in every layout. The oracle's rounding bound grows like
+    1 / (theta g_min) there, so it is held to that bound where it
+    answers; on the most clustered designs it refuses to."""
+    _check_box_corners(design, scale * sample_path(design, PARAMS0, seed))
+
+
+def _check_box_corners(design, y):
+    """Both objectives of data y at the four corners of the fig2 box, in
+    every layout: Q >= 0, the value agrees with the dense oracle wherever
+    it answers, to 1e-8 or the oracle's own rounding bound, the score's
+    decomposition reproduces log_score, and the leave-one-out variances
+    are positive."""
     n, thetas, variances = design.n, np.array([BOX.a, BOX.A]), (BOX.b, BOX.B)
     oracle = {}
     for j, theta in enumerate(thetas):

@@ -3,7 +3,7 @@
 import mpmath
 import numpy as np
 import pytest
-from hypothesis import HealthCheck, given, settings
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import oucv.regression as regression_mod
@@ -327,8 +327,7 @@ def trend_designs(draw):
     return random_design(np.random.default_rng(draw(st.integers(0, 2**32 - 1))), draw(st.integers(5, 2000)))
 
 
-@settings(max_examples=40, deadline=None, derandomize=True, database=None,
-          suppress_health_check=[HealthCheck.too_slow])
+@settings(max_examples=40)
 @given(design=trend_designs(), p=st.integers(1, 2), seed=st.integers(0, 2**32 - 1))
 def test_pure_trend_is_projected_out(design, p, seed):
     # z = F beta lies in the null space of the projected precision, so its
