@@ -7,6 +7,9 @@ dense oracles, box-constrained estimation, a trend (unknown-mean)
 extension, and a reproducible Monte Carlo harness.
 """
 
+# set before the submodules load: montecarlo reads it at import
+__version__ = "0.1.0"
+
 from .designs import (
     Design,
     GapProfile,
@@ -84,5 +87,3 @@ from .simulate import (
     sample_path,
     sample_with_trend,
 )
-
-__version__ = "0.1.0"

@@ -20,11 +20,13 @@ from __future__ import annotations
 import csv
 import json
 import math
+import platform
 from dataclasses import dataclass, field
 from pathlib import Path
 
 import numpy as np
 
+from . import __version__
 from .designs import Design, from_points, maximal_design, minimal_design, regular_design, tau_squared
 from .errors import InvalidParameterError, OucvError
 from .estimation import (
@@ -380,6 +382,10 @@ def summarize(report: ExperimentReport) -> dict[str, dict]:
     }
 
 
+# the versions that produce a run, read once at import, not on every export
+_PROVENANCE = {"oucv": __version__, "numpy": np.__version__, "python": platform.python_version()}
+
+
 def _format_value(v) -> str:
     return repr(v) if isinstance(v, float) else str(v)
 
@@ -425,6 +431,7 @@ def export(report: ExperimentReport, path) -> None:
         "tau_sq": report.tau_sq,
         "regime": report.regime,
         "panels": {name: panel.summary for name, panel in report.panels.items()},
+        "provenance": _PROVENANCE,
     }
     with open(out / "summary.json", "w") as fh:
         json.dump(summary, fh, indent=2)

@@ -31,7 +31,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.linalg
 
 from .designs import Design
 from .errors import ConditioningError, InvalidParameterError
@@ -282,6 +281,11 @@ def reg_log_score(design: Design, z, theta: float, sigma2: float, F) -> Regressi
     )
 
 
+def _cho_solve(chol: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Solve (L L') x = b for a lower Cholesky factor L, one triangle at a time."""
+    return np.linalg.solve(chol.T, np.linalg.solve(chol, b))
+
+
 def _deleted_dense_parts(design: Design, z: np.ndarray, theta: float, F: np.ndarray, i: int):
     """The deleted design's covariance factor, normal-matrix factor,
     K^-1 F and trend coefficients, with z, F and the covariances to point
@@ -298,16 +302,16 @@ def _deleted_dense_parts(design: Design, z: np.ndarray, theta: float, F: np.ndar
     z_minus = np.delete(z, i)
     F_minus = np.delete(F, i, axis=0)
     try:
-        chol = scipy.linalg.cho_factor(K, lower=True)
-    except scipy.linalg.LinAlgError as err:
+        chol = np.linalg.cholesky(K)
+    except np.linalg.LinAlgError as err:
         raise ConditioningError(f"deleted covariance factorization failed: {err}") from err
-    KiF = scipy.linalg.cho_solve(chol, F_minus)
+    KiF = _cho_solve(chol, F_minus)
     M = F_minus.T @ KiF
     try:
-        mchol = scipy.linalg.cho_factor(M, lower=True)
-    except scipy.linalg.LinAlgError as err:
+        mchol = np.linalg.cholesky(M)
+    except np.linalg.LinAlgError as err:
         raise ConditioningError(f"deleted normal matrix factorization failed: {err}") from err
-    beta = scipy.linalg.cho_solve(mchol, KiF.T @ z_minus)
+    beta = _cho_solve(mchol, KiF.T @ z_minus)
     return r, z_minus, F_minus, chol, mchol, beta
 
 
@@ -333,9 +337,9 @@ def loo_trend_prediction(design: Design, z, theta: float, F, i: int) -> tuple[fl
     z = _check_data(design, z)
     F = _prepare_F(design, F)
     r, z_minus, F_minus, chol, mchol, beta = _deleted_dense_parts(design, z, theta, F, i)
-    Kir = scipy.linalg.cho_solve(chol, r)
+    Kir = _cho_solve(chol, r)
     f_i = F[i]
     pred = float(f_i @ beta + Kir @ (z_minus - F_minus @ beta))
     u = f_i - F_minus.T @ Kir
-    var = float(1.0 - r @ Kir + u @ scipy.linalg.cho_solve(mchol, u))
+    var = float(1.0 - r @ Kir + u @ _cho_solve(mchol, u))
     return pred, var

@@ -52,7 +52,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.linalg
 
 from .designs import Design
 from .errors import (
@@ -942,8 +941,8 @@ def dense_precision(design: Design, theta: float) -> np.ndarray:
     Independent of the tridiagonal closed form on purpose; n is capped
     and near-singular covariances raise a conditioning error.
     """
-    chol = _dense_cholesky(design, theta)
-    return scipy.linalg.cho_solve((chol, True), np.eye(design.n))
+    inv_chol = np.linalg.inv(_dense_cholesky(design, theta))
+    return inv_chol.T @ inv_chol
 
 
 def dense_oracle_score(design: Design, y, theta: float, sigma2: float) -> float:
@@ -963,6 +962,6 @@ def dense_oracle_ml(design: Design, y, theta: float, sigma2: float) -> float:
     y = _check_data(design, y)
     chol = _dense_cholesky(design, theta)
     logdet = 2.0 * float(np.sum(np.log(np.diag(chol))))
-    alpha = scipy.linalg.cho_solve((chol, True), y)
+    white = np.linalg.solve(chol, y)
     n = design.n
-    return float(n * np.log(2.0 * np.pi * sigma2) + logdet + y @ alpha / sigma2)
+    return float(n * np.log(2.0 * np.pi * sigma2) + logdet + white @ white / sigma2)

@@ -12,7 +12,6 @@ from dataclasses import dataclass, field
 from typing import Callable, Sequence
 
 import numpy as np
-import scipy.linalg
 
 from .designs import Design
 from .errors import InvalidParameterError, LinearDependenceError
@@ -81,15 +80,41 @@ class TrendSpec:
 
 
 def check_full_rank(F: np.ndarray) -> None:
-    """Raise if the columns of F are numerically dependent (pivoted QR)."""
+    """Raise if F is not finite or its columns are numerically dependent (pivoted QR)."""
     F = np.asarray(F, dtype=float)
     if F.ndim != 2 or F.shape[0] < F.shape[1]:
         raise LinearDependenceError(f"basis matrix of shape {F.shape} cannot have full column rank")
-    _, R, _ = scipy.linalg.qr(F, mode="economic", pivoting=True)
-    diag = np.abs(np.diag(R))
+    if not np.all(np.isfinite(F)):
+        raise InvalidParameterError("basis matrix must be finite")
+    diag = _pivoted_qr_diagonal(F)
     scale = float(np.linalg.norm(F))
     if scale == 0.0 or np.any(diag <= _RANK_TOL * scale):
         raise LinearDependenceError("basis functions are linearly dependent on this design")
+
+
+def _pivoted_qr_diagonal(F: np.ndarray) -> np.ndarray:
+    """|diag R| of the column-pivoted QR of an n x p matrix with n >= p.
+
+    An unpivoted QR first reduces F to its p x p factor; an orthogonal
+    factor on the left keeps every column norm, so Businger-Golub
+    pivoting on that small factor (largest remaining column first)
+    finds the pivots and diagonal of the pivoted QR of F itself.
+    """
+    R = np.linalg.qr(F, mode="r")
+    p = R.shape[1]
+    diag = np.zeros(p)
+    for k in range(p):
+        rest = R[k:, k:]
+        sq = np.einsum("ij,ij->j", rest, rest)
+        j = int(np.argmax(sq))
+        if sq[j] == 0.0:  # the rest is zero, and so is the rest of the diagonal
+            break
+        rest[:, [0, j]] = rest[:, [j, 0]]
+        diag[k] = norm = np.sqrt(sq[j])
+        v = rest[:, 0].copy()
+        v[0] += np.copysign(norm, v[0])  # Householder vector sending the column to -sign(x0) |x| e1
+        rest -= np.outer(v, (2.0 / (v @ v)) * (v @ rest))
+    return diag
 
 
 def polynomial_basis(degree: int) -> tuple[Callable[[np.ndarray], np.ndarray], ...]:

@@ -460,6 +460,19 @@ class TestMalformedInput:
         assert code == 1 and out == ""
         assert "line 5" in self._error(err)
 
+    def test_trend_column_file_nonfinite_value_exits_1(self, tmp_path):
+        # 'nan' parses as a number; the basis rank check refuses it
+        _, out, _ = run_cli(["simulate", "--design", "regular:6", "--theta", "3", "--sigma2", "1", "--seed", "2"])
+        data = tmp_path / "data.csv"
+        data.write_text(out)
+        columns = tmp_path / "F.csv"
+        columns.write_text("1,0.0\n1,0.2\n1,nan\n1,0.6\n1,0.8\n1,1.0\n")
+        cfg = tmp_path / "trend.json"
+        cfg.write_text(json.dumps({"columns": str(columns)}))
+        code, out, err = run_cli(["estimate", "--data", str(data), "--box", "0.1,10,0.3,30", "--trend", str(cfg)])
+        assert code == 1 and out == ""
+        assert "basis matrix must be finite" in self._error(err)
+
 
 _EXPERIMENT = {
     "design": {"kind": "regular", "n": 20}, "theta0": 3.0, "sigma0_sq": 1.0, "replicates": 2,
@@ -651,3 +664,29 @@ class TestProcess:
         proc = self._run(argv)
         assert proc.returncode == 0 and proc.stderr == ""
         assert proc.stdout == run_cli(argv)[1]
+
+    def test_runtime_loads_no_scipy(self, tmp_path):
+        # the package, the entry point, and a simulate -> trend estimate
+        # pass through the basis rank check, run on numpy alone
+        (tmp_path / "trend.json").write_text(json.dumps({"basis": "polynomial:1"}))
+        script = """
+import contextlib, io, sys
+from pathlib import Path
+import oucv, oucv.cli
+loaded = [sorted(m for m in sys.modules if m.partition(".")[0] == "scipy")]
+tmp = Path(sys.argv[1])
+with open(tmp / "data.csv", "w") as fh, contextlib.redirect_stdout(fh):
+    code = [oucv.cli.main(["simulate", "--design", "regular:60", "--theta", "3", "--sigma2", "1", "--seed", "13"])]
+out = io.StringIO()
+with contextlib.redirect_stdout(out):
+    code.append(oucv.cli.main(["estimate", "--data", str(tmp / "data.csv"), "--box", "0.1,10,0.3,30",
+                               "--trend", str(tmp / "trend.json")]))
+loaded.append(sorted(m for m in sys.modules if m.partition(".")[0] == "scipy"))
+print(code, loaded, out.getvalue().count("cv-regression"))
+"""
+        src = str(Path(oucv.__file__).resolve().parents[1])
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+        proc = subprocess.run([sys.executable, "-c", script, str(tmp_path)], capture_output=True, text=True,
+                              env=env, timeout=120)
+        assert (proc.returncode, proc.stderr) == (0, "")
+        assert proc.stdout == "[0, 0] [[], []] 1\n"

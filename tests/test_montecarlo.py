@@ -3,10 +3,12 @@
 import dataclasses
 import json
 import math
+import platform
 
 import numpy as np
 import pytest
 
+import oucv
 from oucv import (
     ExperimentConfig,
     InvalidParameterError,
@@ -178,6 +180,12 @@ class TestExport:
         summary = json.loads((tmp_path / "summary.json").read_text())
         assert summary["tau_sq"] == tau_squared(build_design(cfg.design))
         assert summary["regime"] == "boundary"  # aB == Ab == 3 for the shipped box
+
+    def test_summary_json_names_the_versions_that_produced_it(self, tmp_path):
+        export(run_experiment(small_config(replicates=2)), tmp_path)
+        summary = json.loads((tmp_path / "summary.json").read_text())
+        assert summary["provenance"] == {"oucv": oucv.__version__, "numpy": np.__version__,
+                                         "python": platform.python_version()}
 
     def test_summary_recomputed_from_csv_matches_bitwise(self, tmp_path):
         report = run_experiment(small_config(replicates=8))

@@ -8,12 +8,14 @@ from hypothesis import strategies as st
 
 import oucv.regression as regression_mod
 from oucv import (
+    ConditioningError,
     CovarianceParams,
     ParameterBox,
     TrendSpec,
     dense_precision,
     estimate_cv_joint,
     estimate_cv_reg,
+    from_points,
     gls_beta,
     log_score,
     loo_beta,
@@ -182,6 +184,24 @@ class TestLooBeta:
         z = F @ np.array([1.0, 2.0])
         for i in range(d.n):
             assert np.allclose(loo_beta(d, z, 3.0, F, i), [1.0, 2.0], atol=1e-8)
+
+    def test_failed_factorizations_raise_conditioning_error(self):
+        # two points one ulp apart have equal covariance rows at theta = 0.1,
+        # so the deleted covariance has no Cholesky factor unless one of
+        # them is the deleted point; deleting the one point that a trend
+        # column lives on leaves a singular normal matrix
+        pts = np.array([0.0, 0.2, 0.5, np.nextafter(0.5, 1.0), 0.8, 1.0])
+        pair = from_points(pts)
+        z = np.array([0.1, -0.3, 0.2, 0.2, 0.5, -0.1])
+        F = np.column_stack([np.ones(pair.n), pts])
+        spike = np.column_stack([np.ones(pair.n), np.eye(pair.n)[:, 1]])
+        for d, F_, i, message in ((pair, F, 0, "deleted covariance"), (pair, F, 5, "deleted covariance"),
+                                  (regular_design(6), spike, 1, "deleted normal matrix")):
+            for dense in (loo_beta, loo_trend_prediction):
+                with pytest.raises(ConditioningError, match=f"{message} factorization failed"):
+                    dense(d, z, 0.1, F_, i)
+        # deleting a point of the pair leaves a covariance that factors
+        assert np.all(np.isfinite(loo_beta(pair, z, 0.1, F, 2)))
 
     def test_two_route_prediction_equivalence(self, rng):
         design, z, theta, _ = random_instance(rng, n_lo=8, n_hi=30)

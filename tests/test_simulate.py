@@ -18,6 +18,7 @@ from oucv import (
     sample_path,
     sample_with_trend,
 )
+from oucv.simulate import _RANK_TOL, _pivoted_qr_diagonal, check_full_rank
 
 
 class TestCovarianceParams:
@@ -140,6 +141,98 @@ class TestSampleWithTrend:
         )
         with pytest.raises(LinearDependenceError):
             sample_with_trend(d, p, dependent, 3)
+
+
+def _refused(F) -> bool:
+    try:
+        check_full_rank(F)
+    except LinearDependenceError:
+        return True
+    return False
+
+
+def _qr_refuses(F) -> bool:
+    """The rank rule on LAPACK's column-pivoted QR: some |diag R| at or
+    below _RANK_TOL times the Frobenius norm of F."""
+    scipy_linalg = pytest.importorskip("scipy.linalg")
+    _, R, _ = scipy_linalg.qr(F, mode="economic", pivoting=True)
+    scale = np.linalg.norm(F)
+    return bool(scale == 0.0 or np.any(np.abs(np.diag(R)) <= _RANK_TOL * scale))
+
+
+def _near_dependent(t, p, rel, rng):
+    """Monomials up to degree p - 2 on t, and a last column that is a
+    combination of them plus a perturbation of relative size ``rel``."""
+    F = np.column_stack([t**k for k in range(p - 1)] + [np.zeros_like(t)])
+    col = F[:, :-1] @ rng.uniform(0.5, 2.0, p - 1)
+    u = rng.standard_normal(t.size)
+    F[:, -1] = col + rel * np.linalg.norm(col) * u / np.linalg.norm(u)
+    return F
+
+
+class TestRankCheck:
+    """check_full_rank refuses exactly the bases that a column-pivoted
+    LAPACK QR refuses under the same rule."""
+
+    def test_polynomial_and_shifted_bases_match_pivoted_qr(self):
+        rng = np.random.default_rng(20261019)
+        decisions = []
+        for p in range(1, 6):
+            for n in (p + 1, p + 2, 12, 60, 300, 2000):
+                t = np.sort(rng.uniform(size=n))
+                for _ in range(4):
+                    # monomials of random degree, some shifted; repeated
+                    # degrees or too many shifts make the columns dependent
+                    degrees = rng.integers(0, p + 1, size=p)
+                    shifts = np.where(rng.uniform(size=p) < 0.5, 0.0, rng.uniform(-1.0, 1.0, size=p))
+                    F = np.column_stack([(t - a) ** int(k) for k, a in zip(degrees, shifts)])
+                    decisions.append(_refused(F))
+                    assert decisions[-1] == _qr_refuses(F), (p, n, degrees, shifts)
+        assert 20 <= sum(decisions) <= len(decisions) - 20  # both sides are exercised
+
+    @pytest.mark.parametrize("rel, refused", [(1e-13, True), (1e-11, True), (1e-9, False), (1e-7, False)])
+    def test_near_dependent_columns_on_both_sides_of_the_tolerance(self, rel, refused):
+        rng = np.random.default_rng(7)
+        for p in range(2, 6):
+            for n in (p + 1, 40, 2000):
+                F = _near_dependent(np.sort(rng.uniform(size=n)), p, rel, rng)
+                assert _refused(F) == _qr_refuses(F) == refused, (p, n)
+
+    def test_long_basis(self):
+        t = np.linspace(0.0, 1.0, 100_000)
+        rng = np.random.default_rng(3)
+        for rel, refused in ((1e-13, True), (1e-7, False)):
+            F = _near_dependent(t, 4, rel, rng)
+            assert _refused(F) == _qr_refuses(F) == refused
+        F = np.column_stack([t**k for k in range(3)])
+        assert not _refused(F) and not _qr_refuses(F)
+
+    def test_pivoted_diagonal_matches_lapack(self):
+        # columns of spread scales in shuffled order, so that pivoting
+        # reorders them, and near-dependent ones
+        scipy_linalg = pytest.importorskip("scipy.linalg")
+        rng = np.random.default_rng(11)
+        for p in range(1, 6):
+            for n in (p, p + 1, 50, 2000):
+                F = rng.standard_normal((n, p)) * rng.permutation(np.geomspace(1.0, 1e-6, p))
+                for G in (F, _near_dependent(np.sort(rng.uniform(size=n)), p, 1e-9, rng) if p > 1 else F):
+                    _, R, _ = scipy_linalg.qr(G, mode="economic", pivoting=True)
+                    assert np.allclose(_pivoted_qr_diagonal(G), np.abs(np.diag(R)), rtol=0.0,
+                                       atol=1e-14 * np.linalg.norm(G))
+
+    @pytest.mark.parametrize("F", [np.ones(5), np.ones((4, 2, 1)), np.ones((2, 3)), np.zeros((5, 2)),
+                                   np.zeros((5, 0))], ids=["1d", "3d", "wide", "zero", "no-columns"])
+    def test_shape_and_zero_refusals(self, F):
+        with pytest.raises(LinearDependenceError):
+            check_full_rank(F)
+
+    def test_nonfinite_basis_is_refused(self):
+        t = np.linspace(0.0, 1.0, 6)
+        for bad in (np.nan, np.inf):
+            F = np.column_stack([np.ones(6), t])
+            F[3, 1] = bad
+            with pytest.raises(InvalidParameterError, match="finite"):
+                check_full_rank(F)
 
 
 class TestCovarianceMatrix:
