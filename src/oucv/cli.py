@@ -17,12 +17,13 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import functools
-import itertools
 import json
 import math
+import os
+import stat
 import sys
+from array import array
 from pathlib import Path
-from typing import NoReturn
 
 import numpy as np
 
@@ -73,77 +74,107 @@ def _emit_error(err: Exception) -> None:
     print(line, file=sys.stderr)
 
 
-def _is_row(line: str) -> bool:
-    """Whether every comma-separated field of ``line`` is a number as the
-    C parser reads one: ASCII, with optional surrounding whitespace, a
-    decimal or exponent number, or inf, infinity or nan in any case, each
-    with an optional sign. Python's ``float`` also takes digit-group
-    underscores and non-ASCII digits; those are refused."""
+def _fields(line: str) -> list[float] | None:
+    """The comma-separated fields of ``line`` as numbers, or None when one
+    is not a number as the C parser reads one: ASCII, with optional
+    surrounding whitespace, a decimal or exponent number, or inf,
+    infinity or nan in any case, each with an optional sign. Python's
+    ``float`` also takes digit-group underscores and non-ASCII digits;
+    those are refused."""
+    values = []
     for field in line.split(","):
         field = field.strip()
         if not field.isascii() or "_" in field:
-            return False
+            return None
         try:
-            float(field)
+            values.append(float(field))
         except ValueError:
-            return False
-    return True
+            return None
+    return values
+
+
+def _skipped(line: str) -> bool:
+    """Whether ``line`` is blank or a '#' comment."""
+    return line.lstrip()[:1] in ("", "#")
+
+
+# suffixes numpy's path opener decompresses, where ``open`` reads the bytes;
+# it also fetches a scheme://netloc name as a URL
+_COMPRESSED_SUFFIXES = (".gz", ".bz2", ".xz", ".lzma")
 
 
 def _read_rows(path: str, widths: tuple[int, ...] | None = None) -> np.ndarray:
     """The numeric rows of a comma-separated file as one (rows, width) array.
 
     Lines that are blank or start with '#' are dropped. The first other
-    line may be a header: it is dropped when it does not parse. The rest
-    is one C parse (``numpy.loadtxt``). Every row must have the width of
-    the first data row, which must be one of ``widths`` when given. A
-    later row that does not parse, a row of another width, a file with
-    no data rows, or one that is not text, raises an
-    InvalidParameterError naming the line or the file at fault.
+    line may be a header: it is dropped when it does not parse. Every row
+    must have the width of the first data row, which must be one of
+    ``widths`` when given. A later row that does not parse, a row of
+    another width, a file with no data rows, or one that is not text,
+    raises an InvalidParameterError naming the line or the file at fault.
+
+    Python reads the head of a regular file, the lines before its first
+    data row, and ``numpy.loadtxt`` reads the rest by path, in C. A file
+    that parse refuses, one that is not a regular file, and a name numpy
+    would open otherwise than ``open`` does go to :func:`_parse_lines`,
+    which gives the same rows or names the fault.
     """
-    rows = None
     with open(path) as fh:
-        lines = (line for line in fh if line.lstrip()[:1] not in ("", "#"))
-        try:
-            first = next(lines, None)
-            if first is not None and not _is_row(first):  # a header
-                first = next(lines, None)
-            if first is not None:
-                rows = np.loadtxt(itertools.chain([first], lines), delimiter=",", comments=None, ndmin=2)
-        except ValueError:  # a field or row the parser refuses, or bytes that do not decode
-            pass
-    if rows is None or (widths is not None and rows.shape[1] not in widths):
-        _raise_bad_line(path, widths)
-    return rows
+        plain_name = "://" not in path and not path.endswith(_COMPRESSED_SUFFIXES)
+        if plain_name and stat.S_ISREG(os.fstat(fh.fileno()).st_mode):  # a pipe cannot be read twice
+            try:
+                head = _head_length(fh)
+                if head is not None:
+                    rows = np.loadtxt(path, delimiter=",", comments=None, ndmin=2, skiprows=head)
+                    if widths is None or rows.shape[1] in widths:
+                        return rows
+            except ValueError:  # a field or row the parser refuses, or bytes that do not decode
+                pass
+            fh.seek(0)
+        return _parse_lines(fh, path, widths)
 
 
-def _raise_bad_line(path: str, widths: tuple[int, ...] | None) -> NoReturn:
-    """The error of a file :func:`_read_rows` refused, naming its first
-    line at fault. Scans the file line by line, keeping no rows."""
-    width = None  # of the first data row; 0 after a header
+def _head_length(fh) -> int | None:
+    """The number of lines before the first data row: blank and '#'
+    lines, and the first other line when it does not parse (a header).
+    None when no line follows them."""
+    header = False
+    for head, line in enumerate(fh):
+        if _skipped(line):
+            continue
+        if header or _fields(line) is not None:
+            return head
+        header = True
+    return None
+
+
+def _parse_lines(fh, path: str, widths: tuple[int, ...] | None) -> np.ndarray:
+    """The rows of :func:`_read_rows`, read line by line in Python from
+    the open file ``fh``, or the error naming its first line at fault.
+    The reference for the C parse, and the reader of what it refuses."""
+    values, width = array("d"), None  # width of the first data row; 0 after a header
     try:
-        with open(path) as fh:
-            for lineno, line in enumerate(fh, 1):
-                if line.lstrip()[:1] in ("", "#"):
-                    continue
-                line = line.strip()
-                if not _is_row(line):
-                    if width is not None:
-                        raise InvalidParameterError(f"{path}, line {lineno}: cannot parse row {line!r}")
-                    width = 0
-                    continue
-                fields = line.count(",") + 1
-                width = width or fields
-                expected = (width,) if widths is None or width in widths else widths
-                if fields not in expected:
-                    raise InvalidParameterError(
-                        f"{path}, line {lineno}: {fields} fields where rows need {' or '.join(map(str, expected))}"
-                    )
+        for lineno, line in enumerate(fh, 1):
+            if _skipped(line):
+                continue
+            row = _fields(line)
+            if row is None:
+                if width is not None:
+                    raise InvalidParameterError(f"{path}, line {lineno}: cannot parse row {line.strip()!r}")
+                width = 0
+                continue
+            width = width or len(row)
+            expected = (width,) if widths is None or width in widths else widths
+            if len(row) not in expected:
+                raise InvalidParameterError(
+                    f"{path}, line {lineno}: {len(row)} fields where rows need {' or '.join(map(str, expected))}"
+                )
+            values.extend(row)
     except UnicodeDecodeError as err:
         raise InvalidParameterError(f"{path} is not text: {err}") from None
     if not width:
         raise InvalidParameterError(f"{path} holds no data rows")
-    raise InvalidParameterError(f"{path}: the rows do not parse as numbers")
+    return np.array(values).reshape(-1, width)
 
 
 def _read_point_file(path: str) -> np.ndarray:
@@ -215,6 +246,8 @@ def _trend_columns(path: str, design: Design) -> np.ndarray:
     cfg = _json_object(path)
     if "columns" not in cfg:
         return _trend_spec(cfg, need_beta=False).design_matrix(design)
+    if not isinstance(cfg["columns"], str):  # open() would take a number as a file descriptor
+        raise InvalidParameterError(f"trend config has a bad 'columns': {cfg['columns']!r}")
     return _read_rows(cfg["columns"])
 
 

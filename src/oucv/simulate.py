@@ -86,6 +86,9 @@ def check_full_rank(F: np.ndarray) -> None:
         raise LinearDependenceError(f"basis matrix of shape {F.shape} cannot have full column rank")
     if not np.all(np.isfinite(F)):
         raise InvalidParameterError("basis matrix must be finite")
+    # scaled by the power of two nearest its largest |entry|, which is
+    # exact, so that neither the QR nor the norm overflows or underflows
+    F = np.ldexp(F, -np.frexp(np.max(np.abs(F), initial=0.0))[1])
     diag = _pivoted_qr_diagonal(F)
     scale = float(np.linalg.norm(F))
     if scale == 0.0 or np.any(diag <= _RANK_TOL * scale):

@@ -1,6 +1,7 @@
 """Entry-point behavior: exit codes, output schemas, determinism."""
 
 import csv
+import gzip
 import io
 import json
 import os
@@ -11,6 +12,8 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import oucv
 from oucv import (CovarianceParams, from_points, log_score, maximal_design, minimal_design, ml_neg2loglik,
@@ -474,6 +477,113 @@ class TestMalformedInput:
         assert "basis matrix must be finite" in self._error(err)
 
 
+_NUMBERS = st.one_of(st.floats(width=64).map(repr),
+                     st.sampled_from(["inf", "-Infinity", "NaN", "1e400", " .5 ", "1.", "-0", "\t2E-3"]))
+_SKIPPED = st.sampled_from(["", "   ", "\t", "# a comment", "  # indented", "#"])
+_BAD_FIELDS = st.sampled_from(["oops", "1_0", "0.2 # note", ""])
+
+
+@st.composite
+def _csv_files(draw):
+    """Text of a comma-separated file of 1-3 fields a row, and the widths
+    to read it with: leading and interior blank, whitespace-only and '#'
+    lines, a header, \\r\\n line ends, and (when not clean) bad fields,
+    trailing commas and rows of another width."""
+    width = draw(st.integers(1, 3))
+    row = st.lists(_NUMBERS, min_size=width, max_size=width)
+    lines = draw(st.lists(_SKIPPED, max_size=2))
+    if draw(st.booleans()):
+        lines.append(",".join(["s", "y", "z"][:width]))
+    clean = draw(st.booleans())
+    for kind in draw(st.lists(st.sampled_from(["row"] * 4 + ["skipped", "bad", "ragged"]), max_size=8)):
+        if kind == "row" or clean:
+            lines.append(",".join(draw(row)))
+        elif kind == "skipped":
+            lines.append(draw(_SKIPPED))
+        elif kind == "bad":
+            fields = draw(row)
+            fields[draw(st.integers(0, width - 1))] = draw(_BAD_FIELDS)
+            lines.append(",".join(fields))
+        else:
+            lines.append(",".join(draw(st.lists(_NUMBERS, min_size=1, max_size=4))))
+    end = draw(st.sampled_from(["\n", "\r\n"]))
+    text = end.join(lines) + (end if draw(st.booleans()) else "")
+    return text, draw(st.sampled_from([None, (1,), (2, 3)]))
+
+
+class TestReaderRoutes:
+    """``_read_rows`` reads a regular file in one C parse by path. A file
+    that parse refuses, a pipe, and a name numpy's path opener would not
+    read as ``open`` does are read line by line by ``_parse_lines``; the
+    two give the same rows, or the same error."""
+
+    @staticmethod
+    def _outcome(read):
+        try:
+            rows = read()
+        except oucv.InvalidParameterError as err:
+            return str(err)
+        return rows.shape, rows.tobytes()  # bit for bit, nan included
+
+    @settings(max_examples=400)
+    @given(_csv_files())
+    def test_the_two_routes_agree(self, tmp_path_factory, case):
+        text, widths = case
+        path = tmp_path_factory.getbasetemp() / "routes.csv"
+        path.write_bytes(text.encode())
+        with open(path) as fh:
+            expected = self._outcome(lambda: cli._parse_lines(fh, str(path), widths))
+        assert self._outcome(lambda: cli._read_rows(str(path), widths)) == expected
+
+    def test_normal_files_take_the_c_route(self, tmp_path, monkeypatch):
+        _, out, _ = run_cli(["simulate", "--design", "regular:200", "--theta", "3", "--sigma2", "1", "--seed", "5"])
+        path = tmp_path / "data.csv"
+        path.write_text(out)
+        with open(path) as fh:
+            expected = cli._parse_lines(fh, str(path), (2, 3))
+
+        def refuse(*args):
+            raise AssertionError("read line by line")
+
+        monkeypatch.setattr(cli, "_parse_lines", refuse)
+        for text in (out, "# a path\n" + out, out.replace("\n", "\r\n")):
+            path.write_bytes(text.encode())
+            rows = cli._read_rows(str(path), (2, 3))
+            assert rows.shape == expected.shape and rows.tobytes() == expected.tobytes()
+
+    _TEXT = "s,y\n0.0,0.3\n0.5,0.1\n1.0,0.4\n"
+    _SCORE = ["score", "--theta", "2", "--sigma2", "1", "--data"]
+
+    @pytest.mark.parametrize("suffix", [".gz", ".bz2", ".xz", ".lzma"])
+    def test_a_compressed_suffix_on_plain_text_reads_as_text(self, tmp_path, suffix):
+        plain, named = tmp_path / "plain.csv", tmp_path / f"plain.csv{suffix}"
+        plain.write_text(self._TEXT)
+        named.write_text(self._TEXT)
+        code, out, _ = run_cli(self._SCORE + [str(named)])
+        assert code == 0 and out == run_cli(self._SCORE + [str(plain)])[1]
+
+    def test_gzip_bytes_are_not_text(self, tmp_path):
+        path = tmp_path / "data.csv.gz"
+        path.write_bytes(gzip.compress(self._TEXT.encode()))
+        code, out, err = run_cli(self._SCORE + [str(path)])
+        assert code == 1 and out == ""
+        assert "is not text" in json.loads(err)["message"]
+
+    def test_a_url_like_name_is_a_local_file(self, tmp_path, monkeypatch):
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / "a:").mkdir()
+        (tmp_path / "a:" / "b.csv").write_text(self._TEXT)
+        (tmp_path / "plain.csv").write_text(self._TEXT)
+        code, out, _ = run_cli(self._SCORE + ["a://b.csv"])
+        assert code == 0 and out == run_cli(self._SCORE + ["plain.csv"])[1]
+
+    def test_a_pipe_is_read_once(self, tmp_path):
+        (tmp_path / "plain.csv").write_text(self._TEXT)
+        proc = TestProcess._run(self._SCORE + ["/dev/stdin"], stdin=self._TEXT)
+        assert (proc.returncode, proc.stderr) == (0, "")
+        assert proc.stdout == run_cli(self._SCORE + [str(tmp_path / "plain.csv")])[1]
+
+
 _EXPERIMENT = {
     "design": {"kind": "regular", "n": 20}, "theta0": 3.0, "sigma0_sq": 1.0, "replicates": 2,
     "box": [0.1, 10.0, 0.3, 30.0], "estimators": ["cv-joint"], "seed": 1,
@@ -515,6 +625,8 @@ _ESTIMATE = ["estimate", "--data", "DATA", "--box"]
     # a generating parameter is checked when the config is read, not at the first sampled path
     (["experiment", "--config", "CONFIG"], dict(_EXPERIMENT, theta0="inf"), "'theta0'"),
     (["experiment", "--config", "CONFIG"], dict(_EXPERIMENT, sigma0_sq="inf"), "'sigma0_sq'"),
+    # a trend column file is named by a string, not opened as a file descriptor
+    (_ESTIMATE + ["0.1,10,0.3,30", "--trend", "CONFIG"], {"columns": 0}, "'columns'"),
 ])
 def test_malformed_spec_or_config_exits_1_naming_it(tmp_path, argv, config, named):
     _, out, _ = run_cli(_SIMULATE + ["regular:8"])
@@ -581,11 +693,11 @@ class TestProcess:
     leaves exactly one JSON line on stderr and no traceback."""
 
     @staticmethod
-    def _run(argv):
+    def _run(argv, stdin=None):
         src = str(Path(oucv.__file__).resolve().parents[1])  # the package under test
         env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
-        return subprocess.run([sys.executable, "-m", "oucv", *argv], capture_output=True, text=True, env=env,
-                              timeout=120)
+        return subprocess.run([sys.executable, "-m", "oucv", *argv], input=stdin, capture_output=True, text=True,
+                              env=env, timeout=120)
 
     @pytest.mark.parametrize("argv, code, error, named", [
         (["simulate", "--design", "regular:8", "--theta", "3", "--sigma2", "1", "--seed", "-1"], 1,

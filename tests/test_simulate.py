@@ -220,6 +220,16 @@ class TestRankCheck:
                     assert np.allclose(_pivoted_qr_diagonal(G), np.abs(np.diag(R)), rtol=0.0,
                                        atol=1e-14 * np.linalg.norm(G))
 
+    @pytest.mark.parametrize("scale", [1e-300, 1e-200, 1e160, 1e200])
+    def test_extreme_scales_decide_as_unit_scale_does(self, scale):
+        # the norm of F would overflow or underflow unscaled; any warning fails the test
+        t = np.linspace(0.0, 1.0, 50)
+        rng = np.random.default_rng(5)
+        for F, refused in ((np.ones((3, 1)), False), (np.column_stack([np.ones_like(t), t]), False),
+                           (np.column_stack([t, 2.0 * t]), True), (_near_dependent(t, 3, 1e-13, rng), True),
+                           (_near_dependent(t, 3, 1e-7, rng), False)):
+            assert _refused(F) == _refused(F * scale) == refused
+
     @pytest.mark.parametrize("F", [np.ones(5), np.ones((4, 2, 1)), np.ones((2, 3)), np.zeros((5, 2)),
                                    np.zeros((5, 0))], ids=["1d", "3d", "wide", "zero", "no-columns"])
     def test_shape_and_zero_refusals(self, F):
