@@ -17,20 +17,23 @@ whole arrays of (row, theta) pairs, and golden-section search then runs
 on all stacked rows in lockstep, each with its own bracket, variance
 bounds and stopping point. A row's result depends on that row alone, so
 it is bitwise the same in any batch and beside any other estimator; the
-single-path ``estimate_*`` functions are batches of one. Each objective
-is prepared once per call (a kernel of :mod:`oucv.scoring`, whose
-evaluation costs as many operations as the design has gap classes, or
-O(1) per row on a large design without classes, or the trend kernel of
+single-path ``estimate_*`` functions are batches of one. Lanes are
+built and checked once and may search any number of data arrays, as
+the Monte Carlo harness does once per chunk. Each objective is prepared
+once per search (a kernel of :mod:`oucv.scoring`, whose evaluation
+costs as many operations as the design has gap classes, or O(1) per
+row on a large design without classes, or the trend kernel of
 :mod:`oucv.regression`), and the lanes of one kernel share its calls:
 ``cv-joint`` and ``cv-fixed-sigma`` evaluate one grid of L and Q. A
-fixed theta (``cv-fixed-theta``) is no search: its rows are one
-evaluation each, point by point on a kernel of their own. The grid is
-one call of each kernel for every row, which the kernel cuts into
-blocks: the trend kernel builds its theta-only factor per block of
-nodes sized by n p and projects the rows in blocks sized by rows x n.
-The two interior points of the brackets are one call per kernel, and
-so are each golden-section step and the two sides of a central
-difference.
+fixed theta (``cv-fixed-theta``) is no search: each row is one
+evaluation at that theta, point by point on a kernel of its own, and
+the value, the variance profile and the variance derivative all come
+from it. The grid is one call of each kernel for every row, which the
+kernel cuts into blocks: the trend kernel builds its theta-only factor
+per block of nodes sized by n p and projects the rows in blocks sized
+by rows x n. The two interior points of the brackets are one call per
+kernel, and so are each golden-section step and the two sides of a
+central difference.
 """
 
 from __future__ import annotations
@@ -197,18 +200,6 @@ def _local_minima(values: np.ndarray) -> np.ndarray:
     return np.count_nonzero(falls_into & rises_from, axis=1)
 
 
-def _at_one_theta(objective: Callable, theta: np.ndarray) -> tuple:
-    """The objective at one theta per row, ``theta`` (rows,), without a
-    search; returns what :func:`_minimize_theta` does, with no
-    iterations, one evaluation and one grid minimum per row."""
-    rows = theta.size
-    failed: dict[int, OucvError] = {}
-    values = objective(np.arange(rows), theta[:, None], failed)
-    _fail_nonfinite(failed, theta[:, None], values)
-    ones = np.ones(rows, int)
-    return theta, values[:, 0], np.zeros(rows, int), ones, ones, failed
-
-
 def _best_seen(seen: list, rows: int) -> tuple[np.ndarray, np.ndarray]:
     """Per row, the point of least value among ``seen``, a list of (row
     indices, thetas, values): ties go to the smaller theta, and a NaN
@@ -239,8 +230,9 @@ def _minimize_theta(objective: Callable, lo: float, hi: float, rows: int) -> tup
     smallest objective value seen, grid nodes included; ties go to the
     smaller theta. A non-finite value on a row's grid fails that row
     alone. Returns per row theta, value, iterations, evaluations and the
-    local minima of the grid values, and the failures by row; a collapsed
-    range ``lo == hi`` is no search but :func:`_at_one_theta`.
+    local minima of the grid values, and the failures by row. A collapsed
+    range ``lo == hi`` is not searched here: :meth:`_Stack.search`
+    evaluates a fixed theta once per row.
     """
     failed: dict[int, OucvError] = {}
     everyone = np.arange(rows)
@@ -365,9 +357,10 @@ class _Stack:
     the lanes of one prepared kernel lie next to each other, so that each
     kernel is called once per evaluation for all of its lanes.
 
-    ``objective`` is the profiled objective that :func:`_minimize_theta`
-    takes: per stacked row count log sigma2 + L + Q / sigma2 at the
-    variance profile Q / count, clamped into the lane's [b, B]. With one
+    ``profile`` gives per stacked row count log sigma2 + L + Q / sigma2
+    at the variance profile Q / count, clamped into the lane's [b, B],
+    with that profile and Q; its value is the objective that
+    :func:`_minimize_theta` takes. With one
     lane the kernel sees the search's own rows, None for all of them, and
     the bounds are the lane's scalars, as if there were no stack: the
     stacked path gives the same bits, but its per-step splitting, copies
@@ -424,15 +417,15 @@ class _Stack:
                 L[s], Q[s] = kernel.parts(rows, thetas[s])
         return L, Q
 
-    def objective(self, srows: np.ndarray, thetas: np.ndarray, failed: dict) -> np.ndarray:
+    def profile(self, srows: np.ndarray, thetas: np.ndarray, failed: dict) -> tuple:
         L, Q = self.parts(srows, thetas)
         _record_singular(failed, srows, thetas, L)
         count, b, B = self.bounds(srows)
         s2 = _clamp(Q / count, b, B)
         if self.overflows:  # a row whose value overflows fails as not finite
             with np.errstate(over="ignore"):
-                return count * np.log(s2) + L + Q / s2
-        return count * np.log(s2) + L + Q / s2
+                return count * np.log(s2) + L + Q / s2, s2, Q
+        return count * np.log(s2) + L + Q / s2, s2, Q
 
     def gradient(self, srows, theta, sigma2, failed) -> np.ndarray:
         """The theta-derivative at per-row ``theta`` (len(srows), 1) and the
@@ -455,29 +448,32 @@ class _Stack:
     def search(self) -> list:
         """Every stacked row's result or failure. Lanes whose theta range is
         not collapsed share it and run one search; on a collapsed range
-        each row is one evaluation at its lane's fixed theta, with the
-        variance derivative count / sigma2 - Q / sigma2^2 as its gradient."""
+        each row is one evaluation at its lane's fixed theta, which gives
+        its value, its variance profile and, as its gradient, the variance
+        derivative count / sigma2 - Q / sigma2^2."""
         lanes, R = self.lanes, self.R
-        box = lanes[0].box
+        box, rows = lanes[0].box, R * len(lanes)
         searching = box.a < box.A
         if searching:
-            found = _minimize_theta(self.objective, box.a, box.A, R * len(lanes))
-        else:
-            found = _at_one_theta(self.objective, np.repeat([lane.box.a for lane in lanes], R))
-        theta_hat, values, iterations, evaluations, minima, failed = found
-        results = [None] * theta_hat.size
-        done = np.array([i for i in range(theta_hat.size) if i not in failed], dtype=int)
+            found = _minimize_theta(lambda *args: self.profile(*args)[0], box.a, box.A, rows)
+            theta_hat, values, iterations, evaluations, minima, failed = found
+            done = np.array([i for i in range(rows) if i not in failed], dtype=int)
+        else:  # no iterations, one evaluation and one grid minimum per row
+            theta_hat, failed = np.repeat([lane.box.a for lane in lanes], R), {}
+            done = np.arange(rows)
+            iterations, evaluations, minima = np.zeros(rows, int), np.ones(rows, int), np.ones(rows, int)
+        results = [None] * rows
         if done.size:
             theta = theta_hat[done, None]
-            L, Q = self.parts(done, theta)
-            _record_singular(failed, done, theta, L)
-            count, b, B = self.bounds(done)
-            sigma2 = _clamp(Q / count, b, B)
+            value, sigma2, Q = self.profile(done, theta, failed)
             if searching:
                 grad = self.gradient(done, theta, sigma2, failed)
-            else:
-                with np.errstate(over="ignore", divide="ignore"):
-                    grad = count / sigma2 - Q / (sigma2 * sigma2)
+            else:  # done holds every row, so a row's index is its stacked row
+                values = value[:, 0]
+                _fail_nonfinite(failed, theta, value)
+                # the derivative of a failed row is not reported
+                with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+                    grad = self.bounds(done)[0] / sigma2 - Q / (sigma2 * sigma2)
             for j, i in enumerate(done):
                 if i not in failed:
                     results[i] = _result(
@@ -503,7 +499,8 @@ class _Lane:
 
 def _search_lanes(design: Design, Y, lanes: list) -> list[list]:
     """Profile search over theta for every row of Y in every lane; one
-    list of per-row results per lane.
+    list of per-row results per lane. A lane that is an
+    :class:`OucvError`, the refusal of its estimator, fails every row.
 
     A lane's kernel prepares the objective on the rows once, like
     :class:`~oucv.scoring.CvKernel`, told whether it will be evaluated at
@@ -531,19 +528,20 @@ def _search_lanes(design: Design, Y, lanes: list) -> list[list]:
     bitwise those it gets alone.
     """
     Y, slots = _data_rows(design, Y)
-    results = [list(slots) for _ in lanes]
+    results = [[lane] * len(slots) if isinstance(lane, OucvError) else list(slots) for lane in lanes]
     ok = _unfailed(slots)
-    if not ok.size or not lanes:
+    runs = [j for j, lane in enumerate(lanes) if isinstance(lane, _Lane)]
+    if not ok.size or not runs:
         return results
     R = ok.size
     Y = Y if R == len(slots) else Y[ok]
     prepared = {}
-    for lane in lanes:
+    for lane in (lanes[j] for j in runs):
         if lane.key not in prepared:  # a fixed theta is one evaluation
             prepared[lane.key] = lane.kernel(design, Y, lane.box.a < lane.box.A)
     keys = list(prepared)
     for searching in (True, False):
-        stacked = sorted((j for j, lane in enumerate(lanes) if (lane.box.a < lane.box.A) == searching),
+        stacked = sorted((j for j in runs if (lanes[j].box.a < lanes[j].box.A) == searching),
                          key=lambda j: keys.index(lanes[j].key))
         if not stacked:
             continue
@@ -608,6 +606,20 @@ def _lane(name: str, design: Design, box: ParameterBox, value) -> _Lane:
     return _Lane(box, kernel, (row.kernel, box.a < box.A))
 
 
+def _lanes(names, design: Design, box: ParameterBox, fixed: dict) -> list:
+    """Estimators ``names`` as lanes, each at its value in ``fixed`` and
+    checked once, to search any number of data arrays; an estimator whose
+    name or fixed value is refused is that error in place of its lane."""
+    lanes = []
+    for name in names:
+        row = ESTIMATOR_TABLE.get(name)
+        try:
+            lanes.append(_lane(name, design, box, fixed.get(row.fixes) if row else None))
+        except OucvError as err:
+            lanes.append(err)
+    return lanes
+
+
 def estimate_batch(name: str, design: Design, Y, box: ParameterBox, value=None) -> list:
     """Estimator ``name`` on every row of Y (R, n), at the fixed ``value``
     of the variance or theta (the collapsed range of the box) or of the
@@ -634,15 +646,7 @@ def estimate_lanes(names, design: Design, Y, box: ParameterBox, fixed: dict) -> 
     own. An estimator whose name or fixed value is refused gets that
     error on every row; the others run.
     """
-    lanes = []
-    for name in names:
-        row = ESTIMATOR_TABLE.get(name)
-        try:
-            lanes.append(_lane(name, design, box, fixed.get(row.fixes) if row else None))
-        except OucvError as err:
-            lanes.append(err)
-    searched = iter(_search_lanes(design, Y, [lane for lane in lanes if isinstance(lane, _Lane)]))
-    return [next(searched) if isinstance(lane, _Lane) else [lane] * len(Y) for lane in lanes]
+    return _search_lanes(design, Y, _lanes(names, design, box, fixed))
 
 
 def _single(results: list) -> EstimateResult:

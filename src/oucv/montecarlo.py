@@ -1,13 +1,13 @@
 """Replicated simulate-estimate experiments with reproducible seed streams.
 
 Each replicate draws its path from an independent stream keyed by
-(base seed, replicate index). Replicates are sampled and estimated in
-chunks, one after the other: the config's estimators run on all of a
-chunk's paths in one call of :func:`~oucv.estimation.estimate_lanes`,
-so that the estimators that search theta share one search and each
-objective is prepared once per chunk; ``cv-fixed-theta`` evaluates its
-one point apart.
-The chunk size follows from the kernels' fixed element budget
+(base seed, replicate index). An experiment builds and checks the lanes
+of its estimators (see :mod:`oucv.estimation`) once, then samples and
+estimates its replicates in chunks, one after the other: each chunk's
+paths are one search of those lanes, so that the estimators that search
+theta share one search and each objective is prepared once per chunk;
+``cv-fixed-theta`` evaluates its one point apart. The chunk size
+follows from the kernels' fixed element budget
 (:func:`~oucv.estimation.replicate_chunk`). A record depends on its
 replicate's data alone, so reports do not depend on the chunking.
 Reports carry per-replicate standardized statistics, summary moments
@@ -33,8 +33,9 @@ from .estimation import (
     ESTIMATOR_TABLE,
     ParameterBox,
     _FIXED_NAMES,
+    _lanes,
     _positive_finite,
-    estimate_lanes,
+    _search_lanes,
     replicate_chunk,
     standardized_statistic,
 )
@@ -233,49 +234,6 @@ def make_preset(name: str) -> ExperimentConfig:
     )
 
 
-def _add_chunk_records(
-    records: dict[str, list[ReplicateRecord]],
-    replicates: range,
-    design: Design,
-    F: np.ndarray | None,
-    config: ExperimentConfig,
-    tau: float,
-) -> None:
-    """Sample a chunk of replicates, each on its own (seed, r) stream, run
-    every estimator on the whole chunk in one call, and append its
-    records to the estimator's list in ``records``."""
-    params = CovarianceParams(theta=config.theta0, sigma2=config.sigma0_sq)
-    Y = np.stack([sample_path(design, params, (config.seed, r)) for r in replicates])
-    data = Y if F is None else F @ config.trend.beta + Y
-    product0 = config.theta0 * config.sigma0_sq
-    fixed = {"sigma2": config.sigma1_sq, "theta": config.theta2, "trend": F}
-    for name, results in zip(config.estimators, estimate_lanes(config.estimators, design, data, config.box, fixed)):
-        out = records[name]
-        for r, res in zip(replicates, results):
-            if isinstance(res, OucvError):
-                out.append(ReplicateRecord(
-                    replicate=r,
-                    seed=config.seed,
-                    theta_hat=math.nan,
-                    sigma2_hat=math.nan,
-                    product=math.nan,
-                    std_stat=math.nan,
-                    objective=math.nan,
-                    flags=f"failed:{type(res).__name__}",
-                ))
-            else:
-                out.append(ReplicateRecord(
-                    replicate=r,
-                    seed=config.seed,
-                    theta_hat=res.theta_hat,
-                    sigma2_hat=res.sigma2_hat,
-                    product=res.product,
-                    std_stat=standardized_statistic(res.product, product0, design.n, tau),
-                    objective=res.objective_value,
-                    flags="|".join(res.boundary_flags) if res.boundary_flags else "-",
-                ))
-
-
 def _summary_from_records(records, tau_sq: float) -> dict:
     stats = np.array([rec.std_stat for rec in records], dtype=float)
     ok = np.isfinite(stats)
@@ -336,9 +294,11 @@ def _histogram_from_records(records, tau_sq: float):
 def run_experiment(config: ExperimentConfig, max_workers: int | None = None) -> ExperimentReport:
     """Run all replicates and estimators; deterministic for a fixed config.
 
-    Replicate r draws from the stream keyed by (seed, r), so the report
-    does not depend on execution order or chunking. The chunks run one
-    after the other in this thread; ``max_workers`` is accepted for
+    The design, its trend columns and the estimators' lanes are built and
+    checked once; each chunk of replicates is then sampled, replicate r
+    from the stream keyed by (seed, r), and searched in one call, so the
+    report does not depend on execution order or chunking. The chunks run
+    one after the other in this thread; ``max_workers`` is accepted for
     compatibility and ignored. Failed replicates are recorded with a
     failure flag and excluded from the moments; they never abort the
     experiment or their chunk.
@@ -347,12 +307,43 @@ def run_experiment(config: ExperimentConfig, max_workers: int | None = None) -> 
     tau_sq = tau_squared(design)
     tau = math.sqrt(tau_sq)
     F = config.trend.design_matrix(design) if config.trend is not None else None
+    params = CovarianceParams(theta=config.theta0, sigma2=config.sigma0_sq)
+    product0 = config.theta0 * config.sigma0_sq
+    fixed = {"sigma2": config.sigma1_sq, "theta": config.theta2, "trend": F}
+    lanes = _lanes(config.estimators, design, config.box, fixed)
+
+    def record(r: int, res) -> ReplicateRecord:
+        """The record of replicate r's result, or of its failure."""
+        if isinstance(res, OucvError):
+            return ReplicateRecord(
+                replicate=r,
+                seed=config.seed,
+                theta_hat=math.nan,
+                sigma2_hat=math.nan,
+                product=math.nan,
+                std_stat=math.nan,
+                objective=math.nan,
+                flags=f"failed:{type(res).__name__}",
+            )
+        return ReplicateRecord(
+            replicate=r,
+            seed=config.seed,
+            theta_hat=res.theta_hat,
+            sigma2_hat=res.sigma2_hat,
+            product=res.product,
+            std_stat=standardized_statistic(res.product, product0, design.n, tau),
+            objective=res.objective_value,
+            flags="|".join(res.boundary_flags) if res.boundary_flags else "-",
+        )
 
     chunk = replicate_chunk(design.n)
     records = {name: [] for name in config.estimators}
     for start in range(1, config.replicates + 1, chunk):
         replicates = range(start, min(start + chunk, config.replicates + 1))
-        _add_chunk_records(records, replicates, design, F, config, tau)
+        Y = np.stack([sample_path(design, params, (config.seed, r)) for r in replicates])
+        data = Y if F is None else F @ config.trend.beta + Y
+        for name, results in zip(config.estimators, _search_lanes(design, data, lanes)):
+            records[name].extend(map(record, replicates, results))
 
     panels = {}
     for name in config.estimators:

@@ -204,9 +204,9 @@ def reg_parts(design: Design, Y: np.ndarray, thetas, F: np.ndarray) -> tuple[np.
     theta alone, so only Pz, Wz and the projected residual are computed
     per (row, theta). Every sum runs over the point axis of its own
     (row, theta) pair, so a row's values do not depend on the rest of
-    the batch.
+    the batch. It is :class:`TrendKernel` prepared for one call.
     """
-    return _parts(_trend_factor(design, thetas, _columns(F)), Y, _increments(Y, 1))
+    return TrendKernel(design, Y, True, F).parts(None, thetas)
 
 
 class TrendKernel:

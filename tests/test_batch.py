@@ -37,7 +37,7 @@ from oucv import (
     sample_path,
     scoring,
 )
-from oucv import estimation
+from oucv import estimation, regression
 from oucv.estimation import ESTIMATOR_TABLE, estimate_batch, estimate_lanes
 from oucv.regression import TrendKernel, reg_parts
 from oucv.scoring import CvKernel, MlKernel, _GapKernel
@@ -460,7 +460,7 @@ class TestEvaluationCount:
         # one kernel call each for the grid, the two interior points, every
         # iteration, the midpoint and the variance profile, and one for the
         # central difference of a kernel without a gradient; a fixed theta
-        # is one point and its profile
+        # is one point, which gives the value and the profile
         d = regular_design(50)
         F = _trend_matrix(d, 1)
         Y = np.stack([sample_path(d, PARAMS0, (14, r)) for r in range(3)])
@@ -476,7 +476,7 @@ class TestEvaluationCount:
         monkeypatch.setitem(ESTIMATOR_TABLE, name, dataclasses.replace(row, kernel=Counting))
         results = estimate_batch(name, d, Y + F @ [1.0, 2.0] if row.fixes == "trend" else Y, BOX, value)
         if row.fixes == "theta":
-            assert calls == [(3, 1)] * 2
+            assert calls == [(3, 1)]
             return
         iterations = max(res.iterations for res in results)
         assert len(calls) == 4 + iterations + (row.kernel.gradient is None)
@@ -610,6 +610,7 @@ class TestOneSearchPerChunk:
             return wrapper
 
         monkeypatch.setattr(estimation, "_minimize_theta", counted("searches", estimation._minimize_theta))
+        monkeypatch.setattr(regression, "check_full_rank", counted("rank checks", regression.check_full_rank))
         for kernel in (CvKernel, MlKernel, TrendKernel):
             monkeypatch.setattr(kernel, "__init__", counted(kernel.__name__, kernel.__init__))
         cfg = ExperimentConfig(
@@ -619,8 +620,9 @@ class TestOneSearchPerChunk:
         )
         run_experiment(cfg)
         # per chunk: cv-joint and cv-fixed-sigma share a CvKernel, and
-        # cv-fixed-theta evaluates on one of its own
-        assert calls == {"searches": 2, "CvKernel": 4, "MlKernel": 2, "TrendKernel": 2}
+        # cv-fixed-theta evaluates on one of its own; the lanes, and with
+        # them the trend columns' rank check, are built once
+        assert calls == {"searches": 2, "rank checks": 1, "CvKernel": 4, "MlKernel": 2, "TrendKernel": 2}
 
     def test_the_two_cv_lanes_sum_the_series_moments_once(self, monkeypatch):
         sums = []

@@ -627,6 +627,11 @@ _ESTIMATE = ["estimate", "--data", "DATA", "--box"]
     (["experiment", "--config", "CONFIG"], dict(_EXPERIMENT, sigma0_sq="inf"), "'sigma0_sq'"),
     # a trend column file is named by a string, not opened as a file descriptor
     (_ESTIMATE + ["0.1,10,0.3,30", "--trend", "CONFIG"], {"columns": 0}, "'columns'"),
+    # a trend config is a JSON object; simulation needs a named basis and its coefficients
+    (_ESTIMATE + ["0.1,10,0.3,30", "--trend", "CONFIG"], [1.0, 2.0], "CONFIG"),
+    (_SIMULATE + ["regular:8", "--trend", "CONFIG"], {"basis": "polynomial:1"}, "'beta'"),
+    (_SIMULATE + ["regular:8", "--trend", "CONFIG"], {"columns": "F.csv"}, "column file"),
+    (["design", "--kind", "file"], None, "--points"),
 ])
 def test_malformed_spec_or_config_exits_1_naming_it(tmp_path, argv, config, named):
     _, out, _ = run_cli(_SIMULATE + ["regular:8"])

@@ -23,7 +23,7 @@ from oucv import (
     score_gradient_theta,
     standardized_statistic,
 )
-from oucv.estimation import _at_one_theta, _minimize_theta
+from oucv.estimation import _minimize_theta, estimate_batch
 from conftest import random_instance
 
 BOX = ParameterBox(0.1, 10.0, 0.3, 30.0)
@@ -128,11 +128,11 @@ class TestGridMinima:
         _, minima = self._search(lambda x: -x)  # minimum on the upper grid edge
         assert minima.tolist() == [1, 1]
         # a collapsed range is one evaluation, not a search
-        theta, _, iterations, evaluations, minima, failed = _at_one_theta(
-            lambda idx, thetas, failed: thetas * 0.0, np.full(2, 2.0)
-        )
-        assert not failed and theta.tolist() == [2.0, 2.0]
-        assert (minima.tolist(), iterations.tolist(), evaluations.tolist()) == ([1, 1], [0, 0], [1, 1])
+        d = regular_design(12)
+        Y = np.stack([sample_path(d, PARAMS0, (32, r)) for r in range(2)])
+        results = estimate_batch("cv-fixed-theta", d, Y, BOX, 2.0)
+        assert [res.theta_hat for res in results] == [2.0, 2.0]
+        assert [(res.grid_minima, res.iterations, res.evaluations) for res in results] == [(1, 0, 1)] * 2
 
     def test_estimates_carry_the_count(self):
         d = regular_design(40)

@@ -180,6 +180,12 @@ class TestExport:
         summary = json.loads((tmp_path / "summary.json").read_text())
         assert summary["tau_sq"] == tau_squared(build_design(cfg.design))
         assert summary["regime"] == "boundary"  # aB == Ab == 3 for the shipped box
+        assert summary["trend_p"] == 0
+        # a polynomial:1 trend has p = 2 columns
+        trend = TrendSpec(beta=[1.0, 2.0], basis=polynomial_basis(1))
+        export(run_experiment(small_config(replicates=2, estimators=("cv-regression",), trend=trend)),
+               tmp_path / "trend")
+        assert json.loads((tmp_path / "trend" / "summary.json").read_text())["trend_p"] == 2
 
     def test_summary_json_names_the_versions_that_produced_it(self, tmp_path):
         export(run_experiment(small_config(replicates=2)), tmp_path)

@@ -1,5 +1,7 @@
 """Trend-aware scoring: GLS coefficients, projected score, residual terms."""
 
+import tracemalloc
+
 import mpmath
 import numpy as np
 import pytest
@@ -359,3 +361,23 @@ def test_pure_trend_is_projected_out(design, p, seed):
     y = sample_path(design, PARAMS0, seed)
     _, Q = regression_mod.reg_parts(design, np.stack([trend, trend + y]), np.array([BOX.a, BOX.A]), F)
     assert np.all(Q[0] <= 1e-15 * Q[1])
+
+
+def test_reg_parts_builds_the_factor_of_a_grid_in_blocks():
+    # the trend factor of all 64 grid nodes at once peaked at 127 MB at
+    # n = 20000; built per block of nodes, as the search's kernel builds
+    # it, the call peaks near 3 MB
+    design = regular_design(20000)
+    F = LINEAR.design_matrix(design)
+    Y = np.stack([sample_path(design, PARAMS0, (24, r)) for r in range(2)])
+    thetas = np.geomspace(BOX.a, BOX.A, 64)
+    tracemalloc.start()
+    try:
+        L, Q = regression_mod.reg_parts(design, Y, thetas, F)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 16e6
+    for j in (0, 63):
+        one_L, one_Q = regression_mod.reg_parts(design, Y, thetas[j:j + 1], F)
+        assert (one_L[0], one_Q[:, 0].tolist()) == (L[j], Q[:, j].tolist())
