@@ -5,6 +5,9 @@ parameters, rank deficiency) exit 1, I/O errors exit 2, numerical
 failures (ill-conditioning, nonfinite values) exit 3.
 """
 
+import math
+import numbers
+
 
 class OucvError(Exception):
     """Base class for all library errors."""
@@ -17,6 +20,21 @@ class InvalidDesignError(OucvError):
 
 class InvalidParameterError(OucvError):
     """A scalar argument is outside its documented domain."""
+
+
+def positive_finite(value) -> bool:
+    """Whether ``value`` is a real number, not a bool, positive and finite as a float."""
+    try:
+        return isinstance(value, numbers.Real) and not isinstance(value, bool) and 0.0 < float(value) < math.inf
+    except OverflowError:  # an integer past the float range
+        return False
+
+
+def check_positive(name: str, value) -> float:
+    """``value`` as a float, refused as parameter ``name`` unless :func:`positive_finite` holds."""
+    if positive_finite(value):
+        return float(value)
+    raise InvalidParameterError(f"{name} must be positive and finite, got {value!r}")
 
 
 class FactorialOverflowError(InvalidParameterError):

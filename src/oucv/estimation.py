@@ -47,7 +47,7 @@ from typing import Callable
 import numpy as np
 
 from .designs import Design
-from .errors import ConditioningError, InvalidParameterError, NumericalFailureError, OucvError
+from .errors import ConditioningError, InvalidParameterError, NumericalFailureError, OucvError, positive_finite
 from .numerics import _ELEMENT_BUDGET
 from .regression import TrendKernel, _prepare_F
 from .scoring import CvKernel, MlKernel, ScoreDecomposition, _check_data
@@ -171,11 +171,6 @@ def replicate_chunk(n: int) -> int:
     """How many replicates of n points to estimate in one batch: as many
     as one block of the per-point kernel holds at one theta."""
     return max(1, _ELEMENT_BUDGET // n)
-
-
-def _positive_finite(value) -> bool:
-    """Whether ``value`` is a real number, not a bool, finite and positive."""
-    return not isinstance(value, bool) and isinstance(value, numbers.Real) and math.isfinite(value) and value > 0.0
 
 
 def _fail_nonfinite(failed: dict, thetas: np.ndarray, values: np.ndarray) -> None:
@@ -584,9 +579,9 @@ def _check_fixed(name: str, value) -> Estimator:
     if row is None:
         raise InvalidParameterError(f"unknown estimator {name!r}")
     if (value is None) != (row.fixes is None):
-        raise InvalidParameterError(f"{name} needs a fixed {row.fixes}" if value is None
+        raise InvalidParameterError(f"{name} needs a fixed {_FIXED_NAMES[row.fixes]}" if value is None
                                     else f"{name} fixes no parameter, got {value!r}")
-    if row.fixes in ("sigma2", "theta") and not _positive_finite(value):
+    if row.fixes in ("sigma2", "theta") and not positive_finite(value):
         raise InvalidParameterError(
             f"{name} needs a positive finite fixed {_FIXED_NAMES[row.fixes]}, got {value!r}"
         )

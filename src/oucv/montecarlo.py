@@ -28,13 +28,12 @@ import numpy as np
 
 from . import __version__
 from .designs import Design, from_points, maximal_design, minimal_design, regular_design, tau_squared
-from .errors import InvalidParameterError, OucvError
+from .errors import InvalidParameterError, OucvError, check_positive
 from .estimation import (
     ESTIMATOR_TABLE,
     ParameterBox,
-    _FIXED_NAMES,
+    _check_fixed,
     _lanes,
-    _positive_finite,
     _search_lanes,
     replicate_chunk,
     standardized_statistic,
@@ -82,7 +81,8 @@ PRESET_NAMES = (
 
 @dataclass(frozen=True)
 class ExperimentConfig:
-    """Specification of one replicated simulate-estimate experiment."""
+    """Specification of one replicated simulate-estimate experiment; each
+    theta and sigma2 value in it must be :func:`~oucv.errors.positive_finite`."""
 
     design: dict
     theta0: float
@@ -108,21 +108,20 @@ class ExperimentConfig:
             raise InvalidParameterError(f"need at least one replicate, got {self.replicates}")
         if self.seed < 0:
             raise InvalidParameterError(f"'seed' must be non-negative, got {self.seed}")
-        for key in ("theta0", "sigma0_sq", "sigma1_sq", "theta2"):
-            value = getattr(self, key)
-            if value is None and key in ("sigma1_sq", "theta2"):
-                continue
-            if not _positive_finite(value):
-                raise InvalidParameterError(f"{key!r} must be a positive finite number, got {value!r}")
+        given = [key for key in ("sigma1_sq", "theta2") if getattr(self, key) is not None]
+        for key in ("theta0", "sigma0_sq", *given):
+            object.__setattr__(self, key, check_positive(repr(key), getattr(self, key)))
+        if not isinstance(self.box, ParameterBox):
+            raise InvalidParameterError(f"'box' must be a ParameterBox, got {self.box!r}")
+        if self.trend is not None and not isinstance(self.trend, TrendSpec):
+            raise InvalidParameterError(f"'trend' must be a TrendSpec or None, got {self.trend!r}")
         object.__setattr__(self, "estimators", tuple(self.estimators))
         if not self.estimators:
             raise InvalidParameterError("estimator list is empty")
+        fixed = {"sigma2": self.sigma1_sq, "theta": self.theta2, "trend": self.trend}
         for name in self.estimators:
-            if name not in ESTIMATOR_TABLE:
-                raise InvalidParameterError(f"unknown estimator {name!r}")
-            fixes = ESTIMATOR_TABLE[name].fixes
-            if fixes and getattr(self, _FIXED_NAMES[fixes]) is None:
-                raise InvalidParameterError(f"{name} needs {_FIXED_NAMES[fixes]}")
+            row = ESTIMATOR_TABLE.get(name)
+            _check_fixed(name, fixed.get(row.fixes) if row else None)
 
 
 @dataclass(frozen=True)
@@ -190,6 +189,8 @@ _DESIGN_KINDS = {
 
 def build_design(spec: dict) -> Design:
     """Materialize a design from its config mapping."""
+    if not isinstance(spec, dict):
+        raise InvalidParameterError(f"design spec must be a dict, got {spec!r}")
     kind = spec.get("kind")
     if kind not in _DESIGN_KINDS:
         raise InvalidParameterError(f"unknown design kind {kind!r}")

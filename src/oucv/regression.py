@@ -33,14 +33,12 @@ from dataclasses import dataclass
 import numpy as np
 
 from .designs import Design
-from .errors import ConditioningError, InvalidParameterError
+from .errors import ConditioningError, InvalidParameterError, check_positive
 from .numerics import _ELEMENT_BUDGET
 from .scoring import (
     _DENSE_MAX_N,
     ScoreDecomposition,
     _check_data,
-    _check_sigma2,
-    _check_theta,
     _apply_precision,
     _in_blocks,
     _increments,
@@ -165,7 +163,7 @@ def _factor_at(design: Design, z, theta: float, F):
     """The checked data with its increments, the trend factor at one
     theta (a theta axis of length one) and the score's decomposition
     there. A singular projection raises ConditioningError."""
-    _check_theta(theta)
+    theta = check_positive("theta", theta)
     z = _check_data(design, z)
     dz = _increments(z, 1)
     factor = _trend_factor(design, [theta], _columns(_prepare_F(design, F)))
@@ -263,7 +261,7 @@ def reg_log_score(design: Design, z, theta: float, sigma2: float, F) -> Regressi
     matrices): the trend-aware and centered leave-one-out residuals
     differ exactly by the epsilon terms of the decomposition.
     """
-    _check_sigma2(sigma2)
+    sigma2 = check_positive("sigma2", sigma2)
     (z, dz), ((A, h, c), W, _, ebar, proj_diag), decomposition = _factor_at(design, z, theta, F)
     resid_trend = (_project(_apply_precision(z, dz, h, c), W, z) / proj_diag)[0]
     diag, ebar, proj_diag = A[0], ebar[0], proj_diag[0]

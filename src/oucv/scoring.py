@@ -58,6 +58,7 @@ from .errors import (
     ConditioningError,
     InvalidParameterError,
     NumericalFailureError,
+    check_positive,
 )
 from .numerics import _ELEMENT_BUDGET, one_minus_exp_neg
 from .simulate import covariance_matrix
@@ -140,16 +141,6 @@ class TridiagonalPrecision:
 
     def to_dense(self) -> np.ndarray:
         return np.diag(self.diag) + np.diag(self.off, 1) + np.diag(self.off, -1)
-
-
-def _check_theta(theta: float) -> None:
-    if not (np.isfinite(theta) and theta > 0.0):
-        raise InvalidParameterError(f"theta must be positive and finite, got {theta}")
-
-
-def _check_sigma2(sigma2: float) -> None:
-    if not (np.isfinite(sigma2) and sigma2 > 0.0):
-        raise InvalidParameterError(f"sigma2 must be positive and finite, got {sigma2}")
 
 
 def _check_data(design: Design, y) -> np.ndarray:
@@ -811,7 +802,7 @@ def precision_matrix(design: Design, theta: float) -> TridiagonalPrecision:
     -e^{-theta gap}/(1 - e^{-2 theta gap}). These are the terms that the
     score applies in increment form.
     """
-    _check_theta(theta)
+    theta = check_positive("theta", theta)
     A, _, c = _precision_terms(design, theta)
     return TridiagonalPrecision(diag=A, off=-c[1:-1])
 
@@ -826,7 +817,7 @@ def loo_predictions(design: Design, y, theta: float) -> LooSummary:
     whose residuals overflow raise :class:`NumericalFailureError`, as
     :func:`log_score` does.
     """
-    _check_theta(theta)
+    theta = check_positive("theta", theta)
     y = _check_data(design, y)
     A, h, c = _precision_terms(design, theta)
     with np.errstate(over="ignore", invalid="ignore"):
@@ -849,7 +840,7 @@ def log_score(design: Design, y, theta: float, sigma2: float) -> float:
 def _score_and_decomposition(design: Design, y, theta: float, sigma2: float) -> tuple[float, ScoreDecomposition]:
     """:func:`log_score` and the decomposition it is evaluated from; a bad
     sigma2 is reported before a bad theta."""
-    _check_sigma2(sigma2)
+    sigma2 = check_positive("sigma2", sigma2)
     decomp = score_decomposition(design, y, theta)
     value = decomp.score_at(sigma2)
     if not np.isfinite(value):
@@ -864,7 +855,7 @@ def score_decomposition(design: Design, y, theta: float) -> ScoreDecomposition:
     exact algebraic regrouping; Q is a positively weighted sum of
     squares, hence nonnegative.
     """
-    _check_theta(theta)
+    theta = check_positive("theta", theta)
     y = _check_data(design, y)
     L, Q = score_parts(design, y[None, :], [theta])
     return ScoreDecomposition(L=float(L[0]), Q=float(Q[0, 0]), n=design.n)
@@ -876,8 +867,8 @@ def score_gradient_theta(design: Design, y, theta: float, sigma2: float) -> floa
     Differentiates the matrix-free expression directly; agreement with a
     central finite difference is enforced by the test oracles.
     """
-    _check_theta(theta)
-    _check_sigma2(sigma2)
+    theta = check_positive("theta", theta)
+    sigma2 = check_positive("sigma2", sigma2)
     y = _check_data(design, y)
     return float(CvKernel(design, y[None, :], reuse=False).gradient(None, [theta], sigma2)[0, 0])
 
@@ -890,7 +881,7 @@ def ml_neg2loglik(design: Design, y, theta: float, sigma2: float) -> float:
     squared innovations, all in O(n); evaluated as
     :func:`ml_decomposition` at ``sigma2``.
     """
-    _check_sigma2(sigma2)
+    sigma2 = check_positive("sigma2", sigma2)
     value = ml_decomposition(design, y, theta).score_at(sigma2)
     if not np.isfinite(value):
         raise NumericalFailureError("likelihood objective is not finite", theta=theta)
@@ -899,7 +890,7 @@ def ml_neg2loglik(design: Design, y, theta: float, sigma2: float) -> float:
 
 def ml_decomposition(design: Design, y, theta: float) -> ScoreDecomposition:
     """Variance-free split of the likelihood objective, same shape as the score's."""
-    _check_theta(theta)
+    theta = check_positive("theta", theta)
     y = _check_data(design, y)
     L, Q = ml_parts(design, y[None, :], [theta])
     return ScoreDecomposition(L=float(L[0]), Q=float(Q[0, 0]), n=design.n)
@@ -907,8 +898,8 @@ def ml_decomposition(design: Design, y, theta: float) -> ScoreDecomposition:
 
 def ml_gradient_theta(design: Design, y, theta: float, sigma2: float) -> float:
     """Analytic theta-derivative of :func:`ml_neg2loglik`."""
-    _check_theta(theta)
-    _check_sigma2(sigma2)
+    theta = check_positive("theta", theta)
+    sigma2 = check_positive("sigma2", sigma2)
     y = _check_data(design, y)
     return float(MlKernel(design, y[None, :], reuse=False).gradient(None, [theta], sigma2)[0, 0])
 
@@ -918,7 +909,6 @@ def _dense_cholesky(design: Design, theta: float) -> np.ndarray:
     is capped, and a failed factorization or a near-singular covariance
     (duplicate-like points) raises a conditioning error instead of
     returning noise."""
-    _check_theta(theta)
     if design.n > _DENSE_MAX_N:
         raise InvalidParameterError(
             f"dense route is capped at n = {_DENSE_MAX_N}, got {design.n}"
@@ -947,7 +937,7 @@ def dense_precision(design: Design, theta: float) -> np.ndarray:
 
 def dense_oracle_score(design: Design, y, theta: float, sigma2: float) -> float:
     """Score computed the slow way: dense inverse plus the Dubrule identities."""
-    _check_sigma2(sigma2)
+    sigma2 = check_positive("sigma2", sigma2)
     y = _check_data(design, y)
     P = dense_precision(design, theta)
     d = np.diag(P)
@@ -958,7 +948,7 @@ def dense_oracle_score(design: Design, y, theta: float, sigma2: float) -> float:
 def dense_oracle_ml(design: Design, y, theta: float, sigma2: float) -> float:
     """Gaussian -2 log-likelihood from the dense covariance; like
     :func:`dense_precision`, it refuses a near-singular covariance."""
-    _check_sigma2(sigma2)
+    sigma2 = check_positive("sigma2", sigma2)
     y = _check_data(design, y)
     chol = _dense_cholesky(design, theta)
     logdet = 2.0 * float(np.sum(np.log(np.diag(chol))))

@@ -14,7 +14,7 @@ from typing import Callable
 import numpy as np
 
 from .designs import Design
-from .errors import InvalidParameterError, LinearDependenceError
+from .errors import InvalidParameterError, LinearDependenceError, check_positive
 from .numerics import _ELEMENT_BUDGET, one_minus_exp_neg
 
 __all__ = [
@@ -32,16 +32,14 @@ _RANK_TOL = 1e-10
 
 @dataclass(frozen=True)
 class CovarianceParams:
-    """Inverse length scale and variance of the exponential kernel."""
+    """Inverse length scale and variance of the exponential kernel, each :func:`~oucv.errors.positive_finite`."""
 
     theta: float
     sigma2: float
 
     def __post_init__(self):
-        if not (np.isfinite(self.theta) and self.theta > 0.0):
-            raise InvalidParameterError(f"theta must be positive and finite, got {self.theta}")
-        if not (np.isfinite(self.sigma2) and self.sigma2 > 0.0):
-            raise InvalidParameterError(f"sigma2 must be positive and finite, got {self.sigma2}")
+        object.__setattr__(self, "theta", check_positive("theta", self.theta))
+        object.__setattr__(self, "sigma2", check_positive("sigma2", self.sigma2))
 
 
 @dataclass(frozen=True)
@@ -167,7 +165,6 @@ def sample_with_trend(design: Design, params: CovarianceParams, trend: TrendSpec
 
 def covariance_matrix(design: Design, theta: float) -> np.ndarray:
     """Dense unit-variance covariance matrix exp(-theta |s_j - s_k|)."""
-    if not (np.isfinite(theta) and theta > 0.0):
-        raise InvalidParameterError(f"theta must be positive and finite, got {theta}")
+    theta = check_positive("theta", theta)
     s = design.points
     return np.exp(-theta * np.abs(s[:, None] - s[None, :]))
