@@ -221,7 +221,7 @@ def _floats(value, what: str) -> list[float]:
     """A list of floats from comma-separated text or a sequence."""
     try:
         return [float(v) for v in (value.split(",") if isinstance(value, str) else value)]
-    except (TypeError, ValueError):
+    except (TypeError, ValueError, OverflowError):
         raise InvalidParameterError(f"{what} must be numbers, got {value!r}") from None
 
 

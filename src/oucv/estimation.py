@@ -39,7 +39,6 @@ central difference.
 from __future__ import annotations
 
 import math
-import numbers
 from dataclasses import dataclass
 from functools import partial
 from typing import Callable
@@ -47,7 +46,8 @@ from typing import Callable
 import numpy as np
 
 from .designs import Design
-from .errors import ConditioningError, InvalidParameterError, NumericalFailureError, OucvError, positive_finite
+from .errors import (ConditioningError, InvalidParameterError, NumericalFailureError, OucvError, check_positive,
+                     positive_finite)
 from .numerics import _ELEMENT_BUDGET
 from .regression import TrendKernel, _prepare_F
 from .scoring import CvKernel, MlKernel, ScoreDecomposition, _check_data
@@ -94,12 +94,10 @@ class ParameterBox:
 
     def __post_init__(self):
         for bound in ("a", "A", "b", "B"):
-            value = getattr(self, bound)
-            if isinstance(value, bool) or not isinstance(value, numbers.Real):
-                raise InvalidParameterError(f"box bound {bound!r} must be a real number, got {value!r}")
-        if not (0.0 < self.a <= self.A < math.inf):
+            object.__setattr__(self, bound, check_positive(f"box bound {bound!r}", getattr(self, bound)))
+        if not self.a <= self.A:
             raise InvalidParameterError(f"invalid theta bounds [{self.a}, {self.A}]")
-        if not (0.0 < self.b <= self.B < math.inf):
+        if not self.b <= self.B:
             raise InvalidParameterError(f"invalid sigma2 bounds [{self.b}, {self.B}]")
 
     @property
@@ -494,8 +492,7 @@ class _Lane:
 
 def _search_lanes(design: Design, Y, lanes: list) -> list[list]:
     """Profile search over theta for every row of Y in every lane; one
-    list of per-row results per lane. A lane that is an
-    :class:`OucvError`, the refusal of its estimator, fails every row.
+    list of per-row results per lane.
 
     A lane's kernel prepares the objective on the rows once, like
     :class:`~oucv.scoring.CvKernel`, told whether it will be evaluated at
@@ -523,20 +520,19 @@ def _search_lanes(design: Design, Y, lanes: list) -> list[list]:
     bitwise those it gets alone.
     """
     Y, slots = _data_rows(design, Y)
-    results = [[lane] * len(slots) if isinstance(lane, OucvError) else list(slots) for lane in lanes]
+    results = [list(slots) for _ in lanes]
     ok = _unfailed(slots)
-    runs = [j for j, lane in enumerate(lanes) if isinstance(lane, _Lane)]
-    if not ok.size or not runs:
+    if not ok.size:
         return results
     R = ok.size
     Y = Y if R == len(slots) else Y[ok]
     prepared = {}
-    for lane in (lanes[j] for j in runs):
+    for lane in lanes:
         if lane.key not in prepared:  # a fixed theta is one evaluation
             prepared[lane.key] = lane.kernel(design, Y, lane.box.a < lane.box.A)
     keys = list(prepared)
     for searching in (True, False):
-        stacked = sorted((j for j in runs if (lanes[j].box.a < lanes[j].box.A) == searching),
+        stacked = sorted((j for j, lane in enumerate(lanes) if (lane.box.a < lane.box.A) == searching),
                          key=lambda j: keys.index(lanes[j].key))
         if not stacked:
             continue
@@ -601,17 +597,14 @@ def _lane(name: str, design: Design, box: ParameterBox, value) -> _Lane:
     return _Lane(box, kernel, (row.kernel, box.a < box.A))
 
 
-def _lanes(names, design: Design, box: ParameterBox, fixed: dict) -> list:
+def _lanes(names, design: Design, box: ParameterBox, fixed: dict) -> list[_Lane]:
     """Estimators ``names`` as lanes, each at its value in ``fixed`` and
-    checked once, to search any number of data arrays; an estimator whose
-    name or fixed value is refused is that error in place of its lane."""
+    checked once, to search any number of data arrays; the first estimator
+    whose name or fixed value is refused raises that refusal."""
     lanes = []
     for name in names:
         row = ESTIMATOR_TABLE.get(name)
-        try:
-            lanes.append(_lane(name, design, box, fixed.get(row.fixes) if row else None))
-        except OucvError as err:
-            lanes.append(err)
+        lanes.append(_lane(name, design, box, fixed.get(row.fixes) if row else None))
     return lanes
 
 
@@ -638,8 +631,8 @@ def estimate_lanes(names, design: Design, Y, box: ParameterBox, fixed: dict) -> 
     ``cv-joint`` and ``cv-fixed-sigma`` evaluate the same rows on one
     prepared :class:`~oucv.scoring.CvKernel`, its theta grid once for
     both. ``cv-fixed-theta`` evaluates its one point on a kernel of its
-    own. An estimator whose name or fixed value is refused gets that
-    error on every row; the others run.
+    own. An estimator whose name or fixed value is refused raises that
+    refusal, as in :func:`estimate_batch`, before any row is searched.
     """
     return _search_lanes(design, Y, _lanes(names, design, box, fixed))
 

@@ -122,6 +122,8 @@ class ExperimentConfig:
         for name in self.estimators:
             row = ESTIMATOR_TABLE.get(name)
             _check_fixed(name, fixed.get(row.fixes) if row else None)
+            if self.estimators.count(name) > 1:
+                raise InvalidParameterError(f"estimator {name!r} is listed more than once")
 
 
 @dataclass(frozen=True)
@@ -167,7 +169,7 @@ def _field(mapping: dict, key: str, cast, what: str):
         raise InvalidParameterError(f"{what} needs {key!r}")
     try:
         return cast(mapping[key])
-    except (TypeError, ValueError):
+    except (TypeError, ValueError, OverflowError):
         raise InvalidParameterError(f"{what} has a bad {key!r}: {mapping[key]!r}") from None
 
 
@@ -296,13 +298,13 @@ def run_experiment(config: ExperimentConfig, max_workers: int | None = None) -> 
     """Run all replicates and estimators; deterministic for a fixed config.
 
     The design, its trend columns and the estimators' lanes are built and
-    checked once; each chunk of replicates is then sampled, replicate r
-    from the stream keyed by (seed, r), and searched in one call, so the
-    report does not depend on execution order or chunking. The chunks run
-    one after the other in this thread; ``max_workers`` is accepted for
-    compatibility and ignored. Failed replicates are recorded with a
-    failure flag and excluded from the moments; they never abort the
-    experiment or their chunk.
+    checked once, before any replicate is sampled; each chunk of replicates
+    is then sampled, replicate r from the stream keyed by (seed, r), and
+    searched in one call, so the report does not depend on execution order
+    or chunking. The chunks run one after the other in this thread;
+    ``max_workers`` is accepted for compatibility and ignored. Failed
+    replicates are recorded with a failure flag and excluded from the
+    moments; they never abort the experiment or their chunk.
     """
     design = build_design(config.design)
     tau_sq = tau_squared(design)

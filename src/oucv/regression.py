@@ -115,11 +115,11 @@ def _trend_factor(design: Design, thetas, columns):
     projected diagonal A - ebar. A pivot C_jj^2 <= 0 leaves W non-finite
     and the projected diagonal not positive.
     """
-    A, h, c = _precision_terms(design, thetas)
     Ft, dFt = columns
-    C = np.zeros(A.shape[:-1] + (Ft.shape[0],) * 2)
     W = []
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        A, h, c = _precision_terms(design, thetas)
+        C = np.zeros(A.shape[:-1] + (Ft.shape[0],) * 2)
         lead = (Ft.shape[0],) + (1,) * (A.ndim - 1)  # every column's P F_j in one call, column axis first
         PF = _apply_precision(Ft.reshape(lead + Ft.shape[1:]), dFt.reshape(lead + dFt.shape[1:]), h, c)
         for j, f in enumerate(Ft):
@@ -268,7 +268,8 @@ def reg_log_score(design: Design, z, theta: float, sigma2: float, F) -> Regressi
     Pz = _apply_precision(z, dz, h[0], c[0])
     resid_centered = Pz / diag
     eps = resid_trend - resid_centered
-    base = design.n * np.log(sigma2) - np.sum(np.log(diag)) + np.sum(diag * resid_centered**2) / sigma2
+    with np.errstate(over="ignore", invalid="ignore"):
+        base = design.n * np.log(sigma2) - np.sum(np.log(diag)) + np.sum(diag * resid_centered**2) / sigma2
     return RegressionScore(
         value=float(decomposition.score_at(sigma2)),
         r1=float(np.sum(np.log(proj_diag) - np.log(diag))),

@@ -462,7 +462,7 @@ class _GapKernel:
         """L and Q, or their theta-derivatives, from the statistics summed
         per class (or per end point) and the series' moments."""
         L = Q = 0.0
-        with np.errstate(over="ignore", invalid="ignore"):
+        with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
             if self.S is not None:
                 L, C = (self._derivatives if derivative else self._terms)(self.layout, thetas)
                 Q = _contract(_take(self.S, rows), C)
@@ -474,7 +474,7 @@ class _GapKernel:
     def _point_sums(self, rows, thetas, derivative: bool):
         """L and Q, or their theta-derivatives, point by point."""
         L = Q = 0.0
-        with np.errstate(over="ignore", invalid="ignore"):
+        with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
             for layout, block in self._point_blocks(rows):
                 if derivative:
                     dL, dC = self._derivatives(layout, thetas)
@@ -522,7 +522,8 @@ class _GapKernel:
             lambda rows, thetas, points: (self._point_sums if points else self._summed)(rows, thetas, True),
             rows, thetas,
         )
-        return dL + dQ / sigma2
+        with np.errstate(over="ignore", invalid="ignore"):
+            return dL + dQ / sigma2
 
 
 class CvKernel(_GapKernel):
@@ -803,7 +804,8 @@ def precision_matrix(design: Design, theta: float) -> TridiagonalPrecision:
     score applies in increment form.
     """
     theta = check_positive("theta", theta)
-    A, _, c = _precision_terms(design, theta)
+    with np.errstate(divide="ignore"):
+        A, _, c = _precision_terms(design, theta)
     return TridiagonalPrecision(diag=A, off=-c[1:-1])
 
 
@@ -819,8 +821,8 @@ def loo_predictions(design: Design, y, theta: float) -> LooSummary:
     """
     theta = check_positive("theta", theta)
     y = _check_data(design, y)
-    A, h, c = _precision_terms(design, theta)
-    with np.errstate(over="ignore", invalid="ignore"):
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        A, h, c = _precision_terms(design, theta)
         predictions = y - _apply_precision(y, _increments(y, 1), h, c) / A
     if not np.all(np.isfinite(predictions)):
         raise NumericalFailureError("leave-one-out predictions are not finite", theta=theta)
@@ -942,7 +944,8 @@ def dense_oracle_score(design: Design, y, theta: float, sigma2: float) -> float:
     P = dense_precision(design, theta)
     d = np.diag(P)
     resid = (P @ y) / d
-    return float(np.sum(np.log(sigma2 / d) + d * resid * resid / sigma2))
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        return float(np.sum(np.log(sigma2 / d) + d * resid * resid / sigma2))
 
 
 def dense_oracle_ml(design: Design, y, theta: float, sigma2: float) -> float:
@@ -954,4 +957,5 @@ def dense_oracle_ml(design: Design, y, theta: float, sigma2: float) -> float:
     logdet = 2.0 * float(np.sum(np.log(np.diag(chol))))
     white = np.linalg.solve(chol, y)
     n = design.n
-    return float(n * np.log(2.0 * np.pi * sigma2) + logdet + white @ white / sigma2)
+    with np.errstate(over="ignore", invalid="ignore"):
+        return float(n * np.log(2.0 * np.pi * sigma2) + logdet + white @ white / sigma2)

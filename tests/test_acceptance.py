@@ -310,18 +310,23 @@ def test_criterion_8_regression_extension(regression_report):
     )
 
 
-def test_criterion_9_property_harness_and_bitwise_parallelism():
+def test_criterion_9_property_harness_and_bitwise_parallelism(monkeypatch):
     t0 = time.time()
-    # parallel/serial bitwise equivalence
+    # bitwise equivalence of the default run, one chunk, with chunks of 1 and of 5 replicates
     cfg = ExperimentConfig(
         design={"kind": "regular", "n": 40}, theta0=3.0, sigma0_sq=1.0,
         replicates=16, box=BOX, estimators=("cv-joint", "ml-joint"), seed=BASE_SEED,
     )
-    serial = run_experiment(cfg, max_workers=1)
-    threaded = run_experiment(cfg, max_workers=4)
-    bitwise = all(
-        serial.panels[k].records == threaded.panels[k].records for k in serial.panels
-    )
+    default = run_experiment(cfg)
+    bitwise = True
+    for chunk in (1, 5):
+        monkeypatch.setattr(oucv.montecarlo, "replicate_chunk", lambda n: chunk)
+        chunked = run_experiment(cfg)
+        bitwise &= all(
+            chunked.panels[k].records == default.panels[k].records
+            and chunked.panels[k].summary == default.panels[k].summary
+            for k in default.panels
+        )
 
     # compact randomized invariant sweep (fixed seed); the full property
     # suites live in the module test files and run in the same session

@@ -187,8 +187,8 @@ def test_the_public_fixed_estimators_check_the_value_before_the_box():
          "cv-fixed-theta needs a positive finite fixed theta2, got -1.0"),
         (lambda: estimate_cv_fixed_sigma(d, y, "2", (0.1, 10.0)),
          "cv-fixed-sigma needs a positive finite fixed sigma1_sq, got '2'"),
-        (lambda: ParameterBox("a", 1, 1, 2), "box bound 'a' must be a real number, got 'a'"),
-        (lambda: ParameterBox(0.1, 10.0, 0.3, True), "box bound 'B' must be a real number, got True"),
+        (lambda: ParameterBox("a", 1, 1, 2), "box bound 'a' must be positive and finite, got 'a'"),
+        (lambda: ParameterBox(0.1, 10.0, 0.3, True), "box bound 'B' must be positive and finite, got True"),
     ]:
         with pytest.raises(oucv.InvalidParameterError) as err:
             call()
@@ -512,12 +512,9 @@ FIXED = {"sigma2": 2.0, "theta": 1.5}
 
 def _lanes_against_alone(names, design, Y, box, fixed):
     """estimate_lanes on ``names`` and each estimator's own estimate_batch,
-    both as outcome strings; a refused estimator is its error on every row."""
+    both as outcome strings."""
     def alone(name):
-        try:
-            return _batched(estimate_batch(name, design, Y, box, fixed.get(ESTIMATOR_TABLE[name].fixes)))
-        except oucv.OucvError as err:
-            return _batched([err] * len(Y))
+        return _batched(estimate_batch(name, design, Y, box, fixed.get(ESTIMATOR_TABLE[name].fixes)))
 
     return [_batched(results) for results in estimate_lanes(names, design, Y, box, fixed)], [alone(n) for n in names]
 
@@ -570,15 +567,29 @@ class TestLanes:
         for name in ("cv-joint", "cv-fixed-theta", "ml-joint"):
             assert kinds[name] == [ok, nonfinite, ok, nonfinite, ok, ok]
 
-    def test_a_refused_estimator_fails_its_lane_alone(self):
+    def test_a_refused_estimator_raises_as_estimate_batch_does(self, monkeypatch):
+        # a rank-deficient trend, a NaN theta2 and an unknown name each
+        # raise from estimate_lanes what estimate_batch raises for them,
+        # before any row is searched; the estimators not refused run as alone
         d = regular_design(12)
         Y = np.stack([sample_path(d, PARAMS0, (20, r)) for r in range(3)])
-        names = ("cv-joint", "cv-regression", "cv-fixed-theta", "no-such")
-        results = estimate_lanes(names, d, Y, BOX, {"theta": math.nan, "trend": np.ones((d.n, 2))})
-        assert results[0] == estimate_batch("cv-joint", d, Y, BOX)
-        for j, kind in ((1, oucv.LinearDependenceError), (2, oucv.InvalidParameterError),
-                        (3, oucv.InvalidParameterError)):
-            assert len(results[j]) == 3 and all(type(err) is kind and err is results[j][0] for err in results[j])
+        fixed = {"theta": math.nan, "trend": np.ones((d.n, 2))}
+        searches = []
+        search = estimation._Stack.search
+        monkeypatch.setattr(estimation._Stack, "search", lambda stack: searches.append(1) or search(stack))
+        for refused, kind in (("cv-regression", oucv.LinearDependenceError),
+                              ("cv-fixed-theta", oucv.InvalidParameterError),
+                              ("no-such", oucv.InvalidParameterError)):
+            value = fixed[ESTIMATOR_TABLE[refused].fixes] if refused in ESTIMATOR_TABLE else None
+            with pytest.raises(oucv.OucvError) as alone:
+                estimate_batch(refused, d, Y, BOX, value)
+            with pytest.raises(oucv.OucvError) as together:
+                estimate_lanes(("cv-joint", refused, "ml-joint"), d, Y, BOX, fixed)
+            assert type(alone.value) is type(together.value) is kind
+            assert str(together.value) == str(alone.value)
+        assert not searches
+        together, alone = _lanes_against_alone(("cv-joint", "ml-joint"), d, Y, BOX, fixed)
+        assert together == alone
 
     def test_repeated_rows_at_the_batch_length_are_taken_as_named(self):
         # two lanes on one kernel pass each data row once per lane: as many

@@ -632,6 +632,13 @@ _ESTIMATE = ["estimate", "--data", "DATA", "--box"]
     (_SIMULATE + ["regular:8", "--trend", "CONFIG"], {"basis": "polynomial:1"}, "'beta'"),
     (_SIMULATE + ["regular:8", "--trend", "CONFIG"], {"columns": "F.csv"}, "column file"),
     (["design", "--kind", "file"], None, "--points"),
+    # an estimator listed twice would give one panel of both runs' records
+    (["experiment", "--config", "CONFIG"], dict(_EXPERIMENT, estimators=["cv-joint", "cv-joint"]), "'cv-joint'"),
+    # an integer literal past the float range is a bad value, not a traceback
+    (["experiment", "--config", "CONFIG"], dict(_EXPERIMENT, box=[0.1, 10**400, 0.3, 30.0]), "box"),
+    (["experiment", "--config", "CONFIG"], dict(_EXPERIMENT, theta0=10**400), "'theta0'"),
+    (["experiment", "--config", "CONFIG"], dict(_EXPERIMENT, design={"kind": "maximal", "n": 20, "gamma": 10**400}),
+     "'gamma'"),
 ])
 def test_malformed_spec_or_config_exits_1_naming_it(tmp_path, argv, config, named):
     _, out, _ = run_cli(_SIMULATE + ["regular:8"])
@@ -647,6 +654,21 @@ def test_malformed_spec_or_config_exits_1_naming_it(tmp_path, argv, config, name
     payload = json.loads(err.strip())
     assert payload["error"] == "InvalidParameterError"
     assert {"CONFIG": str(path)}.get(named, named) in payload["message"]
+
+
+def test_an_unfittable_trend_is_refused_before_the_run(tmp_path):
+    # six trend columns on six points are refused before any replicate
+    # is sampled, so no run directory is written
+    config = dict(_EXPERIMENT, design={"kind": "regular", "n": 6}, replicates=3,
+                  estimators=["cv-joint", "cv-regression"], trend={"basis": "polynomial:5", "beta": [0.0] * 6})
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps(config))
+    code, out, err = run_cli(["experiment", "--config", str(path), "--output", str(tmp_path / "run")])
+    assert code == 1 and out == ""
+    payload = json.loads(err.strip())
+    assert payload["error"] == "InvalidParameterError"
+    assert "fewer columns (6) than observations (6)" in payload["message"]
+    assert not (tmp_path / "run").exists()
 
 
 class TestHelp:
@@ -775,6 +797,14 @@ class TestProcess:
         for argv, result in zip(commands, here):
             proc = self._run(argv)
             assert (proc.returncode, proc.stdout, proc.stderr) == result
+
+    def test_a_theta_at_the_bottom_of_the_float_range_fails_without_a_warning(self, tmp_path):
+        data = tmp_path / "data.csv"
+        data.write_text(run_cli(_SIMULATE + ["regular:8"])[1])
+        proc = self._run(["score", "--data", str(data), "--theta", "5e-324", "--sigma2", "1"])
+        assert proc.returncode == 3 and proc.stdout == ""
+        (line,) = proc.stderr.splitlines()
+        assert json.loads(line)["error"] == "NumericalFailureError"
 
     def test_success_exits_0(self):
         argv = ["simulate", "--design", "regular:8", "--theta", "3", "--sigma2", "1", "--seed", "4"]

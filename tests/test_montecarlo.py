@@ -25,6 +25,7 @@ from oucv import (
     summarize,
     tau_squared,
 )
+from oucv import montecarlo
 from oucv.montecarlo import _summary_from_records
 
 BOX = ParameterBox(0.1, 10.0, 0.3, 30.0)
@@ -96,12 +97,16 @@ class TestDeterminism:
         b = run_experiment(cfg)
         assert a.panels["cv-joint"].records == b.panels["cv-joint"].records
 
-    def test_parallel_serial_bitwise_equivalence(self):
+    def test_parallel_serial_bitwise_equivalence(self, monkeypatch):
+        # the default run is one chunk; chunks of 1 and of 5 replicates
+        # give every record and summary field bitwise
         cfg = small_config(replicates=12)
-        serial = run_experiment(cfg, max_workers=1)
-        threaded = run_experiment(cfg, max_workers=4)
-        assert serial.panels["cv-joint"].records == threaded.panels["cv-joint"].records
-        assert serial.panels["cv-joint"].summary == threaded.panels["cv-joint"].summary
+        default = run_experiment(cfg)
+        for chunk in (1, 5):
+            monkeypatch.setattr(montecarlo, "replicate_chunk", lambda n: chunk)
+            chunked = run_experiment(cfg)
+            assert chunked.panels["cv-joint"].records == default.panels["cv-joint"].records
+            assert chunked.panels["cv-joint"].summary == default.panels["cv-joint"].summary
 
     def test_std_stat_recomputable_from_record(self):
         cfg = small_config(replicates=6)
