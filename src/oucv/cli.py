@@ -37,8 +37,8 @@ from .errors import (
     OucvError,
 )
 from .estimation import ESTIMATOR_TABLE, ParameterBox, _single, estimate_batch
-from .montecarlo import (_DESIGN_KINDS, ExperimentConfig, _field, _integer, build_design, export, make_preset,
-                         run_experiment)
+from .montecarlo import (_DESIGN_KINDS, ExperimentConfig, _field, _integer, _json_summary, _known_keys, build_design,
+                         export, make_preset, run_experiment)
 from .numerics import _ELEMENT_BUDGET
 from .scoring import (_score_and_decomposition, dense_oracle_ml, dense_oracle_score, ml_neg2loglik,
                       score_decomposition)
@@ -70,7 +70,7 @@ def _write_rows(start: int, *columns: np.ndarray) -> None:
 
 
 def _emit_error(err: Exception) -> None:
-    line = json.dumps({"error": type(err).__name__, "message": str(err)})
+    line = json.dumps({"error": type(err).__name__, "message": str(err)}, allow_nan=False)
     print(line, file=sys.stderr)
 
 
@@ -185,10 +185,11 @@ def _read_point_file(path: str) -> np.ndarray:
 # file is spelled file:PATH instead
 _SPEC_FIELDS = {kind: tuple(key for key, _ in fields)
                 for kind, (_, fields) in _DESIGN_KINDS.items() if kind != "points"}
+_SPEC_FORMS = "regular:N | maximal:N:GAMMA | minimal:N:ALPHA | file:PATH"
 
 
 def _design_from_spec(spec: str) -> Design:
-    """regular:N | maximal:N:GAMMA | minimal:N:ALPHA | file:PATH."""
+    """The design of a spec in one of the forms of ``_SPEC_FORMS``."""
     kind, _, rest = spec.partition(":")
     if kind == "file":
         return build_design({"kind": "points", "points": _read_point_file(rest)})
@@ -206,11 +207,11 @@ def _read_data_csv(path: str) -> tuple[Design, np.ndarray]:
     return from_points(s), y
 
 
-def _json_object(path: str, text: str | None = None) -> dict:
-    """The JSON object in ``text``, or else in the file at ``path``."""
+def _json_object(path: str) -> dict:
+    """The JSON object in the file at ``path``."""
     try:
-        raw = json.loads(Path(path).read_text() if text is None else text)
-    except json.JSONDecodeError as err:
+        raw = json.loads(Path(path).read_text())
+    except ValueError as err:  # not JSON, or bytes that do not decode
         raise InvalidParameterError(f"{path} is not valid JSON: {err}") from None
     if not isinstance(raw, dict):
         raise InvalidParameterError(f"{path} must hold a JSON object")
@@ -229,6 +230,7 @@ def _trend_spec(cfg: dict, need_beta: bool) -> TrendSpec:
     """A trend mapping: 'basis' is 'polynomial:K', the monomials up to
     degree K; 'beta' (a list or comma-separated text) holds the
     coefficients, zero when absent and not ``need_beta``."""
+    _known_keys(cfg, ("basis", "beta"), "trend config")
     basis_name = _field(cfg, "basis", str, "trend config")
     kind, _, degree = basis_name.partition(":")
     if kind != "polynomial" or not degree.isdecimal():
@@ -246,6 +248,7 @@ def _trend_columns(path: str, design: Design) -> np.ndarray:
     cfg = _json_object(path)
     if "columns" not in cfg:
         return _trend_spec(cfg, need_beta=False).design_matrix(design)
+    _known_keys(cfg, ("columns",), "trend config with 'columns'")
     if not isinstance(cfg["columns"], str):  # open() would take a number as a file descriptor
         raise InvalidParameterError(f"trend config has a bad 'columns': {cfg['columns']!r}")
     return _read_rows(cfg["columns"])
@@ -260,13 +263,7 @@ def _parse_box(value) -> ParameterBox:
 
 
 def _cmd_design(args) -> int:
-    if args.kind == "file":
-        if not args.points:
-            raise InvalidParameterError("--kind file needs --points <path>")
-        spec = {"kind": "points", "points": _read_point_file(args.points)}
-    else:
-        spec = {"kind": args.kind, "n": args.n, "gamma": args.gamma, "alpha": args.alpha}
-    design = build_design(spec)
+    design = _design_from_spec(args.design)
     print("index,s,delta")
     print(f"1,{_fmt(design.points[0])},")  # the first point has no gap
     _write_rows(2, design.points[1:], design.gaps)
@@ -308,7 +305,7 @@ def _cmd_score(args) -> int:
             result["score"] = dense_oracle_ml(design, y, args.theta, args.sigma2)
         else:
             result["score"] = ml_neg2loglik(design, y, args.theta, args.sigma2)
-    print(json.dumps(result))
+    print(json.dumps(result, allow_nan=False))
     return 0
 
 
@@ -346,23 +343,8 @@ def _cmd_estimate(args) -> int:
     value = {"sigma2": args.sigma1, "theta": args.theta2, "trend": F}.get(ESTIMATOR_TABLE[name].fixes)
     res = _single(estimate_batch(name, design, data[None, :], box, value))
     fields = {k: v for k, v in dataclasses.asdict(res).items() if k not in ("evaluations", "grid_minima")}
-    print(json.dumps({"mode": name, **fields}))
+    print(json.dumps({"mode": name, **fields}, allow_nan=False))
     return 0
-
-
-def _flat_config_to_dict(text: str) -> dict:
-    out: dict = {}
-    for line in text.splitlines():
-        line = line.strip()
-        if not line or line.startswith("#"):
-            continue
-        key, _, value = line.partition("=")
-        node = out
-        parts = key.strip().split(".")
-        for part in parts[:-1]:
-            node = node.setdefault(part, {})
-        node[parts[-1]] = value.strip()
-    return out
 
 
 def _names(value) -> tuple[str, ...]:
@@ -373,6 +355,7 @@ def _config_from_dict(raw: dict) -> ExperimentConfig:
     def get(key, cast):
         return _field(raw, key, cast, "experiment config")
 
+    _known_keys(raw, [f.name for f in dataclasses.fields(ExperimentConfig)], "experiment config")
     return ExperimentConfig(
         design=get("design", dict),
         theta0=get("theta0", float),
@@ -392,10 +375,7 @@ def _cmd_experiment(args) -> int:
         config = make_preset(args.preset)
         default_out = f"run-{args.preset}"
     else:
-        text = Path(args.config).read_text()
-        stripped = text.lstrip()
-        raw = _json_object(args.config, text) if stripped.startswith("{") else _flat_config_to_dict(text)
-        config = _config_from_dict(raw)
+        config = _config_from_dict(_json_object(args.config))
         default_out = f"run-{Path(args.config).stem}"
     if args.replicates is not None:
         config = dataclasses.replace(config, replicates=args.replicates)
@@ -403,7 +383,7 @@ def _cmd_experiment(args) -> int:
     outdir = args.output or default_out
     export(report, outdir)
     print(json.dumps({"output": str(outdir), "tau_sq": report.tau_sq, "regime": report.regime,
-                      "panels": {k: p.summary for k, p in report.panels.items()}}))
+                      "panels": {k: _json_summary(p.summary) for k, p in report.panels.items()}}, allow_nan=False))
     return 0
 
 
@@ -416,15 +396,11 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("design", help="emit a design as CSV and print its variance functional")
-    p.add_argument("--kind", required=True, choices=["regular", "maximal", "minimal", "file"])
-    p.add_argument("--n", type=int, default=0, help="number of points")
-    p.add_argument("--gamma", type=float, default=0.5, help="alternating-gap parameter (maximal)")
-    p.add_argument("--alpha", type=float, default=0.5, help="cluster exponent (minimal)")
-    p.add_argument("--points", help="point file for --kind file (one value per line)")
+    p.add_argument("--design", required=True, help=_SPEC_FORMS)
     p.set_defaults(func=_cmd_design)
 
     p = sub.add_parser("simulate", help="sample one exact path at a design")
-    p.add_argument("--design", required=True, help="regular:N | maximal:N:GAMMA | minimal:N:ALPHA | file:PATH")
+    p.add_argument("--design", required=True, help=_SPEC_FORMS)
     p.add_argument("--theta", type=float, required=True)
     p.add_argument("--sigma2", type=float, required=True)
     p.add_argument("--seed", type=int, required=True)
@@ -452,7 +428,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("experiment", help="run a replicated simulate-estimate experiment")
     group = p.add_mutually_exclusive_group(required=True)
     group.add_argument("--preset", help="one of the shipped reproduction panels")
-    group.add_argument("--config", help="JSON or key=value experiment config file")
+    group.add_argument("--config", help="JSON experiment config file")
     p.add_argument("--output", help="run directory (default derived from the preset/config name)")
     p.add_argument("--replicates", type=int, default=None, help="override the configured replicate count")
     p.set_defaults(func=_cmd_experiment)

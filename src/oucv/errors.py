@@ -8,6 +8,8 @@ failures (ill-conditioning, nonfinite values) exit 3.
 import math
 import numbers
 
+import numpy as np
+
 
 class OucvError(Exception):
     """Base class for all library errors."""
@@ -55,3 +57,12 @@ class NumericalFailureError(OucvError):
     def __init__(self, message, theta=None):
         super().__init__(message)
         self.theta = theta
+
+
+def check_finite(what: str, value, theta=None):
+    """``value`` unchanged, or a NumericalFailureError saying that ``what``
+    is not finite, at ``theta``, when an entry of it is NaN or infinite:
+    the output twin of :func:`check_positive`."""
+    if np.isfinite(value).all():
+        return value
+    raise NumericalFailureError(f"{what} is not finite", theta=theta)

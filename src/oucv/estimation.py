@@ -46,8 +46,8 @@ from typing import Callable
 import numpy as np
 
 from .designs import Design
-from .errors import (ConditioningError, InvalidParameterError, NumericalFailureError, OucvError, check_positive,
-                     positive_finite)
+from .errors import (ConditioningError, InvalidParameterError, NumericalFailureError, OucvError, check_finite,
+                     check_positive, positive_finite)
 from .numerics import _ELEMENT_BUDGET
 from .regression import TrendKernel, _prepare_F
 from .scoring import CvKernel, MlKernel, ScoreDecomposition, _check_data
@@ -312,14 +312,17 @@ def _clamp(x: np.ndarray, lo: float, hi: float) -> np.ndarray:
 
 
 def _result(box, theta, sigma2, value, grad, iterations, evaluations, minima):
+    """A row's EstimateResult; a NumericalFailureError when its product,
+    value or gradient is not finite."""
     theta, sigma2 = float(theta), float(sigma2)
+    product, value, grad = check_finite("estimate", (theta * sigma2, float(value), float(grad)), theta)
     flags = _boundary_flags("theta", theta, box.a, box.A) + _boundary_flags("sigma2", sigma2, box.b, box.B)
     return EstimateResult(
         theta_hat=theta,
         sigma2_hat=sigma2,
-        product=theta * sigma2,
-        objective_value=float(value),
-        gradient_at_opt=float(grad),
+        product=product,
+        objective_value=value,
+        gradient_at_opt=grad,
         boundary_flags=tuple(flags),
         iterations=int(iterations),
         evaluations=int(evaluations),
@@ -469,10 +472,13 @@ class _Stack:
                     grad = self.bounds(done)[0] / sigma2 - Q / (sigma2 * sigma2)
             for j, i in enumerate(done):
                 if i not in failed:
-                    results[i] = _result(
-                        lanes[i // R].box, theta[j, 0], sigma2[j, 0], values[i], grad[j, 0], iterations[i],
-                        evaluations[i], minima[i],
-                    )
+                    try:
+                        results[i] = _result(
+                            lanes[i // R].box, theta[j, 0], sigma2[j, 0], values[i], grad[j, 0], iterations[i],
+                            evaluations[i], minima[i],
+                        )
+                    except NumericalFailureError as err:
+                        results[i] = err
         for i, err in failed.items():
             results[i] = err
         return results

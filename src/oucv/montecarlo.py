@@ -173,6 +173,14 @@ def _field(mapping: dict, key: str, cast, what: str):
         raise InvalidParameterError(f"{what} has a bad {key!r}: {mapping[key]!r}") from None
 
 
+def _known_keys(mapping: dict, keys, what: str) -> None:
+    """Refuse a key of ``mapping`` outside ``keys``, naming ``what`` and the
+    keys it does not take."""
+    spare = [key for key in mapping if key not in keys]
+    if spare:
+        raise InvalidParameterError(f"{what} takes no {', '.join(map(repr, spare))}")
+
+
 def _integer(value) -> int:
     """``value`` as an int; a bool or a fractional number is a ValueError, not a truncation."""
     if isinstance(value, bool) or (isinstance(value, (float, np.floating)) and not float(value).is_integer()):
@@ -197,6 +205,7 @@ def build_design(spec: dict) -> Design:
     if kind not in _DESIGN_KINDS:
         raise InvalidParameterError(f"unknown design kind {kind!r}")
     make, fields = _DESIGN_KINDS[kind]
+    _known_keys(spec, ("kind", *(key for key, _ in fields)), f"{kind} design")
     return make(*(_field(spec, key, cast, f"{kind} design") for key, cast in fields))
 
 
@@ -368,6 +377,11 @@ def run_experiment(config: ExperimentConfig, max_workers: int | None = None) -> 
     )
 
 
+def _json_summary(summary: dict) -> dict:
+    """A panel summary as JSON writes it: an undefined (NaN) moment is null."""
+    return {key: None if isinstance(v, float) and math.isnan(v) else v for key, v in summary.items()}
+
+
 def summarize(report: ExperimentReport) -> dict[str, dict]:
     """Recompute every panel summary from its records (idempotent)."""
     return {
@@ -424,11 +438,11 @@ def export(report: ExperimentReport, path) -> None:
         "trend_p": cfg.trend.p if cfg.trend is not None else 0,
         "tau_sq": report.tau_sq,
         "regime": report.regime,
-        "panels": {name: panel.summary for name, panel in report.panels.items()},
+        "panels": {name: _json_summary(panel.summary) for name, panel in report.panels.items()},
         "provenance": _PROVENANCE,
     }
     with open(out / "summary.json", "w") as fh:
-        json.dump(summary, fh, indent=2)
+        json.dump(summary, fh, indent=2, allow_nan=False)
         fh.write("\n")
 
 

@@ -33,7 +33,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .designs import Design
-from .errors import ConditioningError, InvalidParameterError, check_positive
+from .errors import ConditioningError, InvalidParameterError, check_finite, check_positive
 from .numerics import _ELEMENT_BUDGET
 from .scoring import (
     _DENSE_MAX_N,
@@ -171,7 +171,8 @@ def _factor_at(design: Design, z, theta: float, F):
     if np.isnan(L[0]):
         raise ConditioningError(f"trend projection is singular at theta = {theta}: the normal matrix is not "
                                 "positive definite or a projected leave-one-out variance collapsed")
-    return (z, dz), factor, ScoreDecomposition(L=float(L[0]), Q=float(Q[0, 0]), n=design.n)
+    L, Q = check_finite("trend-aware score decomposition", (float(L[0]), float(Q[0, 0])), theta)
+    return (z, dz), factor, ScoreDecomposition(L=L, Q=Q, n=design.n)
 
 
 def gls_beta(design: Design, z, theta: float, F) -> np.ndarray:
@@ -270,14 +271,9 @@ def reg_log_score(design: Design, z, theta: float, sigma2: float, F) -> Regressi
     eps = resid_trend - resid_centered
     with np.errstate(over="ignore", invalid="ignore"):
         base = design.n * np.log(sigma2) - np.sum(np.log(diag)) + np.sum(diag * resid_centered**2) / sigma2
-    return RegressionScore(
-        value=float(decomposition.score_at(sigma2)),
-        r1=float(np.sum(np.log(proj_diag) - np.log(diag))),
-        r2=float(np.sum(diag * eps * eps)),
-        r3=float(np.sum(eps * Pz)),
-        r4=float(np.sum(ebar * resid_trend * resid_trend)),
-        base_score=float(base),
-    )
+        terms = (decomposition.score_at(sigma2), np.sum(np.log(proj_diag) - np.log(diag)), np.sum(diag * eps * eps),
+                 np.sum(eps * Pz), np.sum(ebar * resid_trend * resid_trend), base)
+    return RegressionScore(*map(float, check_finite("trend-aware score", terms, theta)))
 
 
 def _cho_solve(chol: np.ndarray, b: np.ndarray) -> np.ndarray:

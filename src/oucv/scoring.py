@@ -58,6 +58,7 @@ from .errors import (
     ConditioningError,
     InvalidParameterError,
     NumericalFailureError,
+    check_finite,
     check_positive,
 )
 from .numerics import _ELEMENT_BUDGET, one_minus_exp_neg
@@ -804,8 +805,9 @@ def precision_matrix(design: Design, theta: float) -> TridiagonalPrecision:
     score applies in increment form.
     """
     theta = check_positive("theta", theta)
-    with np.errstate(divide="ignore"):
+    with np.errstate(divide="ignore", over="ignore"):
         A, _, c = _precision_terms(design, theta)
+    check_finite("precision matrix", A, theta)  # each |c| is at most its points' A
     return TridiagonalPrecision(diag=A, off=-c[1:-1])
 
 
@@ -824,8 +826,7 @@ def loo_predictions(design: Design, y, theta: float) -> LooSummary:
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
         A, h, c = _precision_terms(design, theta)
         predictions = y - _apply_precision(y, _increments(y, 1), h, c) / A
-    if not np.all(np.isfinite(predictions)):
-        raise NumericalFailureError("leave-one-out predictions are not finite", theta=theta)
+    check_finite("a leave-one-out prediction", predictions, theta)
     return LooSummary(predictions=predictions, normalized_variances=1.0 / A)
 
 
@@ -844,10 +845,7 @@ def _score_and_decomposition(design: Design, y, theta: float, sigma2: float) -> 
     sigma2 is reported before a bad theta."""
     sigma2 = check_positive("sigma2", sigma2)
     decomp = score_decomposition(design, y, theta)
-    value = decomp.score_at(sigma2)
-    if not np.isfinite(value):
-        raise NumericalFailureError("logarithmic score is not finite", theta=theta)
-    return float(value), decomp
+    return float(check_finite("logarithmic score", decomp.score_at(sigma2), theta)), decomp
 
 
 def score_decomposition(design: Design, y, theta: float) -> ScoreDecomposition:
@@ -860,7 +858,7 @@ def score_decomposition(design: Design, y, theta: float) -> ScoreDecomposition:
     theta = check_positive("theta", theta)
     y = _check_data(design, y)
     L, Q = score_parts(design, y[None, :], [theta])
-    return ScoreDecomposition(L=float(L[0]), Q=float(Q[0, 0]), n=design.n)
+    return ScoreDecomposition(*check_finite("score decomposition", (float(L[0]), float(Q[0, 0])), theta), n=design.n)
 
 
 def score_gradient_theta(design: Design, y, theta: float, sigma2: float) -> float:
@@ -872,7 +870,8 @@ def score_gradient_theta(design: Design, y, theta: float, sigma2: float) -> floa
     theta = check_positive("theta", theta)
     sigma2 = check_positive("sigma2", sigma2)
     y = _check_data(design, y)
-    return float(CvKernel(design, y[None, :], reuse=False).gradient(None, [theta], sigma2)[0, 0])
+    grad = CvKernel(design, y[None, :], reuse=False).gradient(None, [theta], sigma2)[0, 0]
+    return float(check_finite("score gradient", grad, theta))
 
 
 def ml_neg2loglik(design: Design, y, theta: float, sigma2: float) -> float:
@@ -884,10 +883,7 @@ def ml_neg2loglik(design: Design, y, theta: float, sigma2: float) -> float:
     :func:`ml_decomposition` at ``sigma2``.
     """
     sigma2 = check_positive("sigma2", sigma2)
-    value = ml_decomposition(design, y, theta).score_at(sigma2)
-    if not np.isfinite(value):
-        raise NumericalFailureError("likelihood objective is not finite", theta=theta)
-    return float(value)
+    return float(check_finite("likelihood objective", ml_decomposition(design, y, theta).score_at(sigma2), theta))
 
 
 def ml_decomposition(design: Design, y, theta: float) -> ScoreDecomposition:
@@ -895,7 +891,8 @@ def ml_decomposition(design: Design, y, theta: float) -> ScoreDecomposition:
     theta = check_positive("theta", theta)
     y = _check_data(design, y)
     L, Q = ml_parts(design, y[None, :], [theta])
-    return ScoreDecomposition(L=float(L[0]), Q=float(Q[0, 0]), n=design.n)
+    return ScoreDecomposition(*check_finite("likelihood decomposition", (float(L[0]), float(Q[0, 0])), theta),
+                              n=design.n)
 
 
 def ml_gradient_theta(design: Design, y, theta: float, sigma2: float) -> float:
@@ -903,7 +900,8 @@ def ml_gradient_theta(design: Design, y, theta: float, sigma2: float) -> float:
     theta = check_positive("theta", theta)
     sigma2 = check_positive("sigma2", sigma2)
     y = _check_data(design, y)
-    return float(MlKernel(design, y[None, :], reuse=False).gradient(None, [theta], sigma2)[0, 0])
+    grad = MlKernel(design, y[None, :], reuse=False).gradient(None, [theta], sigma2)[0, 0]
+    return float(check_finite("likelihood gradient", grad, theta))
 
 
 def _dense_cholesky(design: Design, theta: float) -> np.ndarray:
@@ -945,7 +943,8 @@ def dense_oracle_score(design: Design, y, theta: float, sigma2: float) -> float:
     d = np.diag(P)
     resid = (P @ y) / d
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-        return float(np.sum(np.log(sigma2 / d) + d * resid * resid / sigma2))
+        value = np.sum(np.log(sigma2 / d) + d * resid * resid / sigma2)
+    return float(check_finite("logarithmic score", value, theta))
 
 
 def dense_oracle_ml(design: Design, y, theta: float, sigma2: float) -> float:
@@ -958,4 +957,5 @@ def dense_oracle_ml(design: Design, y, theta: float, sigma2: float) -> float:
     white = np.linalg.solve(chol, y)
     n = design.n
     with np.errstate(over="ignore", invalid="ignore"):
-        return float(n * np.log(2.0 * np.pi * sigma2) + logdet + white @ white / sigma2)
+        value = n * np.log(2.0 * np.pi * sigma2) + logdet + white @ white / sigma2
+    return float(check_finite("likelihood objective", value, theta))

@@ -5,9 +5,12 @@ import gzip
 import io
 import json
 import os
+import re
+import shlex
 import subprocess
 import sys
 from contextlib import redirect_stderr, redirect_stdout
+from functools import partial
 from pathlib import Path
 
 import numpy as np
@@ -36,7 +39,7 @@ def run_cli(argv):
 
 class TestDesignCommand:
     def test_regular_csv_and_tau(self):
-        code, out, err = run_cli(["design", "--kind", "regular", "--n", "12"])
+        code, out, err = run_cli(["design", "--design", "regular:12"])
         assert code == 0
         rows = list(csv.reader(io.StringIO(out)))
         assert rows[0] == ["index", "s", "delta"]
@@ -47,9 +50,7 @@ class TestDesignCommand:
         assert float(err.split("=")[1]) == pytest.approx(2.25, rel=1e-12)
 
     def test_minimal_overflow_guard_exits_1(self):
-        code, out, err = run_cli(
-            ["design", "--kind", "minimal", "--n", "200", "--alpha", "0.5"]
-        )
+        code, out, err = run_cli(["design", "--design", "minimal:200:0.5"])
         assert code == 1
         payload = json.loads(err.strip())
         assert payload["error"] == "FactorialOverflowError"
@@ -57,13 +58,13 @@ class TestDesignCommand:
     def test_file_kind_round_trip(self, tmp_path):
         points = tmp_path / "pts.txt"
         points.write_text("0.0\n0.25\n0.7\n1.0\n")
-        code, out, _ = run_cli(["design", "--kind", "file", "--points", str(points)])
+        code, out, _ = run_cli(["design", "--design", f"file:{points}"])
         assert code == 0
         rows = list(csv.reader(io.StringIO(out)))[1:]
         assert [float(r[1]) for r in rows] == [0.0, 0.25, 0.7, 1.0]
 
     def test_missing_points_file_exits_2(self):
-        code, _, err = run_cli(["design", "--kind", "file", "--points", "/nonexistent/p.txt"])
+        code, _, err = run_cli(["design", "--design", "file:/nonexistent/p.txt"])
         assert code == 2
         assert json.loads(err.strip())["error"] == "FileNotFoundError"
 
@@ -114,12 +115,12 @@ class TestRowsAtScale:
         y = sample_path(d, CovarianceParams(3.0, 1.0), 5)
         assert out == "index,s,y\n" + self._rows(1, d.points, y)
 
-    @pytest.mark.parametrize("argv, design", [
-        (["--kind", "regular", "--n", "100000"], regular_design(100_000)),
-        (["--kind", "maximal", "--n", "100000", "--gamma", "1e-05"], maximal_design(100_000, 1e-5)),
+    @pytest.mark.parametrize("spec, design", [
+        ("regular:100000", regular_design(100_000)),
+        ("maximal:100000:1e-05", maximal_design(100_000, 1e-5)),
     ], ids=["regular", "maximal"])
-    def test_design_stdout(self, argv, design):
-        code, out, _ = run_cli(["design"] + argv)
+    def test_design_stdout(self, spec, design):
+        code, out, _ = run_cli(["design", "--design", spec])
         assert code == 0
         first = f"1,{format(float(design.points[0]), '.17g')},\n"  # no gap before the first point
         assert out == "index,s,delta\n" + first + self._rows(2, design.points[1:], design.gaps)
@@ -297,26 +298,6 @@ class TestExperimentCommand:
         payload = json.loads(out)
         assert payload["panels"]["cv-joint"]["replicates"] == 5
 
-    def test_flat_config_equivalent_to_json(self, tmp_path):
-        flat = tmp_path / "exp.cfg"
-        flat.write_text(
-            "design.kind=regular\ndesign.n=20\ntheta0=3\nsigma0_sq=1\n"
-            "replicates=4\nbox=0.1,10,0.3,30\nestimators=cv-joint\nseed=99\n"
-        )
-        out1 = tmp_path / "run1"
-        code, stdout1, _ = run_cli(["experiment", "--config", str(flat), "--output", str(out1)])
-        assert code == 0
-        jcfg = tmp_path / "exp.json"
-        jcfg.write_text(json.dumps({
-            "design": {"kind": "regular", "n": 20}, "theta0": 3.0, "sigma0_sq": 1.0,
-            "replicates": 4, "box": [0.1, 10.0, 0.3, 30.0],
-            "estimators": ["cv-joint"], "seed": 99,
-        }))
-        out2 = tmp_path / "run2"
-        code, stdout2, _ = run_cli(["experiment", "--config", str(jcfg), "--output", str(out2)])
-        assert code == 0
-        assert (out1 / "records.csv").read_text() == (out2 / "records.csv").read_text()
-
     def test_preset_with_replicate_override(self, tmp_path):
         outdir = tmp_path / "preset-run"
         code, out, _ = run_cli(
@@ -326,6 +307,20 @@ class TestExperimentCommand:
         assert code == 0
         assert (outdir / "records.csv").exists()
         assert json.loads(out)["panels"]["cv-joint"]["replicates"] == 6
+
+    def test_an_undefined_moment_is_written_as_null(self, tmp_path):
+        # one replicate has no variance, so its z_mean is undefined
+        outdir = tmp_path / "run"
+        code, out, _ = run_cli(["experiment", "--preset", "fig2-n12-regular", "--replicates", "1",
+                                "--output", str(outdir)])
+        assert code == 0
+
+        def refuse(constant):
+            raise AssertionError(f"{constant} is not JSON")
+
+        for text in (out, (outdir / "summary.json").read_text()):
+            summary = json.loads(text, parse_constant=refuse)["panels"]["cv-joint"]
+            assert summary["z_mean"] is None and summary["variance"] == 0.0
 
 
 class TestMalformedInput:
@@ -364,7 +359,7 @@ class TestMalformedInput:
     def test_point_file_bad_row_exits_1(self, tmp_path):
         points = tmp_path / "pts.txt"
         points.write_text("0.0\n0.25\nzero point seven\n1.0\n")
-        code, out, err = run_cli(["design", "--kind", "file", "--points", str(points)])
+        code, out, err = run_cli(["design", "--design", f"file:{points}"])
         assert code == 1 and out == ""
         assert "line 3" in self._error(err)
         code, _, err = run_cli(["simulate", "--design", f"file:{points}", "--theta", "3",
@@ -389,7 +384,7 @@ class TestMalformedInput:
     def test_point_file_needs_one_field(self, tmp_path):
         points = tmp_path / "pts.txt"
         points.write_text("0.0,1\n0.25,1\n0.7,1\n1.0,1\n")
-        code, out, err = run_cli(["design", "--kind", "file", "--points", str(points)])
+        code, out, err = run_cli(["design", "--design", f"file:{points}"])
         assert code == 1 and out == ""
         assert "line 1" in self._error(err)
 
@@ -631,7 +626,7 @@ _ESTIMATE = ["estimate", "--data", "DATA", "--box"]
     (_ESTIMATE + ["0.1,10,0.3,30", "--trend", "CONFIG"], [1.0, 2.0], "CONFIG"),
     (_SIMULATE + ["regular:8", "--trend", "CONFIG"], {"basis": "polynomial:1"}, "'beta'"),
     (_SIMULATE + ["regular:8", "--trend", "CONFIG"], {"columns": "F.csv"}, "column file"),
-    (["design", "--kind", "file"], None, "--points"),
+    (["design", "--design", "maximal:200"], None, "maximal:200"),
     # an estimator listed twice would give one panel of both runs' records
     (["experiment", "--config", "CONFIG"], dict(_EXPERIMENT, estimators=["cv-joint", "cv-joint"]), "'cv-joint'"),
     # an integer literal past the float range is a bad value, not a traceback
@@ -639,13 +634,25 @@ _ESTIMATE = ["estimate", "--data", "DATA", "--box"]
     (["experiment", "--config", "CONFIG"], dict(_EXPERIMENT, theta0=10**400), "'theta0'"),
     (["experiment", "--config", "CONFIG"], dict(_EXPERIMENT, design={"kind": "maximal", "n": 20, "gamma": 10**400}),
      "'gamma'"),
+    # a key that nothing reads is refused, not ignored
+    (["experiment", "--config", "CONFIG"], dict(_EXPERIMENT, sigmal_sq=2), "'sigmal_sq'"),
+    (["experiment", "--config", "CONFIG"], dict(_EXPERIMENT, replicate=100), "'replicate'"),
+    (_ESTIMATE + ["0.1,10,0.3,30", "--trend", "CONFIG"], {"basis": "polynomial:1", "columns_typo": "F.csv"},
+     "'columns_typo'"),
+    (["experiment", "--config", "CONFIG"], dict(_EXPERIMENT, design={"kind": "regular", "n": 20, "gamma": 0.3}),
+     "regular design takes no 'gamma'"),
+    # a config that is not text is refused as malformed, not with a traceback
+    (["experiment", "--config", "CONFIG"], b"\xc0\xff{}", "CONFIG"),
 ])
 def test_malformed_spec_or_config_exits_1_naming_it(tmp_path, argv, config, named):
     _, out, _ = run_cli(_SIMULATE + ["regular:8"])
     data = tmp_path / "data.csv"
     data.write_text(out)
     path = tmp_path / "config.json"
-    path.write_text(config if isinstance(config, str) else json.dumps(config))
+    if isinstance(config, bytes):
+        path.write_bytes(config)
+    else:
+        path.write_text(config if isinstance(config, str) else json.dumps(config))
     argv = [{"DATA": str(data), "CONFIG": str(path)}.get(a, a) for a in argv]
     if argv[0] == "experiment":
         argv += ["--output", str(tmp_path / "run")]
@@ -669,6 +676,26 @@ def test_an_unfittable_trend_is_refused_before_the_run(tmp_path):
     assert payload["error"] == "InvalidParameterError"
     assert "fewer columns (6) than observations (6)" in payload["message"]
     assert not (tmp_path / "run").exists()
+
+
+def test_the_readme_command_lines_run(tmp_path, monkeypatch):
+    # each oucv line of the README's command-line block exits 0, on the
+    # data its own simulate line writes and the configs of its JSON snippets
+    section = (Path(__file__).resolve().parents[1] / "README.md").read_text().split("## Command line\n")[1]
+    block = section.split("```sh\n")[1].split("```")[0]
+    commands = [argv for argv in map(partial(shlex.split, comments=True), block.splitlines()) if argv[:1] == ["oucv"]]
+    monkeypatch.chdir(tmp_path)
+    Path("trend.json").write_text(re.search(r"A trend config is JSON: `(.*?)`", section)[1])
+    experiment = section.split("An experiment config is JSON:")[1]
+    Path("experiment.json").write_text(experiment.split("```json\n")[1].split("```")[0])
+    commands.sort(key=lambda argv: argv[1] != "simulate")  # data.csv first
+    assert commands[0][1] == "simulate" and len(commands) == 13
+    for argv in commands:
+        argv, target = (argv[1:-2], argv[-1]) if argv[-2:-1] == [">"] else (argv[1:], None)
+        code, out, err = run_cli(argv)
+        assert code == 0, (argv, err)
+        if target:
+            Path(target).write_text(out)
 
 
 class TestHelp:
@@ -712,7 +739,7 @@ class TestParser:
         parser = build_parser()
         assert parser is not build_parser() and parser is not cli._parser()
         parser.add_argument("--required-here", required=True)  # changing one does not reach main
-        assert run_cli(["design", "--kind", "regular", "--n", "6"])[0] == 0
+        assert run_cli(["design", "--design", "regular:6"])[0] == 0
 
 
 class TestProcess:
@@ -729,12 +756,12 @@ class TestProcess:
     @pytest.mark.parametrize("argv, code, error, named", [
         (["simulate", "--design", "regular:8", "--theta", "3", "--sigma2", "1", "--seed", "-1"], 1,
          "InvalidParameterError", ()),
-        (["design", "--kind", "file", "--points", "MISSING"], 2, "FileNotFoundError", ()),
+        (["design", "--design", "file:MISSING"], 2, "FileNotFoundError", ()),
         (["score", "--data", "INF", "--theta", "2", "--sigma2", "1"], 3, "NumericalFailureError", ()),
         (["estimate", "--data", "HUGE", "--box", "0.1,10,0.3,30"], 3, "NumericalFailureError", ()),
         (["estimate", "--data", "EDGE", "--box", "0.1,10,0.3,30"], 3, "NumericalFailureError", ()),
         # a minimal design past n = 20 always underflows, and says so in one line, with no warning
-        (["design", "--kind", "minimal", "--n", "25"], 1, "InvalidDesignError", ()),
+        (["design", "--design", "minimal:25:0.5"], 1, "InvalidDesignError", ()),
         (["simulate", "--design", "minimal:25:0.5", "--theta", "3", "--sigma2", "1", "--seed", "1"], 1,
          "InvalidDesignError", ()),
         # the dense likelihood refuses a covariance too ill-conditioned to factor accurately
@@ -745,9 +772,14 @@ class TestProcess:
          "InvalidParameterError", ("cv-fixed-sigma", "sigma1")),
         (["estimate", "--data", "MINIMAL", "--box", "0.1,10,0.3,30", "--mode", "fixed-theta", "--theta2", "-1"], 1,
          "InvalidParameterError", ("cv-fixed-theta", "theta2")),
+        # a dense oracle whose value is not finite fails as the kernels do, and prints no NaN or Infinity
+        (["score", "--data", "PATH8", "--theta", "1", "--sigma2", "5e-324", "--oracle"], 3, "NumericalFailureError",
+         ("logarithmic score",)),
+        (["score", "--data", "PATH8", "--theta", "1", "--sigma2", "5e-324", "--oracle", "--objective", "ml"], 3,
+         "NumericalFailureError", ("likelihood objective",)),
     ], ids=["domain", "io", "numerical", "numerical-on-the-whole-grid", "numerical-increment-overflow",
             "design-underflow", "simulate-design-underflow", "ml-oracle-ill-conditioned", "fixed-sigma-nan",
-            "fixed-theta-negative"])
+            "fixed-theta-negative", "cv-oracle-not-finite", "ml-oracle-not-finite"])
     def test_exit_code_contract(self, tmp_path, argv, code, error, named):
         inf = tmp_path / "inf.csv"
         inf.write_text("index,s,y\n1,0.0,0.1\n2,0.5,inf\n3,1.0,0.2\n")
@@ -763,8 +795,10 @@ class TestProcess:
         d = minimal_design(18, 0.5)
         rows = enumerate(zip(d.points.tolist(), sample_path(d, CovarianceParams(3.0, 1.0), 4).tolist()), 1)
         minimal.write_text("index,s,y\n" + "".join(f"{i},{s!r},{v!r}\n" for i, (s, v) in rows))
-        files = {"MISSING": str(tmp_path / "missing.txt"), "INF": str(inf), "HUGE": str(huge), "EDGE": str(edge),
-                 "MINIMAL": str(minimal)}
+        path8 = tmp_path / "path8.csv"
+        path8.write_text(run_cli(_SIMULATE + ["regular:8"])[1])
+        files = {"file:MISSING": f"file:{tmp_path / 'missing.txt'}", "INF": str(inf), "HUGE": str(huge),
+                 "EDGE": str(edge), "MINIMAL": str(minimal), "PATH8": str(path8)}
         proc = self._run([files.get(a, a) for a in argv])
         assert proc.returncode == code
         assert proc.stdout == ""

@@ -1,5 +1,6 @@
 """Malformed input at the library boundary fails loudly, naming what is wrong."""
 
+import dataclasses
 import importlib
 import inspect
 import math
@@ -50,7 +51,7 @@ from oucv import (
     score_gradient_theta,
     tau_squared_from_gap_ratios,
 )
-from oucv.errors import positive_finite
+from oucv.errors import check_finite, positive_finite
 from oucv.estimation import estimate_batch
 from oucv.scoring import ml_gradient_theta
 
@@ -141,6 +142,8 @@ REFUSALS = {
                           "'trend' must be a TrendSpec or None"),
     "design-spec-text": (lambda: build_design("regular:12"), InvalidParameterError,
                          "design spec must be a dict, got 'regular:12'"),
+    "design-spec-spare-field": (lambda: build_design({"kind": "regular", "n": 12, "gamma": 0.3}),
+                                InvalidParameterError, "^regular design takes no 'gamma'$"),
     "box-bound-past-float-range": (lambda: ParameterBox(0.1, 10**400, 0.3, 30), InvalidParameterError,
                                    "^box bound 'A' must be positive and finite, got 1000"),
     "config-estimator-repeated": (lambda: _config(estimators=("cv-joint", "ml-joint", "cv-joint")),
@@ -178,11 +181,25 @@ VALUES = st.one_of(
 )
 
 
+def _floats(result):
+    """The floats in ``result``: itself, or those of its entries, values or
+    dataclass fields, all the way down; a failed batch row holds none."""
+    if isinstance(result, (float, np.floating, np.ndarray)):
+        yield from np.ravel(result).astype(float).tolist()
+    elif dataclasses.is_dataclass(result):
+        for f in dataclasses.fields(result):
+            yield from _floats(getattr(result, f.name))
+    elif isinstance(result, (list, tuple, dict)):
+        for entry in result.values() if isinstance(result, dict) else result:
+            yield from _floats(entry)
+
+
 @pytest.mark.parametrize("key", POSITIVE_ENTRIES, ids=[f"{call.__name__}-{param}" for call, param in POSITIVE_ENTRIES])
 @settings(max_examples=60)
 @given(value=VALUES)
 @example(value=math.nan)
 @example(value=5e-324)
+@example(value=sys.float_info.min)
 @example(value=sys.float_info.max)
 @example(value=10**400)
 @example(value=np.float32(1e-45))
@@ -194,22 +211,25 @@ def test_an_entry_accepts_exactly_the_positive_finite_values(key, value):
             call(value)
         return
     try:
-        call(value)
+        result = call(value)
     except InvalidParameterError as err:
         pytest.fail(f"{value!r} refused: {err}")
     except OucvError:
-        pass  # a numerical failure at an extreme value is no refusal of it
+        return  # a numerical failure at an extreme value is no refusal of it
+    nonfinite = [x for x in _floats(result) if not math.isfinite(x)]
+    assert not nonfinite, f"{value!r} gave {nonfinite}"
 
 
 def _public_callables():
     """Every public function and class of the package and its modules but
-    the exceptions, whose theta records where a computation failed."""
+    the exceptions and ``check_finite``, whose theta records where a
+    computation failed."""
     for info in [None, *pkgutil.iter_modules(oucv.__path__)]:
         module = oucv if info is None else importlib.import_module(f"oucv.{info.name}")
         for name, obj in vars(module).items():
             if name.startswith("_") or not callable(obj) or not getattr(obj, "__module__", "").startswith("oucv"):
                 continue
-            if not (isinstance(obj, type) and issubclass(obj, BaseException)):
+            if not (isinstance(obj, type) and issubclass(obj, BaseException)) and obj is not check_finite:
                 yield obj
 
 
