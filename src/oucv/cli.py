@@ -18,7 +18,6 @@ import argparse
 import dataclasses
 import functools
 import json
-import math
 import os
 import stat
 import sys
@@ -267,8 +266,8 @@ def _cmd_design(args) -> int:
     print("index,s,delta")
     print(f"1,{_fmt(design.points[0])},")  # the first point has no gap
     _write_rows(2, design.points[1:], design.gaps)
-    tau = tau_squared(design) if design.n >= 5 else math.nan
-    print(f"tau_squared={_fmt(tau)}", file=sys.stderr)
+    # tau^2 is undefined below five points, and written as summary.json writes an undefined moment
+    print(f"tau_squared={_fmt(tau_squared(design)) if design.n >= 5 else 'null'}", file=sys.stderr)
     return 0
 
 

@@ -15,7 +15,8 @@ one estimator. Each estimator holds its own copy of the rows, a lane;
 the search stacks the lanes (estimator x row) and evaluates the grid as
 whole arrays of (row, theta) pairs, and golden-section search then runs
 on all stacked rows in lockstep, each with its own bracket, variance
-bounds and stopping point. A row's result depends on that row alone, so
+bounds and stopping point; the last row left searching steps alone, on
+Python floats. A row's result depends on that row alone, so
 it is bitwise the same in any batch and beside any other estimator; the
 single-path ``estimate_*`` functions are batches of one. Lanes are
 built and checked once and may search any number of data arrays, as
@@ -145,12 +146,15 @@ def profile_sigma2(decomp: ScoreDecomposition, box: ParameterBox) -> float:
 
 
 def standardized_statistic(product_hat: float, true_product: float, n: int, tau: float) -> float:
-    """sqrt(n) (product_hat - true_product) / (true_product * tau)."""
+    """sqrt(n) (product_hat - true_product) / (true_product * tau), or a
+    NumericalFailureError when it is not finite: a finite estimate far
+    enough from the true product overflows it."""
     if not tau > 0.0:
         raise InvalidParameterError(f"tau must be positive, got {tau}")
     if n < 1:
         raise InvalidParameterError(f"n must be at least 1, got {n}")
-    return float(math.sqrt(n) * (product_hat - true_product) / (true_product * tau))
+    stat = math.sqrt(n) * (product_hat - true_product) / (true_product * tau)
+    return check_finite("standardized statistic", float(stat))
 
 
 def _boundary_flags(name: str, x: float, lo: float, hi: float) -> list[str]:
@@ -206,6 +210,34 @@ def _best_seen(seen: list, rows: int) -> tuple[np.ndarray, np.ndarray]:
     return best_x, best_f
 
 
+def _search_row(objective: Callable, idx: np.ndarray, a, b, c, d, fc, fd, it: int, failed: dict) -> tuple:
+    """The golden-section steps of the one row ``idx`` (an array of one)
+    left searching, from its bracket after ``it`` steps: the lockstep
+    loop of :func:`_minimize_theta` on Python floats, which make the same
+    IEEE operations in the same order and so give the same bits. Each
+    step is one objective call at a (1, 1) theta array. Returns the final
+    bracket, the iterations, and the probes with their values."""
+    r = idx[0]
+    probes, values = [], []
+    while b - a > _REFINE_RTOL * 0.5 * (a + b) and it < _REFINE_MAX_ITER and r not in failed:
+        left = fc <= fd  # ties shrink toward the left, keeping smaller arguments
+        if left:
+            b = d
+            probe = b - _INVPHI * (b - a)
+        else:
+            a = c
+            probe = a + _INVPHI * (b - a)
+        f = float(objective(idx, np.array([[probe]]), failed)[0, 0])
+        probes.append(probe)
+        values.append(f)
+        if left:
+            c, d, fc, fd = probe, c, f, fc
+        else:
+            c, d, fc, fd = d, probe, fd, f
+        it += 1
+    return a, b, it, probes, values
+
+
 def _minimize_theta(objective: Callable, lo: float, hi: float, rows: int) -> tuple:
     """Coarse log-spaced grid plus golden-section refinement, all rows in lockstep.
 
@@ -219,7 +251,13 @@ def _minimize_theta(objective: Callable, lo: float, hi: float, rows: int) -> tup
 
     Each row keeps its own bracket around its grid argmin and stops when
     the bracket is narrower than ``_REFINE_RTOL`` times its midpoint; the
-    rows still searching step together. The returned point is the
+    rows still searching step together, each step one call for all of
+    them. When one row is left, a single estimate from the start or the
+    last row of a batch, it steps alone on Python floats
+    (:func:`_search_row`), with the same bits: a step is then one kernel
+    call at a (1, 1) theta array and about 1 us of bracket arithmetic,
+    where the numpy steps of one row cost about 13 us more (2-vCPU host,
+    fig2 designs, kernel calls of 16-31 us). The returned point is the
     smallest objective value seen, grid nodes included; ties go to the
     smaller theta. A non-finite value on a row's grid fails that row
     alone. Returns per row theta, value, iterations, evaluations and the
@@ -256,7 +294,7 @@ def _minimize_theta(objective: Callable, lo: float, hi: float, rows: int) -> tup
     fc, fd = at(idx, np.stack([c, d], axis=1)).T
     seen += [(idx, c, fc), (idx, d, fd)]
     it = 0
-    while idx.size:
+    while idx.size > 1:
         keep = b - a > _REFINE_RTOL * 0.5 * (a + b)
         if it == _REFINE_MAX_ITER:
             keep[:] = False
@@ -266,7 +304,7 @@ def _minimize_theta(objective: Callable, lo: float, hi: float, rows: int) -> tup
             out, stop = idx[~keep], ~keep
             lo_[out], hi_[out], iterations[out] = a[stop], b[stop], it
             idx, a, b, c, d, fc, fd = (v[keep] for v in (idx, a, b, c, d, fc, fd))
-            if not idx.size:
+            if idx.size < 2:
                 break
         left = fc <= fd  # ties shrink toward the left, keeping smaller arguments
         a = np.where(left, a, c)
@@ -278,6 +316,11 @@ def _minimize_theta(objective: Callable, lo: float, hi: float, rows: int) -> tup
         c, d = np.where(left, probe, d), np.where(left, c, probe)
         fc, fd = np.where(left, f, fd), np.where(left, fc, f)
         it += 1
+    if idx.size:  # one row left: the same steps on Python floats
+        r = idx[0]
+        bracket = (float(v[0]) for v in (a, b, c, d, fc, fd))
+        lo_[r], hi_[r], iterations[r], probes, f = _search_row(objective, idx, *bracket, it, failed)
+        seen.append((np.full(len(probes), r), np.array(probes), np.array(f)))
     idx = unfailed(everyone)
     mid = 0.5 * (lo_[idx] + hi_[idx])
     seen.append((idx, mid, at(idx, mid[:, None])[:, 0]))
@@ -332,11 +375,10 @@ def _result(box, theta, sigma2, value, grad, iterations, evaluations, minima):
 
 def _record_singular(failed: dict, rows: np.ndarray, thetas, L: np.ndarray) -> None:
     """Fail each row whose log part L is NaN at one of its thetas, the
-    mark a parts function leaves where it could not factor the objective."""
-    bad = np.isnan(L)
-    if not bad.any():
-        return
-    bad = np.broadcast_to(bad, (rows.size, L.shape[-1]))
+    mark a parts function leaves where it could not factor the objective.
+    Callers call it only when ``np.isnan(L).any()``: a search tests that
+    on every step, and it almost never holds."""
+    bad = np.broadcast_to(np.isnan(L), (rows.size, L.shape[-1]))
     thetas = np.broadcast_to(thetas, bad.shape)
     for i in np.flatnonzero(bad.any(axis=1)):
         if rows[i] not in failed:
@@ -360,7 +402,12 @@ class _Stack:
     lane the kernel sees the search's own rows, None for all of them, and
     the bounds are the lane's scalars, as if there were no stack: the
     stacked path gives the same bits, but its per-step splitting, copies
-    and indexing made a one-estimator search up to 15% slower.
+    and indexing made a one-estimator search up to 15% slower. A
+    golden-section step of one row is one ``profile`` call at a (1, 1)
+    theta array: the kernel call (16-31 us on the fig2 designs, 2-vCPU
+    host), which takes per-row thetas on a class or per-point kernel
+    straight to its sums, and about 7 us of profile arithmetic; singular
+    rows are looked for only when L holds a NaN.
     """
 
     def __init__(self, lanes: list, kernels: list, R: int):
@@ -415,7 +462,8 @@ class _Stack:
 
     def profile(self, srows: np.ndarray, thetas: np.ndarray, failed: dict) -> tuple:
         L, Q = self.parts(srows, thetas)
-        _record_singular(failed, srows, thetas, L)
+        if np.isnan(L).any():
+            _record_singular(failed, srows, thetas, L)
         count, b, B = self.bounds(srows)
         s2 = _clamp(Q / count, b, B)
         if self.overflows:  # a row whose value overflows fails as not finite
@@ -435,7 +483,8 @@ class _Stack:
             step = 1e-6 * theta[s]
             thetas = np.concatenate([theta[s] + step, theta[s] - step], axis=1)
             L, Q = kernel.parts(rows, thetas)
-            _record_singular(failed, srows[s], thetas, L)
+            if np.isnan(L).any():
+                _record_singular(failed, srows[s], thetas, L)
             with np.errstate(over="ignore"):
                 hi, lo = np.hsplit(kernel.count * np.log(sigma2[s]) + L + Q / sigma2[s], 2)
             grad[s] = (hi - lo) / (2.0 * step)

@@ -28,7 +28,7 @@ import numpy as np
 
 from . import __version__
 from .designs import Design, from_points, maximal_design, minimal_design, regular_design, tau_squared
-from .errors import InvalidParameterError, OucvError, check_positive
+from .errors import InvalidParameterError, NumericalFailureError, OucvError, check_positive
 from .estimation import (
     ESTIMATOR_TABLE,
     ParameterBox,
@@ -325,7 +325,13 @@ def run_experiment(config: ExperimentConfig, max_workers: int | None = None) -> 
     lanes = _lanes(config.estimators, design, config.box, fixed)
 
     def record(r: int, res) -> ReplicateRecord:
-        """The record of replicate r's result, or of its failure."""
+        """The record of replicate r's result, or of its failure; a result
+        whose standardized statistic is not finite fails."""
+        if not isinstance(res, OucvError):
+            try:
+                stat = standardized_statistic(res.product, product0, design.n, tau)
+            except NumericalFailureError as err:
+                res = err
         if isinstance(res, OucvError):
             return ReplicateRecord(
                 replicate=r,
@@ -343,7 +349,7 @@ def run_experiment(config: ExperimentConfig, max_workers: int | None = None) -> 
             theta_hat=res.theta_hat,
             sigma2_hat=res.sigma2_hat,
             product=res.product,
-            std_stat=standardized_statistic(res.product, product0, design.n, tau),
+            std_stat=stat,
             objective=res.objective_value,
             flags="|".join(res.boundary_flags) if res.boundary_flags else "-",
         )
@@ -380,6 +386,14 @@ def run_experiment(config: ExperimentConfig, max_workers: int | None = None) -> 
 def _json_summary(summary: dict) -> dict:
     """A panel summary as JSON writes it: an undefined (NaN) moment is null."""
     return {key: None if isinstance(v, float) and math.isnan(v) else v for key, v in summary.items()}
+
+
+def _json_plain(value):
+    """A numpy value in a config echo, such as a points design's array, as
+    the list or number JSON writes."""
+    if isinstance(value, (np.ndarray, np.generic)):
+        return value.tolist()
+    raise TypeError(f"Object of type {type(value).__name__} is not JSON serializable")
 
 
 def summarize(report: ExperimentReport) -> dict[str, dict]:
@@ -441,9 +455,8 @@ def export(report: ExperimentReport, path) -> None:
         "panels": {name: _json_summary(panel.summary) for name, panel in report.panels.items()},
         "provenance": _PROVENANCE,
     }
-    with open(out / "summary.json", "w") as fh:
-        json.dump(summary, fh, indent=2, allow_nan=False)
-        fh.write("\n")
+    text = json.dumps(summary, indent=2, allow_nan=False, default=_json_plain)  # before the file opens
+    (out / "summary.json").write_text(text + "\n")
 
 
 def read_records(path) -> tuple[ReplicateRecord, ...]:

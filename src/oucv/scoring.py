@@ -257,9 +257,9 @@ def _contract(S: np.ndarray, C) -> np.ndarray:
     C = C.reshape(C.shape[:-2] + (-1,))
     S = S.reshape(S.shape[0], 1, -1)
     if C.ndim > 2:
-        return np.sum(S * C, axis=-1)
+        return np.add.reduce(S * C, axis=-1)
     block = max(1, _ELEMENT_BUDGET // max(S.size, 1))
-    return np.concatenate([np.sum(S * C[j:j + block], axis=-1) for j in range(0, C.shape[0], block)], axis=1)
+    return np.concatenate([np.add.reduce(S * C[j:j + block], axis=-1) for j in range(0, C.shape[0], block)], axis=1)
 
 
 def _increments(Y: np.ndarray, after: int) -> np.ndarray:
@@ -329,7 +329,7 @@ class _Layout:
 
     def total(self, x: np.ndarray) -> np.ndarray:
         """The sum over points of a per-class (or per-point) quantity."""
-        return np.sum(x if self.counts is None else x * self.counts, axis=-1)
+        return np.add.reduce(x if self.counts is None else x * self.counts, axis=-1)
 
     def weights(self) -> np.ndarray:
         """The gaps as the theta-derivatives weigh them: the terms of the
@@ -508,6 +508,10 @@ class _GapKernel:
         return L, Q
 
     def parts(self, rows, thetas) -> tuple[np.ndarray, np.ndarray]:
+        thetas = np.asarray(thetas, dtype=float)
+        if thetas.ndim == 2 and self.route != "series":  # per-row thetas are one call on one route
+            return (self._point_sums if self.route == "per-point" else self._summed)(rows, thetas, False)
+
         def evaluate(rows, thetas, points):
             if points:  # per-point terms grow with the rows; summed coefficients are shared by them
                 count = self.rows if rows is None else len(rows)
@@ -585,7 +589,7 @@ class CvKernel(_GapKernel):
         A, h, c = terms
         Y, d = data
         u = _apply_precision(Y[:, None, :], d[:, None, :], h, c)
-        return np.sum(u * (u / A), axis=-1)
+        return np.add.reduce(u * (u / A), axis=-1)
 
     def _derivatives(self, layout: _Layout, thetas):
         E, a, c, p, A, h, cL, cR = _cv_precision(layout.values, layout.members, thetas)
@@ -717,7 +721,7 @@ class MlKernel(_GapKernel):
         d, prev = data
         G, m = terms  # m = 1 - E
         w = d[:, None, :] + m * prev[:, None, :]
-        return np.sum(w * w / G, axis=-1)
+        return np.add.reduce(w * w / G, axis=-1)
 
     def _derivatives(self, layout: _Layout, thetas):
         E, G = _gap_terms(layout.values, thetas)

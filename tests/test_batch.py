@@ -21,12 +21,14 @@ from oucv import (
     ExperimentConfig,
     NumericalFailureError,
     ParameterBox,
+    build_design,
     estimate_cv_fixed_sigma,
     estimate_cv_fixed_theta,
     estimate_cv_joint,
     estimate_cv_reg,
     estimate_ml_joint,
     loo_trend_prediction,
+    make_preset,
     maximal_design,
     minimal_design,
     polynomial_basis,
@@ -60,22 +62,30 @@ def _batched(results):
     ]
 
 
-def _assert_rows_match_single(design, Y, box, sigma1_sq, theta2):
+def _assert_rows_match_single(design, Y, box, sigma1_sq, theta2, F=None):
+    """Each estimator's batch on the rows of Y against its single-path
+    estimate on each row; with trend columns F, also ``cv-regression`` on
+    the rows with a trend added."""
     cases = [
-        (estimate_batch("cv-joint", design, Y, box), lambda y: estimate_cv_joint(design, y, box)),
-        (estimate_batch("ml-joint", design, Y, box), lambda y: estimate_ml_joint(design, y, box)),
+        (Y, estimate_batch("cv-joint", design, Y, box), lambda y: estimate_cv_joint(design, y, box)),
+        (Y, estimate_batch("ml-joint", design, Y, box), lambda y: estimate_ml_joint(design, y, box)),
         (
-            estimate_batch("cv-fixed-sigma", design, Y, box, sigma1_sq),
+            Y, estimate_batch("cv-fixed-sigma", design, Y, box, sigma1_sq),
             lambda y: estimate_cv_fixed_sigma(design, y, sigma1_sq, box.theta_range),
         ),
         (
-            estimate_batch("cv-fixed-theta", design, Y, box, theta2),
+            Y, estimate_batch("cv-fixed-theta", design, Y, box, theta2),
             lambda y: estimate_cv_fixed_theta(design, y, theta2, box.sigma2_range),
         ),
     ]
-    for batch, single in cases:
-        assert len(batch) == Y.shape[0]
-        assert _batched(batch) == [_outcome(lambda y=y: single(y)) for y in Y]
+    if F is not None:
+        Z = Y + F @ np.arange(1.0, F.shape[1] + 1)
+        cases.append(
+            (Z, estimate_batch("cv-regression", design, Z, box, F), lambda z: estimate_cv_reg(design, z, F, box))
+        )
+    for data, batch, single in cases:
+        assert len(batch) == data.shape[0]
+        assert _batched(batch) == [_outcome(lambda y=y: single(y)) for y in data]
 
 
 @st.composite
@@ -193,6 +203,25 @@ def test_the_public_fixed_estimators_check_the_value_before_the_box():
         with pytest.raises(oucv.InvalidParameterError) as err:
             call()
         assert str(err.value) == message
+
+
+@pytest.mark.parametrize("preset", oucv.PRESET_NAMES)
+def test_preset_design_rows_equal_single_estimates(preset):
+    # the seven fig2 designs: at n = 50 and 200 a row takes the class
+    # route, which the drawn designs (n <= 40) do not reach; the rows at
+    # theta = 0.01 stop on the lower edge two steps early, and the last
+    # row left searching takes those steps alone
+    d = build_design(make_preset(preset).design)
+    Y = np.stack([sample_path(d, CovarianceParams(theta=theta, sigma2=1.0), (17, r))
+                  for r, theta in enumerate([3.0, 0.01, 3.0, 0.01, 30.0])])
+    _assert_rows_match_single(d, Y, BOX, 2.0, 1.5)
+
+
+def test_trend_rows_on_the_class_route_equal_single_estimates():
+    d = regular_design(200)
+    Y = np.stack([sample_path(d, CovarianceParams(theta=theta, sigma2=1.0), (19, r))
+                  for r, theta in enumerate([3.0, 0.01, 3.0])])
+    _assert_rows_match_single(d, Y, BOX, 2.0, 1.5, _trend_matrix(d, 1))
 
 
 def test_grid_blocks_do_not_change_rows():
@@ -431,6 +460,35 @@ class TestFailureIsolation:
             assert panel.summary["excluded"] == 4
 
 
+def _counted_calls(monkeypatch, name):
+    """The theta shapes of every ``parts`` call that estimator ``name``'s
+    kernel makes from here on, in order."""
+    calls = []
+    row = ESTIMATOR_TABLE[name]
+
+    class Counting(row.kernel):
+        def parts(self, rows, thetas):
+            calls.append(np.shape(thetas))
+            return super().parts(rows, thetas)
+
+    monkeypatch.setitem(ESTIMATOR_TABLE, name, dataclasses.replace(row, kernel=Counting))
+    return calls
+
+
+def _lone_row_entries(monkeypatch):
+    """The step counts at which searches from here on go on with one row
+    alone, in order."""
+    entered = []
+    search_row = estimation._search_row
+
+    def spy(*args):
+        entered.append(args[-2])
+        return search_row(*args)
+
+    monkeypatch.setattr(estimation, "_search_row", spy)
+    return entered
+
+
 class TestEvaluationCount:
     def test_exact_count_matches_the_objective_calls(self, monkeypatch):
         from oucv import estimation
@@ -465,15 +523,8 @@ class TestEvaluationCount:
         F = _trend_matrix(d, 1)
         Y = np.stack([sample_path(d, PARAMS0, (14, r)) for r in range(3)])
         value = {"cv-fixed-sigma": 2.0, "cv-fixed-theta": 1.5, "cv-regression": F}.get(name)
-        calls = []
         row = ESTIMATOR_TABLE[name]
-
-        class Counting(row.kernel):
-            def parts(self, rows, thetas):
-                calls.append(np.shape(thetas))
-                return super().parts(rows, thetas)
-
-        monkeypatch.setitem(ESTIMATOR_TABLE, name, dataclasses.replace(row, kernel=Counting))
+        calls = _counted_calls(monkeypatch, name)
         results = estimate_batch(name, d, Y + F @ [1.0, 2.0] if row.fixes == "trend" else Y, BOX, value)
         if row.fixes == "theta":
             assert calls == [(3, 1)]
@@ -481,6 +532,32 @@ class TestEvaluationCount:
         iterations = max(res.iterations for res in results)
         assert len(calls) == 4 + iterations + (row.kernel.gradient is None)
         assert calls[:2] == [(64,), (3, 2)]
+
+    @pytest.mark.parametrize("name", ["cv-joint", "ml-joint"])
+    @pytest.mark.parametrize("n", [12, 200, 1502])
+    def test_a_lone_row_makes_one_kernel_call_per_step(self, monkeypatch, name, n):
+        # the grid, the two interior points, one point per iteration, the
+        # midpoint and the variance profile at the estimate
+        d = regular_design(n)
+        calls, entered = _counted_calls(monkeypatch, name), _lone_row_entries(monkeypatch)
+        res = (estimate_cv_joint if name == "cv-joint" else estimate_ml_joint)(d, sample_path(d, PARAMS0, 21), BOX)
+        assert len(calls) == res.iterations + 4
+        assert calls == [(64,), (1, 2)] + [(1, 1)] * (res.iterations + 2)
+        assert entered == [0]  # a batch of one searches alone from the start
+
+    def test_the_last_row_searching_steps_alone(self, monkeypatch):
+        # a row whose estimate sits on the lower theta edge stops two steps
+        # before the other row, which then takes them alone, on Python floats
+        d = regular_design(50)
+        Y = np.stack([sample_path(d, CovarianceParams(theta=theta, sigma2=1.0), (18, r))
+                      for r, theta in enumerate([3.0, 0.01])])
+        for name, single in (("cv-joint", estimate_cv_joint), ("ml-joint", estimate_ml_joint)):
+            calls, entered = _counted_calls(monkeypatch, name), _lone_row_entries(monkeypatch)
+            results = estimate_batch(name, d, Y, BOX)
+            assert [res.iterations for res in results] == [35, 33]
+            assert calls == [(64,), (2, 2)] + [(2, 1)] * 33 + [(1, 1)] * 2 + [(2, 1)] * 2
+            assert entered == [33]
+            assert _batched(results) == [repr(single(d, y, BOX)) for y in Y]
 
     def test_trend_grid_builds_a_factor_per_block_of_nodes(self, monkeypatch):
         from oucv import regression

@@ -63,6 +63,16 @@ class TestDesignCommand:
         rows = list(csv.reader(io.StringIO(out)))[1:]
         assert [float(r[1]) for r in rows] == [0.0, 0.25, 0.7, 1.0]
 
+    @pytest.mark.parametrize("spec, exit_code", [("regular:2", 1), ("regular:3", 0), ("regular:4", 0),
+                                                 ("maximal:4:0.25", 0)])
+    def test_an_undefined_tau_squared_is_written_as_null(self, spec, exit_code):
+        # below five points tau^2 is undefined; two points are no design
+        code, out, err = run_cli(["design", "--design", spec])
+        assert code == exit_code and "nan" not in err.lower()
+        if exit_code == 0:
+            assert err == "tau_squared=null\n"
+            assert len(out.splitlines()) == 1 + int(spec.split(":")[1])
+
     def test_missing_points_file_exits_2(self):
         code, _, err = run_cli(["design", "--design", "file:/nonexistent/p.txt"])
         assert code == 2

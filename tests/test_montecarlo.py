@@ -209,6 +209,20 @@ class TestExport:
         panel = report.panels["cv-joint"]
         assert int(panel.histogram_counts.sum()) + panel.summary["excluded"] == 16
 
+    def test_a_points_design_array_is_written_as_a_list(self, tmp_path):
+        points = np.linspace(0, 1, 12)
+        export(run_experiment(small_config(design={"kind": "points", "points": points}, replicates=2)), tmp_path)
+        summary = json.loads((tmp_path / "summary.json").read_text())
+        assert summary["design"] == {"kind": "points", "points": points.tolist()}
+        assert build_design(summary["design"]).points.tolist() == points.tolist()
+
+    def test_a_summary_that_fails_to_serialize_leaves_no_file(self, tmp_path, monkeypatch):
+        report = run_experiment(small_config(replicates=2))
+        monkeypatch.setitem(montecarlo._PROVENANCE, "oucv", object())
+        with pytest.raises(TypeError):
+            export(report, tmp_path)
+        assert not (tmp_path / "summary.json").exists()
+
     def test_multi_estimator_files_carry_suffix(self, tmp_path):
         cfg = small_config(estimators=("cv-joint", "ml-joint"), replicates=3)
         export(run_experiment(cfg), tmp_path)
@@ -232,6 +246,17 @@ class TestEstimatorDispatch:
         for panel in report.panels.values():
             assert len(panel.records) == 3
             assert all(np.isfinite(rec.std_stat) for rec in panel.records)
+
+    def test_an_overflowing_statistic_fails_its_replicate(self):
+        # theta2 at the float maximum and the variance on its lower edge give
+        # a finite product of 5.4e307, whose standardized statistic overflows
+        cfg = small_config(design={"kind": "regular", "n": 12}, estimators=("cv-fixed-theta",),
+                           theta2=1.7976931348623157e308, replicates=2)
+        panel = run_experiment(cfg).panels["cv-fixed-theta"]
+        assert [rec.flags for rec in panel.records] == ["failed:NumericalFailureError"] * 2
+        assert panel.summary["excluded"] == 2
+        with pytest.raises(oucv.NumericalFailureError, match="standardized statistic is not finite"):
+            standardized_statistic(5.4e307, 3.0, 12, 1.5)
 
     def test_fixed_modes_standardize_the_product(self):
         cfg = small_config(
