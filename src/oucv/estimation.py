@@ -25,7 +25,10 @@ once per search (a kernel of :mod:`oucv.scoring`, whose evaluation
 costs as many operations as the design has gap classes, or O(1) per
 row on a large design without classes, or the trend kernel of
 :mod:`oucv.regression`), and the lanes of one kernel share its calls:
-``cv-joint`` and ``cv-fixed-sigma`` evaluate one grid of L and Q. A
+``cv-joint`` and ``cv-fixed-sigma`` evaluate one grid of L and Q. The
+last search keeps its kernels for the next one on the same design
+object and bitwise equal rows, so that consecutive estimators on one
+path prepare each objective once. A
 fixed theta (``cv-fixed-theta``) is no search: each row is one
 evaluation at that theta, point by point on a kernel of its own, and
 the value, the variance profile and the variance derivative all come
@@ -148,7 +151,9 @@ def profile_sigma2(decomp: ScoreDecomposition, box: ParameterBox) -> float:
 def standardized_statistic(product_hat: float, true_product: float, n: int, tau: float) -> float:
     """sqrt(n) (product_hat - true_product) / (true_product * tau), or a
     NumericalFailureError when it is not finite: a finite estimate far
-    enough from the true product overflows it."""
+    enough from the true product overflows it. The true product must be
+    positive and finite."""
+    true_product = check_positive("true_product", true_product)
     if not tau > 0.0:
         raise InvalidParameterError(f"tau must be positive, got {tau}")
     if n < 1:
@@ -538,11 +543,33 @@ class _Lane:
     """One estimator on the data rows: the box with what the estimator
     fixes collapsed, its objective's kernel, prepared as
     ``kernel(design, Y, reuse)``, and the key of that kernel: lanes with
-    equal keys share one prepared kernel."""
+    equal keys on equal rows share one prepared kernel, so the key holds
+    all that the kernel is prepared from besides the design and the rows."""
 
     box: ParameterBox
     kernel: Callable
     key: tuple
+
+
+# The last search's entry: the design object, its own copy of the data
+# rows searched and the kernels prepared on them, by lane key. One slot
+# for the process; see _kept_kernels.
+_LAST: dict = {}
+
+
+def _kept_kernels(design: Design, Y: np.ndarray) -> tuple[np.ndarray, dict]:
+    """The rows to prepare kernels on and the kernels already prepared on
+    them: the last search's, when it ran on this design object with rows
+    bitwise equal to Y (compared as int64), else Y, the search's own copy,
+    and none. The last entry leaves the slot either way, so that no two
+    threads share a kernel and a stale entry is freed before anything is
+    prepared."""
+    last = _LAST.pop("search", None)
+    if last is not None:
+        searched, rows, kernels = last
+        if searched is design and np.array_equal(rows.view(np.int64), Y.view(np.int64)):
+            return rows, kernels
+    return Y, {}
 
 
 def _search_lanes(design: Design, Y, lanes: list) -> list[list]:
@@ -570,9 +597,12 @@ def _search_lanes(design: Design, Y, lanes: list) -> list[list]:
 
     All lanes that search theta share one theta range and run as one
     search (:class:`_Stack`); the lanes with a collapsed range are one
-    evaluation each. Each distinct kernel is prepared once. Every value
-    depends on its own (row, theta) pair only, so a lane's results are
-    bitwise those it gets alone.
+    evaluation each. Each distinct kernel is prepared once, and kept with
+    a copy of the rows for the next search: a search on the same design
+    object with bitwise equal rows takes the kernels it finds there, as
+    consecutive estimators on one path do. Every value depends on its own
+    (row, theta) pair only, so a lane's results are bitwise those it gets
+    alone, with a kept kernel or a fresh one.
     """
     Y, slots = _data_rows(design, Y)
     results = [list(slots) for _ in lanes]
@@ -580,12 +610,11 @@ def _search_lanes(design: Design, Y, lanes: list) -> list[list]:
     if not ok.size:
         return results
     R = ok.size
-    Y = Y if R == len(slots) else Y[ok]
-    prepared = {}
+    Y, prepared = _kept_kernels(design, Y[ok])  # a copy: the caller may change its array after
     for lane in lanes:
         if lane.key not in prepared:  # a fixed theta is one evaluation
             prepared[lane.key] = lane.kernel(design, Y, lane.box.a < lane.box.A)
-    keys = list(prepared)
+    keys = list(dict.fromkeys(lane.key for lane in lanes))
     for searching in (True, False):
         stacked = sorted((j for j, lane in enumerate(lanes) if (lane.box.a < lane.box.A) == searching),
                          key=lambda j: keys.index(lanes[j].key))
@@ -595,6 +624,7 @@ def _search_lanes(design: Design, Y, lanes: list) -> list[list]:
         for k, j in enumerate(stacked):
             for i, res in zip(ok, found[k * R:(k + 1) * R]):
                 results[j][i] = res
+    _LAST["search"] = (design, Y, prepared)
     return results
 
 
@@ -647,9 +677,11 @@ def _lane(name: str, design: Design, box: ParameterBox, value) -> _Lane:
         box = ParameterBox(box.a, box.A, value, value)
     elif row.fixes == "theta":
         box = ParameterBox(value, value, box.b, box.B)
-    elif row.fixes == "trend":
-        kernel = partial(kernel, F=_prepare_F(design, value))
-    return _Lane(box, kernel, (row.kernel, box.a < box.A))
+    key = (row.kernel, box.a < box.A)
+    if row.fixes == "trend":
+        F = _prepare_F(design, value)
+        kernel, key = partial(kernel, F=F), key + (F.tobytes(),)
+    return _Lane(box, kernel, key)
 
 
 def _lanes(names, design: Design, box: ParameterBox, fixed: dict) -> list[_Lane]:

@@ -82,7 +82,8 @@ PRESET_NAMES = (
 @dataclass(frozen=True)
 class ExperimentConfig:
     """Specification of one replicated simulate-estimate experiment; each
-    theta and sigma2 value in it must be :func:`~oucv.errors.positive_finite`."""
+    theta and sigma2 value in it, and the product theta0 * sigma0_sq, must
+    be :func:`~oucv.errors.positive_finite`."""
 
     design: dict
     theta0: float
@@ -111,6 +112,8 @@ class ExperimentConfig:
         given = [key for key in ("sigma1_sq", "theta2") if getattr(self, key) is not None]
         for key in ("theta0", "sigma0_sq", *given):
             object.__setattr__(self, key, check_positive(repr(key), getattr(self, key)))
+        # the estimand, which each replicate's statistic divides by
+        check_positive("'theta0' * 'sigma0_sq'", self.theta0 * self.sigma0_sq)
         if not isinstance(self.box, ParameterBox):
             raise InvalidParameterError(f"'box' must be a ParameterBox, got {self.box!r}")
         if self.trend is not None and not isinstance(self.trend, TrendSpec):

@@ -227,6 +227,12 @@ def _cached(design: Design, key, derive):
     return design._cache[key]
 
 
+def _padded_gaps(design: Design, keys: int) -> np.ndarray:
+    """The design's gaps between the infinite outer gaps, as many as the
+    points' ``keys`` neighbouring gaps reach."""
+    return np.concatenate(([np.inf], design.gaps, [np.inf]))[: design.n + keys - 1]
+
+
 def _design_classes(design: Design, keys: int, gaps: np.ndarray):
     """:func:`_gap_classes` of the design's points, or its refusal, once per design."""
     return _cached(design, ("classes", keys), lambda: _gap_classes(gaps, keys, design.n))
@@ -294,8 +300,7 @@ def _cv_precision(values: np.ndarray, members: tuple, thetas):
 def _precision_terms(design: Design, thetas):
     """The precision point by point, for ``thetas`` of any shape (point axis
     last): A and h per point, c per gap with the infinite outer gaps (c = 0)."""
-    gaps = np.concatenate(([np.inf], design.gaps, [np.inf]))
-    _, _, c, _, A, h, _, _ = _cv_precision(gaps, (slice(None, -1), slice(1, None)), thetas)
+    _, _, c, _, A, h, _, _ = _cv_precision(_padded_gaps(design, 2), (slice(None, -1), slice(1, None)), thetas)
     return A, h, c
 
 
@@ -353,15 +358,20 @@ class _GapKernel:
     - ``series``: on a design of at least ``_SERIES_MIN_N`` points without
       classes, each interior point's term is a power series in theta,
       and the data's moments are summed once per row, at the first theta
-      inside the series' domain; an evaluation then costs O(1) per row. The end points next to the infinite outer
-      gap stay exact, as classes of one point each. A theta outside the
-      series' domain, theta (g_{i-1} + g_i) <= ``_SERIES_X`` at every
-      interior point i, is evaluated point by point.
+      inside the series' domain; an evaluation then costs O(1) per row.
+      The end points next to the infinite outer gap stay exact, as
+      classes of one point each. A theta outside the series' domain,
+      theta (g_{i-1} + g_i) <= ``_SERIES_X`` at every interior point i, is
+      evaluated point by point.
     - ``per-point``: the terms are evaluated point by point.
 
     Classes and series are used only when the statistics serve more than
     one theta per row (``reuse``); for a single theta, summing them costs
-    more than it saves.
+    more than it saves. A kernel keeps what its evaluations read: a class
+    kernel its class sums only, and a series kernel, once its moments
+    are summed, those and the rows Y, from which a theta outside the
+    domain rebuilds the point arrays. So a kept kernel holds little more
+    than the rows.
 
     ``parts(rows, thetas)`` and ``gradient(rows, thetas, sigma2)`` are
     batched like :func:`score_parts`, over the rows ``rows`` (indices,
@@ -378,10 +388,9 @@ class _GapKernel:
         Y = np.asarray(Y, dtype=float)
         self.n = self.count = n
         self.rows = Y.shape[0]
-        self.data = self._point_arrays(Y)
-        self.gaps = np.concatenate(([np.inf], design.gaps, [np.inf]))[: n + self.keys - 1]
-        self.M = None
-        found = _design_classes(design, self.keys, self.gaps) if reuse else None
+        self.M = self.S = None
+        gaps = _padded_gaps(design, self.keys)
+        found = _design_classes(design, self.keys, gaps) if reuse else None
         if found is not None:  # the gaps of the classes, one key after the other
             self.route = "classes"
             sides, counts, of_point = found
@@ -389,17 +398,26 @@ class _GapKernel:
             members = tuple(slice(j * K, (j + 1) * K) for j in range(self.keys))
             self.layout = _Layout(np.concatenate(sides), members, counts, n)
             with np.errstate(over="ignore", invalid="ignore"):  # overflowing rows fail when evaluated
-                self.S = _statistics(self._pairs(*self.data), of_point, K)
+                self.S = _statistics(self._pairs(*self._point_arrays(Y)), of_point, K)
             self.width = self.S.shape[1] * K
             return
-        self.route, self.S = "per-point", None
-        self.blocks = [
-            (_Layout.per_point(self.gaps[s:s + m + self.keys - 1], self.keys), s, m)
+        self.route = "per-point"
+        self.data, self.blocks = self._points(gaps, Y)
+        if reuse and n >= _SERIES_MIN_N:  # the moments are summed when a theta first falls in the domain
+            self.route, self._source = "series", (design, Y)
+            self.span = _cached(design, "span", lambda: float(np.max(design.gaps[:-1] + design.gaps[1:])))
+
+    def _points(self, gaps: np.ndarray, Y: np.ndarray) -> tuple:
+        """The point arrays of the rows Y, and the per-point layouts at the
+        :func:`_padded_gaps` in fixed blocks of ``_ELEMENT_BUDGET`` points:
+        their temporaries stay small at any n, and a row's sums do not
+        depend on the batch."""
+        n = self.n
+        blocks = [
+            (_Layout.per_point(gaps[s:s + m + self.keys - 1], self.keys), s, m)
             for s, m in ((s, min(_ELEMENT_BUDGET, n - s)) for s in range(0, n, _ELEMENT_BUDGET))
         ]
-        if reuse and n >= _SERIES_MIN_N:  # the moments are summed when a theta first falls in the domain
-            self.route, self._unsummed = "series", (design, Y)
-            self.span = _cached(design, "span", lambda: float(np.max(design.gaps[:-1] + design.gaps[1:])))
+        return self._point_arrays(Y), blocks
 
     def _window(self, x: np.ndarray, s: int, m: int) -> np.ndarray:
         """The columns of a point array ``x`` that points s .. s + m - 1 use."""
@@ -409,8 +427,11 @@ class _GapKernel:
         """The series layout: the end points as classes of one point each,
         and per row the moments of the interior points, summed in blocks
         of ``_ELEMENT_BUDGET`` points so that temporaries stay small and a
-        row's moments do not depend on its batch."""
+        row's moments do not depend on its batch. The point arrays are
+        dropped once the moments are summed: a theta outside the series'
+        domain rebuilds them from the rows (:meth:`_point_blocks`)."""
         n, keys = self.n, self.keys
+        gaps = _padded_gaps(design, keys)
         ends = self._exact_ends(n)
         with np.errstate(over="ignore", invalid="ignore"):  # overflowing rows fail when evaluated
             if ends:
@@ -419,14 +440,14 @@ class _GapKernel:
                 )
                 E = len(ends)
                 members = tuple(slice(j * E, (j + 1) * E) for j in range(keys))
-                self.layout = _Layout(np.concatenate([self.gaps[np.add(ends, j)] for j in range(keys)]),
+                self.layout = _Layout(np.concatenate([gaps[np.add(ends, j)] for j in range(keys)]),
                                       members, np.ones(E), E)
             stop = n + 1 - keys  # the interior points are 1 .. stop - 1
             log_terms = design._cache.get(("series", keys))  # summed with the moments the first time
             M = scalars = 0.0
             for s in range(1, stop, _ELEMENT_BUDGET):
                 m = min(_ELEMENT_BUDGET, stop - s)
-                g = self.gaps[s:s + m + keys - 1]
+                g = gaps[s:s + m + keys - 1]
                 terms = self._series_terms(g)
                 M = M + self._moments(terms, s, m, Y)
                 if log_terms is None:
@@ -435,6 +456,7 @@ class _GapKernel:
             log_terms = design._cache[("series", keys)] = scalars
         self.M, self.log_terms, self.log_scale = M, log_terms, stop - 1
         self.width = M.shape[1] + (0 if self.S is None else self.S.shape[1] * self.S.shape[2])
+        self.data = self.blocks = None
 
     def _series(self, rows, thetas, derivative: bool):
         """The interior's L and Q, or their theta-derivatives, from the
@@ -451,13 +473,16 @@ class _GapKernel:
         return L, np.sum(_take(self.M, rows)[:, None, :] * C, axis=-1)
 
     def _point_blocks(self, rows) -> list:
-        """The per-point layout and the data of the rows, in fixed blocks
-        of ``_ELEMENT_BUDGET`` points: their temporaries stay small at any
-        n, and a row's sums do not depend on the batch."""
-        data = tuple(_take(x, rows) for x in self.data)
-        if len(self.blocks) == 1:
-            return [(self.blocks[0][0], data)]
-        return [(layout, tuple(self._window(x, s, m) for x in data)) for layout, s, m in self.blocks]
+        """The per-point layouts and the data of the rows, block by block;
+        a series kernel whose moments are summed rebuilds them from its rows."""
+        if self.data is None:
+            design, Y = self._source
+            data, blocks = self._points(_padded_gaps(design, self.keys), _take(Y, rows))
+        else:
+            data, blocks = tuple(_take(x, rows) for x in self.data), self.blocks
+        if len(blocks) == 1:
+            return [(blocks[0][0], data)]
+        return [(layout, tuple(self._window(x, s, m) for x in data)) for layout, s, m in blocks]
 
     def _summed(self, rows, thetas, derivative: bool):
         """L and Q, or their theta-derivatives, from the statistics summed
@@ -494,7 +519,7 @@ class _GapKernel:
         thetas = np.asarray(thetas, dtype=float)
         outside = thetas * self.span > _SERIES_X
         if self.M is None and not outside.all():
-            self._prepare_series(*self._unsummed)
+            self._prepare_series(*self._source)
         if outside.all() or not outside.any():
             return evaluate(rows, thetas, bool(outside.any()))
         L, Q = evaluate(rows, thetas, False)

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import HealthCheck, settings
 
-from oucv import CovarianceParams, Design, from_points, sample_path
+from oucv import CovarianceParams, Design, estimation, from_points, sample_path
 
 
 # Every property test runs the same examples on every run, with no
@@ -31,6 +31,14 @@ def random_instance(rng: np.random.Generator, n_lo=5, n_hi=40):
     sigma2 = float(rng.uniform(0.3, 30.0))
     y = sample_path(design, CovarianceParams(theta=3.0, sigma2=1.0), int(rng.integers(2**32)))
     return design, y, theta, sigma2
+
+
+@pytest.fixture(autouse=True)
+def empty_kernel_slot():
+    """Every test starts with no kernels kept from an earlier search, so
+    that no result depends on the order the tests run in; a test of the
+    kept kernels fills the slot itself."""
+    estimation._LAST.clear()
 
 
 @pytest.fixture

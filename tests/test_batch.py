@@ -7,7 +7,12 @@ with the single-path estimator on that row alone.
 """
 
 import dataclasses
+import gc
+from concurrent.futures import ThreadPoolExecutor
+import itertools
 import math
+import sys
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -27,6 +32,7 @@ from oucv import (
     estimate_cv_joint,
     estimate_cv_reg,
     estimate_ml_joint,
+    from_points,
     loo_trend_prediction,
     make_preset,
     maximal_design,
@@ -448,9 +454,10 @@ class TestFailureIsolation:
 
     def test_run_experiment_records_every_replicate_failed(self):
         # every path overflows, so each chunk of every estimator loses all
-        # its rows on the grid; the run completes with each one recorded
+        # its rows on the grid; the run completes with each one recorded.
+        # The generating product 3e307 is finite, as a config's must be.
         cfg = ExperimentConfig(
-            design={"kind": "regular", "n": 200}, theta0=3.0, sigma0_sq=1e308, replicates=4, box=BOX,
+            design={"kind": "regular", "n": 200}, theta0=3.0, sigma0_sq=1e307, replicates=4, box=BOX,
             estimators=oucv.ESTIMATORS, seed=12, sigma1_sq=2.0, theta2=1.5,
             trend=oucv.TrendSpec(beta=np.array([1.0, 2.0]), basis=polynomial_basis(1)),
         )
@@ -729,3 +736,173 @@ class TestOneSearchPerChunk:
         report = run_experiment(cfg)
         assert not any(rec.flags.startswith("failed") for panel in report.panels.values() for rec in panel.records)
         assert sums == ["CvKernel", "MlKernel"]
+
+
+def _five_estimators(design, y, box, F):
+    """The five public estimators on the path y, by name, each a call that
+    returns its outcome as text."""
+    calls = {
+        "cv-joint": lambda: estimate_cv_joint(design, y, box),
+        "ml-joint": lambda: estimate_ml_joint(design, y, box),
+        "cv-fixed-sigma": lambda: estimate_cv_fixed_sigma(design, y, 2.0, box.theta_range),
+        "cv-fixed-theta": lambda: estimate_cv_fixed_theta(design, y, 1.5, box.sigma2_range),
+        "cv-regression": lambda: estimate_cv_reg(design, y, F, box),
+    }
+    return {name: (lambda call=call: _outcome(call)) for name, call in calls.items()}
+
+
+def _fresh(call):
+    """``call()`` with no kernel kept from an earlier search."""
+    estimation._LAST.clear()
+    return call()
+
+
+def _kept():
+    """The kernels the last search kept, by lane key."""
+    return estimation._LAST["search"][2]
+
+
+def _counted_preparations(monkeypatch, kernel):
+    """A list that grows by one each time ``kernel`` is prepared."""
+    prepared = []
+    init = kernel.__init__
+
+    def counted(self, *args, **kwargs):
+        prepared.append(kernel.__name__)
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(kernel, "__init__", counted)
+    return prepared
+
+
+# (design, box, the route of the kernels kept for the searching lanes)
+_DIRICHLET_1200 = random_design(np.random.default_rng(43), 1200)
+KEPT_CASES = {
+    **{f"{kind}-{n}": (build_design({"kind": kind, "n": n, **({"gamma": 0.5} if kind == "maximal" else {})}), BOX,
+                       "classes" if n > 12 else "per-point")
+       for kind in ("regular", "maximal") for n in (12, 200)},
+    **{f"{kind}-10000": (build_design({"kind": kind, "n": 10**4, **({"gamma": 1e-4} if kind == "maximal" else {})}),
+                         BOX, "classes") for kind in ("regular", "maximal")},
+    # the upper theta reaches past the series' domain, so the kept series
+    # kernels rebuild their point arrays there from the rows
+    "dirichlet-1200": (_DIRICHLET_1200, ParameterBox(0.1, 300.0, 0.3, 30.0), "series"),
+}
+
+
+class TestKeptKernels:
+    """A search keeps its kernels with a copy of its rows, and the next
+    search on the same design object with bitwise equal rows takes them;
+    what an estimator returns never depends on what it finds kept."""
+
+    @pytest.mark.parametrize("case", KEPT_CASES)
+    def test_every_order_of_the_estimators_equals_fresh_calls(self, case):
+        design, box, route = KEPT_CASES[case]
+        F = _trend_matrix(design, 0)  # one column keeps cv-regression at n = 10^4 quick
+        y = sample_path(design, PARAMS0, 44) + 1.0
+        calls = _five_estimators(design, y, box, F)
+        fresh = {name: _fresh(call) for name, call in calls.items()}
+        for order in itertools.permutations(calls):
+            estimation._LAST.clear()
+            for name in order:
+                assert calls[name]() == fresh[name], (order, name)
+        # one kernel per lane key: cv-joint and cv-fixed-sigma share theirs
+        kept = _kept()
+        assert len(kept) == 4
+        assert {kernel.route for kernel in kept.values() if isinstance(kernel, _GapKernel)} == (
+            {route} if route == "per-point" else {route, "per-point"})
+        if route == "series":
+            series = [kernel for kernel in kept.values() if getattr(kernel, "route", None) == "series"]
+            assert box.A * series[0].span > scoring._SERIES_X > box.a * series[0].span
+            assert all(kernel.data is None for kernel in series)
+
+    def test_rows_changed_in_place_are_prepared_again(self, monkeypatch):
+        d = regular_design(200)
+        y = sample_path(d, PARAMS0, 45)
+        other = sample_path(d, PARAMS0, 46)
+        nudged = y.copy()
+        nudged[7] = np.nextafter(nudged[7], np.inf)
+        expected = [_fresh(lambda v=v: _outcome(lambda: estimate_cv_joint(d, v, BOX))) for v in (other, nudged)]
+        assert expected[0] != expected[1]
+        prepared = _counted_preparations(monkeypatch, CvKernel)
+        estimation._LAST.clear()
+        for row, outcome in zip((other, nudged), expected):
+            estimate_cv_joint(d, y, BOX)
+            y[:] = row  # the caller changes its array after the search
+            assert _outcome(lambda: estimate_cv_joint(d, y, BOX)) == outcome
+            y[:] = sample_path(d, PARAMS0, 45)
+        assert len(prepared) == 4
+
+    def test_a_distinct_design_with_equal_points_prepares_its_own(self, monkeypatch):
+        d = regular_design(200)
+        twin = from_points(d.points)
+        y = sample_path(d, PARAMS0, 47)
+        prepared = _counted_preparations(monkeypatch, CvKernel)
+        results = [repr(estimate_cv_joint(design, y, BOX)) for design in (d, twin, twin, d)]
+        assert len(prepared) == 3  # the second call on twin takes the kernel of the first
+        assert len(set(results)) == 1
+
+    def test_cv_regression_takes_only_a_kernel_of_its_own_columns(self, monkeypatch):
+        d = regular_design(200)
+        y = sample_path(d, PARAMS0, 48)
+        columns = [_trend_matrix(d, 1), np.column_stack([np.ones(d.n), d.points ** 2]), _trend_matrix(d, 2)]
+        z = y + columns[0] @ np.array([1.0, -2.0])
+        fresh = [_fresh(lambda F=F: _outcome(lambda: estimate_cv_reg(d, z, F, BOX))) for F in columns]
+        assert len(set(fresh)) == 3
+        prepared = _counted_preparations(monkeypatch, TrendKernel)
+        estimation._LAST.clear()
+        for k in (0, 1, 2, 0, 1):
+            assert _outcome(lambda: estimate_cv_reg(d, z, columns[k], BOX)) == fresh[k]
+        assert len(prepared) == 3
+        assert len(_kept()) == 3
+
+    def test_later_calls_stay_correct_after_failed_rows(self):
+        d = regular_design(50)
+        y = sample_path(d, PARAMS0, 49)
+        calls = _five_estimators(d, y, BOX, _trend_matrix(d, 1))
+        fresh = {name: _fresh(call) for name, call in calls.items()}
+        estimation._LAST.clear()
+        for bad in (np.nan, 1e200):  # a row refused before the search, and one that fails in it
+            batch = estimate_batch("cv-joint", d, np.stack([y, np.full(d.n, bad)]), BOX)
+            assert repr(batch[0]) == fresh["cv-joint"]
+            assert isinstance(batch[1], NumericalFailureError)
+            for name, call in calls.items():
+                assert call() == fresh[name], (bad, name)
+
+    def test_threads_searching_at_once_keep_their_own_results(self):
+        # searches that take, keep and drop kernels at once in four threads,
+        # on series kernels, each give the results of a fresh call
+        d = random_design(np.random.default_rng(51), 1200)
+        calls = [call for r in range(4)
+                 for name, call in _five_estimators(d, sample_path(d, PARAMS0, (51, r)), BOX, None).items()
+                 if name != "cv-regression"]
+        fresh = [_fresh(call) for call in calls]
+        estimation._LAST.clear()
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            with ThreadPoolExecutor(max_workers=4) as pool:
+                # four threads at a time on the same path, whose rows equal the slot's
+                jobs = [call for call in calls for _ in range(4)]
+                assert list(pool.map(lambda call: call(), jobs, timeout=120)) == [f for f in fresh for _ in range(4)]
+        finally:
+            sys.setswitchinterval(interval)
+
+    @pytest.mark.parametrize("kind", ["regular", "dirichlet"])
+    def test_the_kept_kernels_hold_little_more_than_the_rows(self, kind):
+        n = 20000
+        d = regular_design(n) if kind == "regular" else random_design(np.random.default_rng(50), n)
+        y = sample_path(d, PARAMS0, 50)
+        estimate_cv_joint(d, y, BOX)  # the design's own derived data: its gap classes or series sums
+        estimation._LAST.clear()
+        gc.collect()
+        tracemalloc.start()
+        try:
+            estimate_cv_joint(d, y, BOX)
+            estimate_cv_fixed_sigma(d, y, 2.0, BOX.theta_range)
+            gc.collect()
+            held = tracemalloc.get_traced_memory()[0]
+        finally:
+            tracemalloc.stop()
+        route = "classes" if kind == "regular" else "series"
+        assert [kernel.route for kernel in _kept().values()] == [route]
+        assert held <= 8 * n + 64 * 1024

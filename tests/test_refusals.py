@@ -52,7 +52,7 @@ from oucv import (
     tau_squared_from_gap_ratios,
 )
 from oucv.errors import check_finite, positive_finite
-from oucv.estimation import estimate_batch
+from oucv.estimation import estimate_batch, standardized_statistic
 from oucv.scoring import ml_gradient_theta
 
 BOX = ParameterBox(0.1, 10.0, 0.3, 30.0)
@@ -101,7 +101,8 @@ POSITIVE_ENTRIES = {
     (estimate_cv_fixed_theta, "theta2"): lambda v: estimate_cv_fixed_theta(D8, Y8, v, BOX.sigma2_range),
     (estimate_batch, "value"): lambda v: estimate_batch("cv-fixed-theta", D8, Y8[None, :], BOX, v),
     (ExperimentConfig, "theta0"): lambda v: _config(theta0=v),
-    (ExperimentConfig, "sigma0_sq"): lambda v: _config(sigma0_sq=v),
+    # at theta0 = 1 the generating product is sigma0_sq itself, which must be positive and finite too
+    (ExperimentConfig, "sigma0_sq"): lambda v: _config(theta0=1.0, sigma0_sq=v),
     (ExperimentConfig, "sigma1_sq"): lambda v: _config(estimators=("cv-fixed-sigma",), sigma1_sq=v),
     (ExperimentConfig, "theta2"): lambda v: _config(estimators=("cv-fixed-theta",), theta2=v),
 }
@@ -148,6 +149,13 @@ REFUSALS = {
                                    "^box bound 'A' must be positive and finite, got 1000"),
     "config-estimator-repeated": (lambda: _config(estimators=("cv-joint", "ml-joint", "cv-joint")),
                                   InvalidParameterError, "^estimator 'cv-joint' is listed more than once$"),
+    # each generating parameter is positive and finite, their product is not
+    "config-product-underflows": (lambda: _config(theta0=1e-200, sigma0_sq=1e-200), InvalidParameterError,
+                                  r"^'theta0' \* 'sigma0_sq' must be positive and finite, got 0\.0$"),
+    "config-product-overflows": (lambda: _config(theta0=1e200, sigma0_sq=1e200), InvalidParameterError,
+                                 r"^'theta0' \* 'sigma0_sq' must be positive and finite, got inf$"),
+    "statistic-true-product-zero": (lambda: standardized_statistic(1.0, 0.0, 12, 1.5), InvalidParameterError,
+                                    "^true_product must be positive and finite, got 0.0$"),
     **{f"{call.__name__}-{param}-{kind}": (partial(POSITIVE_ENTRIES[call, param], value), InvalidParameterError,
                                            f"^{param} must be positive and finite, got ")
        for call, param in NOT_REAL_AT for kind, value in NOT_REAL.items()},
