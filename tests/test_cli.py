@@ -630,11 +630,6 @@ _ESTIMATE = ["estimate", "--data", "DATA", "--box"]
     # a generating parameter is checked when the config is read, not at the first sampled path
     (["experiment", "--config", "CONFIG"], dict(_EXPERIMENT, theta0="inf"), "'theta0'"),
     (["experiment", "--config", "CONFIG"], dict(_EXPERIMENT, sigma0_sq="inf"), "'sigma0_sq'"),
-    # and so is their product, which each replicate's statistic divides by
-    (["experiment", "--config", "CONFIG"], dict(_EXPERIMENT, theta0=1e-200, sigma0_sq=1e-200),
-     "'theta0' * 'sigma0_sq' must be positive and finite, got 0.0"),
-    (["experiment", "--config", "CONFIG"], dict(_EXPERIMENT, theta0=1e200, sigma0_sq=1e200),
-     "'theta0' * 'sigma0_sq' must be positive and finite, got inf"),
     # a trend column file is named by a string, not opened as a file descriptor
     (_ESTIMATE + ["0.1,10,0.3,30", "--trend", "CONFIG"], {"columns": 0}, "'columns'"),
     # a trend config is a JSON object; simulation needs a named basis and its coefficients
@@ -658,6 +653,12 @@ _ESTIMATE = ["estimate", "--data", "DATA", "--box"]
      "regular design takes no 'gamma'"),
     # a config that is not text is refused as malformed, not with a traceback
     (["experiment", "--config", "CONFIG"], b"\xc0\xff{}", "CONFIG"),
+    # each generating parameter is checked when the config is read, and so is
+    # their product, which each replicate's statistic divides by
+    (["experiment", "--config", "CONFIG"], dict(_EXPERIMENT, theta0=1e-200, sigma0_sq=1e-200),
+     "'theta0' * 'sigma0_sq' must be positive and finite, got 0.0"),
+    (["experiment", "--config", "CONFIG"], dict(_EXPERIMENT, theta0=1e200, sigma0_sq=1e200),
+     "'theta0' * 'sigma0_sq' must be positive and finite, got inf"),
 ])
 def test_malformed_spec_or_config_exits_1_naming_it(tmp_path, argv, config, named):
     _, out, _ = run_cli(_SIMULATE + ["regular:8"])
