@@ -34,9 +34,10 @@ from .errors import (
     LinearDependenceError,
     NumericalFailureError,
     OucvError,
+    integer,
 )
 from .estimation import ESTIMATOR_TABLE, ParameterBox, _single, estimate_batch
-from .montecarlo import (_DESIGN_KINDS, ExperimentConfig, _field, _integer, _json_summary, _known_keys, build_design,
+from .montecarlo import (_DESIGN_KINDS, ExperimentConfig, _field, _json_summary, _known_keys, build_design,
                          export, make_preset, run_experiment)
 from .numerics import _ELEMENT_BUDGET
 from .scoring import (_score_and_decomposition, dense_oracle_ml, dense_oracle_score, ml_neg2loglik,
@@ -359,13 +360,13 @@ def _config_from_dict(raw: dict) -> ExperimentConfig:
         design=get("design", dict),
         theta0=get("theta0", float),
         sigma0_sq=get("sigma0_sq", float),
-        replicates=get("replicates", _integer),
+        replicates=get("replicates", integer),
         box=get("box", _parse_box),
         estimators=get("estimators", _names),
-        seed=get("seed", _integer),
+        seed=get("seed", integer),
         sigma1_sq=get("sigma1_sq", float) if "sigma1_sq" in raw else None,
         theta2=get("theta2", float) if "theta2" in raw else None,
-        trend=_trend_spec(get("trend", dict), need_beta=True) if raw.get("trend") else None,
+        trend=_trend_spec(get("trend", dict), need_beta=True) if "trend" in raw else None,
     )
 
 

@@ -16,7 +16,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import FactorialOverflowError, InvalidDesignError, InvalidParameterError
+from .errors import FactorialOverflowError, InvalidDesignError, InvalidParameterError, check_integer
 
 __all__ = [
     "Design",
@@ -114,6 +114,7 @@ def from_points(points) -> Design:
 
 def regular_design(n: int) -> Design:
     """The equispaced design {0, 1/(n-1), ..., 1}."""
+    n = check_integer("n", n)
     if n < 3:
         raise InvalidParameterError(f"regular design needs n >= 3, got {n}")
     pts = np.arange(n, dtype=float) / (n - 1)
@@ -128,6 +129,7 @@ def maximal_design(n: int, gamma: float) -> Design:
     2 * gamma / n (odd index); the last gap closes the interval. With
     gamma = 1/n the variance functional tends to 4.
     """
+    n = check_integer("n", n)
     if n < 4:
         raise InvalidParameterError(f"maximal design needs n >= 4, got {n}")
     if not 0.0 < gamma < 1.0:
@@ -154,6 +156,7 @@ def minimal_design(n: int, alpha: float) -> Design:
     an invalid-design error naming the underflow, and it always does
     for n > 20, where the last gap 1/n! is below half an ulp of 1.
     """
+    n = check_integer("n", n)
     if n < 5:
         raise InvalidParameterError(f"minimal design needs n >= 5, got {n}")
     if not 0.0 < alpha < 1.0:
@@ -258,6 +261,7 @@ def minimal_design_gap_ratios(n: int, alpha: float) -> np.ndarray:
     block is formed in the log domain, so the family can be analyzed at
     sizes where the gaps themselves are far below binary64 range.
     """
+    n = check_integer("n", n)
     if n < 5:
         raise InvalidParameterError(f"need n >= 5, got {n}")
     if not 0.0 < alpha < 1.0:

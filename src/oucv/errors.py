@@ -39,6 +39,26 @@ def check_positive(name: str, value) -> float:
     raise InvalidParameterError(f"{name} must be positive and finite, got {value!r}")
 
 
+def integer(value) -> int:
+    """``value`` as an int, as ``int`` takes it, but a bool or a number
+    with a fraction is a ValueError, not a truncation: the integer twin
+    of :func:`positive_finite`."""
+    if isinstance(value, bool) or (isinstance(value, numbers.Real) and int(value) != value):
+        raise ValueError(f"not an integer: {value!r}")
+    return int(value)
+
+
+def check_integer(name: str, value) -> int:
+    """``value`` as an int, refused as parameter ``name`` unless it is a
+    number, not text, that :func:`integer` takes."""
+    try:
+        if isinstance(value, numbers.Real):
+            return integer(value)
+    except (ValueError, OverflowError):  # a fraction, NaN or an infinity
+        pass
+    raise InvalidParameterError(f"{name} must be an integer, got {value!r}")
+
+
 class FactorialOverflowError(InvalidParameterError):
     """Factorial-gap construction requested beyond binary64 range (n > 170)."""
 

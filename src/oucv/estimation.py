@@ -51,7 +51,7 @@ import numpy as np
 
 from .designs import Design
 from .errors import (ConditioningError, InvalidParameterError, NumericalFailureError, OucvError, check_finite,
-                     check_positive, positive_finite)
+                     check_integer, check_positive, positive_finite)
 from .numerics import _ELEMENT_BUDGET
 from .regression import TrendKernel, _prepare_F
 from .scoring import CvKernel, MlKernel, ScoreDecomposition, _check_data
@@ -156,6 +156,7 @@ def standardized_statistic(product_hat: float, true_product: float, n: int, tau:
     true_product = check_positive("true_product", true_product)
     if not tau > 0.0:
         raise InvalidParameterError(f"tau must be positive, got {tau}")
+    n = check_integer("n", n)
     if n < 1:
         raise InvalidParameterError(f"n must be at least 1, got {n}")
     stat = math.sqrt(n) * (product_hat - true_product) / (true_product * tau)

@@ -28,7 +28,7 @@ import numpy as np
 
 from . import __version__
 from .designs import Design, from_points, maximal_design, minimal_design, regular_design, tau_squared
-from .errors import InvalidParameterError, NumericalFailureError, OucvError, check_positive
+from .errors import InvalidParameterError, NumericalFailureError, OucvError, check_integer, check_positive, integer
 from .estimation import (
     ESTIMATOR_TABLE,
     ParameterBox,
@@ -98,13 +98,7 @@ class ExperimentConfig:
 
     def __post_init__(self):
         for key in ("replicates", "seed"):
-            value = getattr(self, key)
-            try:
-                if isinstance(value, str):
-                    raise ValueError(value)
-                object.__setattr__(self, key, _integer(value))
-            except (TypeError, ValueError):
-                raise InvalidParameterError(f"{key!r} must be an integer, got {value!r}") from None
+            object.__setattr__(self, key, check_integer(repr(key), getattr(self, key)))
         if self.replicates < 1:
             raise InvalidParameterError(f"need at least one replicate, got {self.replicates}")
         if self.seed < 0:
@@ -184,18 +178,11 @@ def _known_keys(mapping: dict, keys, what: str) -> None:
         raise InvalidParameterError(f"{what} takes no {', '.join(map(repr, spare))}")
 
 
-def _integer(value) -> int:
-    """``value`` as an int; a bool or a fractional number is a ValueError, not a truncation."""
-    if isinstance(value, bool) or (isinstance(value, (float, np.floating)) and not float(value).is_integer()):
-        raise ValueError(f"not an integer: {value!r}")
-    return int(value)
-
-
 # each design kind's constructor and its spec fields, in argument order
 _DESIGN_KINDS = {
-    "regular": (regular_design, (("n", _integer),)),
-    "maximal": (maximal_design, (("n", _integer), ("gamma", float))),
-    "minimal": (minimal_design, (("n", _integer), ("alpha", float))),
+    "regular": (regular_design, (("n", integer),)),
+    "maximal": (maximal_design, (("n", integer), ("gamma", float))),
+    "minimal": (minimal_design, (("n", integer), ("alpha", float))),
     "points": (from_points, (("points", lambda v: np.asarray(v, dtype=float)),)),
 }
 
@@ -452,6 +439,8 @@ def export(report: ExperimentReport, path) -> None:
         "box": [cfg.box.a, cfg.box.A, cfg.box.b, cfg.box.B],
         "seed": cfg.seed,
         "estimators": list(cfg.estimators),
+        "sigma1_sq": cfg.sigma1_sq,
+        "theta2": cfg.theta2,
         "trend_p": cfg.trend.p if cfg.trend is not None else 0,
         "tau_sq": report.tau_sq,
         "regime": report.regime,

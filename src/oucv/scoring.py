@@ -41,7 +41,9 @@ once for many thetas, in one of three layouts:
   outside the series' domain, and an evaluation at a single theta,
   where summing statistics costs more than it saves.
 
-The score, the profile and the gradient all derive from these kernels.
+Every layout reads the rows one block of points at a time, never as
+point arrays of full length. The score, the profile and the gradient
+all derive from these kernels.
 The tridiagonal precision P is applied in the same increment form only,
 P v = h v + c_{i-1} d_i - c_i d_{i+1}: :func:`precision_matrix`,
 :func:`loo_predictions` and the trend-aware score derive from it.
@@ -227,31 +229,25 @@ def _cached(design: Design, key, derive):
     return design._cache[key]
 
 
-def _padded_gaps(design: Design, keys: int) -> np.ndarray:
-    """The design's gaps between the infinite outer gaps, as many as the
-    points' ``keys`` neighbouring gaps reach."""
-    return np.concatenate(([np.inf], design.gaps, [np.inf]))[: design.n + keys - 1]
+def _padded_gaps(design: Design, keys: int, s: int = 0, e: int | None = None) -> np.ndarray:
+    """The gaps next to points s .. e - 1 (all by default), from the left
+    gap of point s to the last that a point's ``keys`` neighbouring gaps
+    reach; the outer gaps are infinite."""
+    e = design.n if e is None else e
+    return np.concatenate(([np.inf] * (s == 0), design.gaps[max(s - 1, 0):e + keys - 2],
+                           [np.inf] * (e + keys - 1 > design.n)))
 
 
-def _design_classes(design: Design, keys: int, gaps: np.ndarray):
+def _design_classes(design: Design, keys: int):
     """:func:`_gap_classes` of the design's points, or its refusal, once per design."""
-    return _cached(design, ("classes", keys), lambda: _gap_classes(gaps, keys, design.n))
+    return _cached(design, ("classes", keys), lambda: _gap_classes(_padded_gaps(design, keys), keys, design.n))
 
 
-def _statistics(pairs, of_point=None, classes: int = 0) -> np.ndarray:
-    """The products u * v * w of ``pairs`` (u, v, w) of (R, n) arrays u, v
-    and exact factors w, stacked to (R, len(pairs), n), or summed per
-    class to (R, len(pairs), classes) when ``of_point`` gives each
-    point's class. A product is formed one array at a time; each class
-    sum runs over its points in order."""
-    if of_point is None:
-        return np.stack([u * v * w for u, v, w in pairs], axis=1)
-    rows = pairs[0][0].shape[0]
-    index = (of_point + classes * np.arange(rows)[:, None]).ravel()
-    S = np.empty((rows, len(pairs), classes))
-    for j, (u, v, w) in enumerate(pairs):
-        S[:, j] = np.bincount(index, (u * v * w).ravel(), rows * classes).reshape(rows, classes)
-    return S
+def _statistics(pairs) -> np.ndarray:
+    """The products u * v * w of ``pairs`` (u, v, w) of (R, m) arrays u, v
+    and exact factors w, stacked to (R, len(pairs), m); a product is
+    formed one array at a time."""
+    return np.stack([u * v * w for u, v, w in pairs], axis=1)
 
 
 def _contract(S: np.ndarray, C) -> np.ndarray:
@@ -268,19 +264,27 @@ def _contract(S: np.ndarray, C) -> np.ndarray:
     return np.concatenate([np.add.reduce(S * C[j:j + block], axis=-1) for j in range(0, C.shape[0], block)], axis=1)
 
 
-def _increments(Y: np.ndarray, after: int) -> np.ndarray:
+def _increments(Y: np.ndarray, after: int, s: int = 0, e: int | None = None) -> np.ndarray:
     """d_i = y_i - y_{i-1} along the last axis of Y (..., n), with
-    y_{-1} = 0, for i = 0 .. n - 1 + after: with ``after`` = 1 the last
-    is d_n = -y_{n-1}. An increment that overflows is infinite, and the
-    objective it enters is not finite."""
+    y_{-1} = 0, for i = s .. e - 1 + after (e = n by default): with
+    ``after`` = 1, d_n = -y_{n-1}. An increment that overflows is
+    infinite, and the objective it enters is not finite."""
     n = Y.shape[-1]
-    d = np.empty(Y.shape[:-1] + (n + after,))
-    d[..., 0] = Y[..., 0]
+    e = n if e is None else e
+    d = np.empty(Y.shape[:-1] + (e + after - s,))
+    lo, hi = max(s, 1), min(e + after, n)  # the differences d_lo .. d_{hi - 1}
+    if s == 0:
+        d[..., 0] = Y[..., 0]
     with np.errstate(over="ignore"):
-        np.subtract(Y[..., 1:], Y[..., :-1], out=d[..., 1:n])
-    if after:
-        d[..., n] = -Y[..., -1]
+        np.subtract(Y[..., lo:hi], Y[..., lo - 1:hi - 1], out=d[..., lo - s:hi - s])
+    if e + after > n:
+        d[..., -1] = -Y[..., -1]
     return d
+
+
+def _spans(start: int, stop: int, size: int):
+    """(s, m) per block s .. s + m - 1 of at most ``size`` of the points start .. stop - 1."""
+    return ((s, min(size, stop - s)) for s in range(start, stop, size))
 
 
 def _cv_precision(values: np.ndarray, members: tuple, thetas):
@@ -367,11 +371,12 @@ class _GapKernel:
 
     Classes and series are used only when the statistics serve more than
     one theta per row (``reuse``); for a single theta, summing them costs
-    more than it saves. A kernel keeps what its evaluations read: a class
-    kernel its class sums only, and a series kernel, once its moments
-    are summed, those and the rows Y, from which a theta outside the
-    domain rebuilds the point arrays. So a kept kernel holds little more
-    than the rows.
+    more than it saves. Every route reads the rows one block of points at
+    a time (``_block_arrays``), never as point arrays of full length. A
+    kernel keeps what its evaluations read: a class kernel its class
+    sums, a per-point kernel its blocks, and a series kernel the rows Y
+    and its moments, once summed; a theta outside the series' domain
+    builds the blocks of the rows it evaluates.
 
     ``parts(rows, thetas)`` and ``gradient(rows, thetas, sigma2)`` are
     batched like :func:`score_parts`, over the rows ``rows`` (indices,
@@ -388,75 +393,66 @@ class _GapKernel:
         Y = np.asarray(Y, dtype=float)
         self.n = self.count = n
         self.rows = Y.shape[0]
-        self.M = self.S = None
-        gaps = _padded_gaps(design, self.keys)
-        found = _design_classes(design, self.keys, gaps) if reuse else None
+        self.M = self.S = self.blocks = None
+        found = _design_classes(design, self.keys) if reuse else None
         if found is not None:  # the gaps of the classes, one key after the other
             self.route = "classes"
             sides, counts, of_point = found
             K = counts.size
             members = tuple(slice(j * K, (j + 1) * K) for j in range(self.keys))
             self.layout = _Layout(np.concatenate(sides), members, counts, n)
-            with np.errstate(over="ignore", invalid="ignore"):  # overflowing rows fail when evaluated
-                self.S = _statistics(self._pairs(*self._point_arrays(Y)), of_point, K)
+            self.S = self._class_sums(Y, of_point, K)
             self.width = self.S.shape[1] * K
-            return
-        self.route = "per-point"
-        self.data, self.blocks = self._points(gaps, Y)
-        if reuse and n >= _SERIES_MIN_N:  # the moments are summed when a theta first falls in the domain
+        elif reuse and n >= _SERIES_MIN_N:  # the moments are summed when a theta first falls in the domain
             self.route, self._source = "series", (design, Y)
             self.span = _cached(design, "span", lambda: float(np.max(design.gaps[:-1] + design.gaps[1:])))
+        else:
+            self.route, self._source = "per-point", (design, Y)
+            self.blocks = self._point_blocks(None)
 
-    def _points(self, gaps: np.ndarray, Y: np.ndarray) -> tuple:
-        """The point arrays of the rows Y, and the per-point layouts at the
-        :func:`_padded_gaps` in fixed blocks of ``_ELEMENT_BUDGET`` points:
-        their temporaries stay small at any n, and a row's sums do not
-        depend on the batch."""
-        n = self.n
-        blocks = [
-            (_Layout.per_point(gaps[s:s + m + self.keys - 1], self.keys), s, m)
-            for s, m in ((s, min(_ELEMENT_BUDGET, n - s)) for s in range(0, n, _ELEMENT_BUDGET))
-        ]
-        return self._point_arrays(Y), blocks
-
-    def _window(self, x: np.ndarray, s: int, m: int) -> np.ndarray:
-        """The columns of a point array ``x`` that points s .. s + m - 1 use."""
-        return x[:, s:s + m + x.shape[1] - self.n]
+    def _class_sums(self, Y: np.ndarray, of_point: np.ndarray, classes: int) -> np.ndarray:
+        """The statistics of the rows Y summed per class, (R, pairs,
+        classes), from blocks of at most ``_ELEMENT_BUDGET`` (row x point)
+        elements; ``np.add.at`` adds them in point order, as one sum does."""
+        with np.errstate(over="ignore", invalid="ignore"):  # overflowing rows fail when evaluated
+            for s, m in _spans(0, self.n, max(1, _ELEMENT_BUDGET // max(self.rows, 1))):
+                pairs = self._pairs(*self._block_arrays(Y, s, m))
+                if s == 0:
+                    S = np.zeros((self.rows, len(pairs), classes))
+                index = of_point[s:s + m] + len(pairs) * classes * np.arange(self.rows)[:, None]
+                for j, (u, v, w) in enumerate(pairs):
+                    np.add.at(S.reshape(-1), (index + j * classes).ravel(), (u * v * w).ravel())
+        return S
 
     def _prepare_series(self, design: Design, Y: np.ndarray) -> None:
         """The series layout: the end points as classes of one point each,
-        and per row the moments of the interior points, summed in blocks
-        of ``_ELEMENT_BUDGET`` points so that temporaries stay small and a
-        row's moments do not depend on its batch. The point arrays are
-        dropped once the moments are summed: a theta outside the series'
-        domain rebuilds them from the rows (:meth:`_point_blocks`)."""
+        and per row the moments of the interior points, summed from the
+        block arrays of fixed blocks of ``_ELEMENT_BUDGET`` points so that
+        temporaries stay small and a row's moments do not depend on its
+        batch."""
         n, keys = self.n, self.keys
-        gaps = _padded_gaps(design, keys)
         ends = self._exact_ends(n)
         with np.errstate(over="ignore", invalid="ignore"):  # overflowing rows fail when evaluated
             if ends:
-                self.S = np.concatenate(
-                    [_statistics(self._pairs(*(self._window(x, i, 1) for x in self.data))) for i in ends], axis=-1
-                )
+                self.S = np.concatenate([_statistics(self._pairs(*self._block_arrays(Y, i, 1))) for i in ends],
+                                        axis=-1)
                 E = len(ends)
                 members = tuple(slice(j * E, (j + 1) * E) for j in range(keys))
-                self.layout = _Layout(np.concatenate([gaps[np.add(ends, j)] for j in range(keys)]),
+                self.layout = _Layout(np.stack([_padded_gaps(design, keys, i, i + 1) for i in ends], axis=1).ravel(),
                                       members, np.ones(E), E)
             stop = n + 1 - keys  # the interior points are 1 .. stop - 1
             log_terms = design._cache.get(("series", keys))  # summed with the moments the first time
             M = scalars = 0.0
-            for s in range(1, stop, _ELEMENT_BUDGET):
-                m = min(_ELEMENT_BUDGET, stop - s)
-                g = gaps[s:s + m + keys - 1]
+            for s, m in _spans(1, stop, _ELEMENT_BUDGET):
+                g = _padded_gaps(design, keys, s, s + m)
                 terms = self._series_terms(g)
-                M = M + self._moments(terms, s, m, Y)
+                M = M + self._moments(terms, Y, s, m)
                 if log_terms is None:
                     scalars = scalars + self._series_scalars(terms, g)
         if log_terms is None:
             log_terms = design._cache[("series", keys)] = scalars
         self.M, self.log_terms, self.log_scale = M, log_terms, stop - 1
         self.width = M.shape[1] + (0 if self.S is None else self.S.shape[1] * self.S.shape[2])
-        self.data = self.blocks = None
 
     def _series(self, rows, thetas, derivative: bool):
         """The interior's L and Q, or their theta-derivatives, from the
@@ -473,16 +469,15 @@ class _GapKernel:
         return L, np.sum(_take(self.M, rows)[:, None, :] * C, axis=-1)
 
     def _point_blocks(self, rows) -> list:
-        """The per-point layouts and the data of the rows, block by block;
-        a series kernel whose moments are summed rebuilds them from its rows."""
-        if self.data is None:
-            design, Y = self._source
-            data, blocks = self._points(_padded_gaps(design, self.keys), _take(Y, rows))
-        else:
-            data, blocks = tuple(_take(x, rows) for x in self.data), self.blocks
-        if len(blocks) == 1:
-            return [(blocks[0][0], data)]
-        return [(layout, tuple(self._window(x, s, m) for x in data)) for layout, s, m in blocks]
+        """The per-point layouts and block arrays of the rows, a per-point
+        kernel's own or built from the rows, in fixed blocks of
+        ``_ELEMENT_BUDGET`` points: a row's sums do not depend on the batch."""
+        if self.blocks is not None:
+            return [(layout, tuple(_take(x, rows) for x in arrays)) for layout, arrays in self.blocks]
+        (design, Y), keys = self._source, self.keys
+        Y = _take(Y, rows)
+        return [(_Layout.per_point(_padded_gaps(design, keys, s, s + m), keys), self._block_arrays(Y, s, m))
+                for s, m in _spans(0, self.n, _ELEMENT_BUDGET)]
 
     def _summed(self, rows, thetas, derivative: bool):
         """L and Q, or their theta-derivatives, from the statistics summed
@@ -497,61 +492,62 @@ class _GapKernel:
                 L, Q = L + L_series, Q + Q_series
         return L, Q
 
-    def _point_sums(self, rows, thetas, derivative: bool):
-        """L and Q, or their theta-derivatives, point by point."""
+    def _point_sums(self, blocks: list, thetas, derivative: bool):
+        """L and Q, or their theta-derivatives, point by point over the
+        per-point ``blocks`` of :meth:`_point_blocks`."""
         L = Q = 0.0
         with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-            for layout, block in self._point_blocks(rows):
+            for layout, arrays in blocks:
                 if derivative:
                     dL, dC = self._derivatives(layout, thetas)
-                    L, Q = L + dL, Q + _contract(_statistics(self._pairs(*block)), dC)
+                    L, Q = L + dL, Q + _contract(_statistics(self._pairs(*arrays)), dC)
                 else:
                     L_block, C = self._terms(layout, thetas)
-                    L, Q = L + L_block, Q + self._pointwise(block, C)
+                    L, Q = L + L_block, Q + self._pointwise(arrays, C)
         return L, Q
 
-    def _by_route(self, evaluate, rows, thetas):
-        """``evaluate(rows, thetas, points)``, an (L, Q)-shaped pair, with
-        each (row, theta) pair of the series route inside the series'
-        domain, and outside it point by point (``points`` True)."""
-        if self.route != "series":
-            return evaluate(rows, thetas, self.route == "per-point")
+    def _sums(self, rows, thetas, derivative: bool, points: bool):
+        """L and Q, or their theta-derivatives, point by point (``points``)
+        or from the summed statistics, in :func:`_in_blocks` of thetas:
+        per-point terms grow with the rows; summed ones are shared by them."""
+        if not points:
+            return _in_blocks(lambda t: self._summed(rows, t, derivative), thetas, 1, self.width)
+        blocks = self._point_blocks(rows)
+        count = self.rows if rows is None else len(rows)
+        return _in_blocks(lambda t: self._point_sums(blocks, t, derivative), thetas, count,
+                          min(self.n, _ELEMENT_BUDGET))
+
+    def _evaluate(self, rows, thetas, derivative: bool):
+        """L and Q, or their theta-derivatives, on the kernel's route: on
+        the series route each (row, theta) pair inside the series' domain
+        from the moments, and outside it point by point."""
         thetas = np.asarray(thetas, dtype=float)
+        if thetas.ndim == 2 and self.route != "series":  # per-row thetas are one call on one route
+            return (self._point_sums(self._point_blocks(rows), thetas, derivative) if self.route == "per-point"
+                    else self._summed(rows, thetas, derivative))
+        if self.route != "series":
+            return self._sums(rows, thetas, derivative, self.route == "per-point")
         outside = thetas * self.span > _SERIES_X
         if self.M is None and not outside.all():
             self._prepare_series(*self._source)
         if outside.all() or not outside.any():
-            return evaluate(rows, thetas, bool(outside.any()))
-        L, Q = evaluate(rows, thetas, False)
+            return self._sums(rows, thetas, derivative, bool(outside.any()))
+        L, Q = self._sums(rows, thetas, derivative, False)
         if thetas.ndim == 1:  # shared thetas: those outside, for every row
-            L[outside], Q[:, outside] = evaluate(rows, thetas[outside], True)
+            L[outside], Q[:, outside] = self._sums(rows, thetas[outside], derivative, True)
         else:  # per-row thetas: the rows with one outside
             sub = np.flatnonzero(outside.any(axis=1))
-            L_points, Q_points = evaluate(sub if rows is None else np.asarray(rows)[sub], thetas[sub], True)
-            L[sub] = np.where(outside[sub], L_points, L[sub])
-            Q[sub] = np.where(outside[sub], Q_points, Q[sub])
+            L_sub, Q_sub = self._sums(sub if rows is None else np.asarray(rows)[sub], thetas[sub], derivative, True)
+            L[sub] = np.where(outside[sub], L_sub, L[sub])
+            Q[sub] = np.where(outside[sub], Q_sub, Q[sub])
         return L, Q
 
     def parts(self, rows, thetas) -> tuple[np.ndarray, np.ndarray]:
-        thetas = np.asarray(thetas, dtype=float)
-        if thetas.ndim == 2 and self.route != "series":  # per-row thetas are one call on one route
-            return (self._point_sums if self.route == "per-point" else self._summed)(rows, thetas, False)
-
-        def evaluate(rows, thetas, points):
-            if points:  # per-point terms grow with the rows; summed coefficients are shared by them
-                count = self.rows if rows is None else len(rows)
-                return _in_blocks(lambda t: self._point_sums(rows, t, False), thetas, count,
-                                  min(self.n, _ELEMENT_BUDGET))
-            return _in_blocks(lambda t: self._summed(rows, t, False), thetas, 1, self.width)
-
-        return self._by_route(evaluate, rows, thetas)
+        return self._evaluate(rows, thetas, False)
 
     def gradient(self, rows, thetas, sigma2) -> np.ndarray:
         """The theta-derivative, through the derivatives of the coefficients."""
-        dL, dQ = self._by_route(
-            lambda rows, thetas, points: (self._point_sums if points else self._summed)(rows, thetas, True),
-            rows, thetas,
-        )
+        dL, dQ = self._evaluate(rows, thetas, True)
         with np.errstate(over="ignore", invalid="ignore"):
             return dL + dQ / sigma2
 
@@ -589,8 +585,9 @@ class CvKernel(_GapKernel):
         return (0, n - 1)
 
     @staticmethod
-    def _point_arrays(Y):
-        return Y, _increments(Y, 1)
+    def _block_arrays(Y, s, m):
+        """y_i and d_i .. d_{i+1} of points s .. s + m - 1."""
+        return Y[:, s:s + m], _increments(Y, 1, s, s + m)
 
     @staticmethod
     def _pairs(Y, d):
@@ -661,10 +658,10 @@ class CvKernel(_GapKernel):
         y_factors = [(0.25 * t) * b for t, b in zip(_TANH, both)]
         return A0, rho, w, d_factors, y_factors
 
-    def _moments(self, terms, s: int, m: int, Y: np.ndarray) -> np.ndarray:
+    def _moments(self, terms, Y: np.ndarray, s: int, m: int) -> np.ndarray:
         """M_k of the interior points s .. s + m - 1, per row (R, K + 1)."""
         _, _, w, d_factors, y_factors = terms
-        y, d = Y[:, s:s + m], self.data[1][:, s:s + m + 1]
+        y, d = self._block_arrays(Y, s, m)
         U = []
         for j, f in enumerate(d_factors):
             e = d * f
@@ -725,9 +722,10 @@ class MlKernel(_GapKernel):
     log_exponents = np.append(1.0, 2.0 * np.arange(1, len(_COTH)))  # -sum g at theta, then theta^2j
 
     @staticmethod
-    def _point_arrays(Y):
-        prev = np.concatenate((np.zeros_like(Y[:, :1]), Y[:, :-1]), axis=1)  # with y_{-1} = 0
-        return _increments(Y, 0), prev
+    def _block_arrays(Y, s, m):
+        """d_i and y_{i-1}, with y_{-1} = 0, of points s .. s + m - 1."""
+        prev = Y[:, s - 1:s + m - 1] if s else np.concatenate((np.zeros_like(Y[:, :1]), Y[:, :m - 1]), axis=1)
+        return _increments(Y, 0, s, s + m), prev
 
     @staticmethod
     def _pairs(d, prev):
@@ -783,12 +781,12 @@ class MlKernel(_GapKernel):
         y_factors = [(0.5 * t) * p for t, p in zip(_TANH, odd)]
         return d_factors, y_factors
 
-    def _moments(self, terms, s: int, m: int, Y: np.ndarray) -> np.ndarray:
+    def _moments(self, terms, Y: np.ndarray, s: int, m: int) -> np.ndarray:
         """The moments at theta^-1, theta, ..., theta^(2K + 1) of the
         interior points s .. s + m - 1, per row."""
         d_factors, y_factors = terms
-        d = self.data[0][:, s:s + m]
-        d2, yy = d * d, Y[:, s:s + m] * self.data[1][:, s:s + m]
+        d, prev = self._block_arrays(Y, s, m)
+        d2, yy = d * d, Y[:, s:s + m] * prev
         columns = [d2 * d_factors[0]] + [d2 * a + yy * b for a, b in zip(d_factors[1:], y_factors)]
         return np.stack([np.sum(c, axis=-1) for c in columns + [yy * y_factors[-1]]], axis=-1)
 

@@ -14,7 +14,7 @@ from typing import Callable
 import numpy as np
 
 from .designs import Design
-from .errors import InvalidParameterError, LinearDependenceError, check_positive
+from .errors import InvalidParameterError, LinearDependenceError, check_integer, check_positive
 from .numerics import _ELEMENT_BUDGET, one_minus_exp_neg
 
 __all__ = [
@@ -120,6 +120,7 @@ def _pivoted_qr_diagonal(F: np.ndarray) -> np.ndarray:
 
 def polynomial_basis(degree: int) -> tuple[Callable[[np.ndarray], np.ndarray], ...]:
     """Monomial basis (1, t, ..., t^degree)."""
+    degree = check_integer("degree", degree)
     if degree < 0:
         raise InvalidParameterError(f"degree must be nonnegative, got {degree}")
     return tuple((lambda t, k=k: np.asarray(t, dtype=float) ** k) for k in range(degree + 1))

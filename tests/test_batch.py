@@ -813,7 +813,7 @@ class TestKeptKernels:
         if route == "series":
             series = [kernel for kernel in kept.values() if getattr(kernel, "route", None) == "series"]
             assert box.A * series[0].span > scoring._SERIES_X > box.a * series[0].span
-            assert all(kernel.data is None for kernel in series)
+            assert all(kernel.blocks is None for kernel in series)
 
     def test_rows_changed_in_place_are_prepared_again(self, monkeypatch):
         d = regular_design(200)

@@ -659,6 +659,11 @@ _ESTIMATE = ["estimate", "--data", "DATA", "--box"]
      "'theta0' * 'sigma0_sq' must be positive and finite, got 0.0"),
     (["experiment", "--config", "CONFIG"], dict(_EXPERIMENT, theta0=1e200, sigma0_sq=1e200),
      "'theta0' * 'sigma0_sq' must be positive and finite, got inf"),
+    # a trend that is present is parsed, even when it is empty or false
+    *((["experiment", "--config", "CONFIG"], dict(_EXPERIMENT, trend=trend), named)
+      for trend, named in (({}, "trend config needs 'basis'"), (0, "'trend'"), (False, "'trend'"),
+                           ("", "trend config needs 'basis'"), ([], "trend config needs 'basis'"),
+                           (None, "'trend'"))),
 ])
 def test_malformed_spec_or_config_exits_1_naming_it(tmp_path, argv, config, named):
     _, out, _ = run_cli(_SIMULATE + ["regular:8"])

@@ -186,6 +186,12 @@ class TestExport:
         assert summary["tau_sq"] == tau_squared(build_design(cfg.design))
         assert summary["regime"] == "boundary"  # aB == Ab == 3 for the shipped box
         assert summary["trend_p"] == 0
+        # the fixed values of a run are echoed, null when unset
+        assert (summary["sigma1_sq"], summary["theta2"]) == (None, None)
+        fixed = small_config(replicates=2, estimators=("cv-fixed-sigma", "cv-fixed-theta"), sigma1_sq=2.0, theta2=1.5)
+        export(run_experiment(fixed), tmp_path / "fixed")
+        summary = json.loads((tmp_path / "fixed" / "summary.json").read_text())
+        assert (summary["sigma1_sq"], summary["theta2"]) == (2.0, 1.5)
         # a polynomial:1 trend has p = 2 columns
         trend = TrendSpec(beta=[1.0, 2.0], basis=polynomial_basis(1))
         export(run_experiment(small_config(replicates=2, estimators=("cv-regression",), trend=trend)),

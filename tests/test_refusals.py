@@ -38,7 +38,9 @@ from oucv import (
     loo_beta,
     loo_predictions,
     loo_trend_prediction,
+    maximal_design,
     minimal_design,
+    minimal_design_gap_ratios,
     ml_decomposition,
     ml_neg2loglik,
     polynomial_basis,
@@ -156,6 +158,21 @@ REFUSALS = {
                                  r"^'theta0' \* 'sigma0_sq' must be positive and finite, got inf$"),
     "statistic-true-product-zero": (lambda: standardized_statistic(1.0, 0.0, 12, 1.5), InvalidParameterError,
                                     "^true_product must be positive and finite, got 0.0$"),
+    # an integer argument is an integral number: no bool, no text, no fraction is truncated
+    "regular-n-fraction": (lambda: regular_design(12.5), InvalidParameterError, "^n must be an integer, got 12.5$"),
+    "regular-n-text": (lambda: regular_design("12"), InvalidParameterError, "^n must be an integer, got '12'$"),
+    "maximal-n-fraction": (lambda: maximal_design(12.5, 0.1), InvalidParameterError,
+                           "^n must be an integer, got 12.5$"),
+    "minimal-n-fraction": (lambda: minimal_design(12.5, 0.5), InvalidParameterError,
+                           "^n must be an integer, got 12.5$"),
+    "ratios-n-fraction": (lambda: minimal_design_gap_ratios(12.5, 0.5), InvalidParameterError,
+                          "^n must be an integer, got 12.5$"),
+    "basis-degree-bool": (lambda: polynomial_basis(True), InvalidParameterError,
+                          "^degree must be an integer, got True$"),
+    "basis-degree-fraction": (lambda: polynomial_basis(2.5), InvalidParameterError,
+                              "^degree must be an integer, got 2.5$"),
+    "statistic-n-fraction": (lambda: standardized_statistic(1.0, 1.0, 200.5, 1.5), InvalidParameterError,
+                             "^n must be an integer, got 200.5$"),
     **{f"{call.__name__}-{param}-{kind}": (partial(POSITIVE_ENTRIES[call, param], value), InvalidParameterError,
                                            f"^{param} must be positive and finite, got ")
        for call, param in NOT_REAL_AT for kind, value in NOT_REAL.items()},
