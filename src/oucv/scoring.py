@@ -41,8 +41,10 @@ once for many thetas, in one of three layouts:
   outside the series' domain, and an evaluation at a single theta,
   where summing statistics costs more than it saves.
 
-Every layout reads the rows one block of points at a time, never as
-point arrays of full length. The score, the profile and the gradient
+Every layout reads the rows one block of points at a time, so no route
+allocates a point array of full length; but a per-point kernel keeps
+the blocks of all its points, and so does a series kernel while it
+evaluates a theta outside the series' domain. The score, the profile and the gradient
 all derive from these kernels.
 The tridiagonal precision P is applied in the same increment form only,
 P v = h v + c_{i-1} d_i - c_i d_{i+1}: :func:`precision_matrix`,
@@ -372,8 +374,9 @@ class _GapKernel:
     Classes and series are used only when the statistics serve more than
     one theta per row (``reuse``); for a single theta, summing them costs
     more than it saves. Every route reads the rows one block of points at
-    a time (``_block_arrays``), never as point arrays of full length. A
-    kernel keeps what its evaluations read: a class kernel its class
+    a time (``_block_arrays``), so none allocates a point array of full
+    length, though the blocks of a per-point kernel, or of a series
+    kernel outside its domain, together cover every point. A kernel keeps what its evaluations read: a class kernel its class
     sums, a per-point kernel its blocks, and a series kernel the rows Y
     and its moments, once summed; a theta outside the series' domain
     builds the blocks of the rows it evaluates.
@@ -522,9 +525,6 @@ class _GapKernel:
         the series route each (row, theta) pair inside the series' domain
         from the moments, and outside it point by point."""
         thetas = np.asarray(thetas, dtype=float)
-        if thetas.ndim == 2 and self.route != "series":  # per-row thetas are one call on one route
-            return (self._point_sums(self._point_blocks(rows), thetas, derivative) if self.route == "per-point"
-                    else self._summed(rows, thetas, derivative))
         if self.route != "series":
             return self._sums(rows, thetas, derivative, self.route == "per-point")
         outside = thetas * self.span > _SERIES_X
