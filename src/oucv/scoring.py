@@ -44,8 +44,8 @@ once for many thetas, in one of three layouts:
 Every layout reads the rows one block of points at a time, so no route
 allocates a point array of full length; but a per-point kernel keeps
 the blocks of all its points, and so does a series kernel while it
-evaluates a theta outside the series' domain. The score, the profile and the gradient
-all derive from these kernels.
+evaluates a theta outside the series' domain. The score, the profile
+and the gradient all derive from these kernels.
 The tridiagonal precision P is applied in the same increment form only,
 P v = h v + c_{i-1} d_i - c_i d_{i+1}: :func:`precision_matrix`,
 :func:`loo_predictions` and the trend-aware score derive from it.
@@ -376,10 +376,11 @@ class _GapKernel:
     more than it saves. Every route reads the rows one block of points at
     a time (``_block_arrays``), so none allocates a point array of full
     length, though the blocks of a per-point kernel, or of a series
-    kernel outside its domain, together cover every point. A kernel keeps what its evaluations read: a class kernel its class
-    sums, a per-point kernel its blocks, and a series kernel the rows Y
-    and its moments, once summed; a theta outside the series' domain
-    builds the blocks of the rows it evaluates.
+    kernel outside its domain, together cover every point. A kernel
+    keeps what its evaluations read: a class kernel its class sums, a
+    per-point kernel its blocks, and a series kernel the rows Y and its
+    moments, once summed; a theta outside the series' domain builds the
+    blocks of the rows it evaluates.
 
     ``parts(rows, thetas)`` and ``gradient(rows, thetas, sigma2)`` are
     batched like :func:`score_parts`, over the rows ``rows`` (indices,
