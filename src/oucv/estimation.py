@@ -44,7 +44,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import partial
+from functools import lru_cache, partial
 from typing import Callable
 
 import numpy as np
@@ -216,14 +216,25 @@ def _best_seen(seen: list, rows: int) -> tuple[np.ndarray, np.ndarray]:
     return best_x, best_f
 
 
-def _search_row(objective: Callable, idx: np.ndarray, a, b, c, d, fc, fd, it: int, failed: dict) -> tuple:
-    """The golden-section steps of the one row ``idx`` (an array of one)
-    left searching, from its bracket after ``it`` steps: the lockstep
-    loop of :func:`_minimize_theta` on Python floats, which make the same
-    IEEE operations in the same order and so give the same bits. Each
-    step is one objective call at a (1, 1) theta array. Returns the final
-    bracket, the iterations, and the probes with their values."""
-    r = idx[0]
+@lru_cache(maxsize=32)
+def _grid(lo: float, hi: float) -> np.ndarray:
+    """The search's log-spaced theta grid on [lo, hi], built once per
+    range and read-only, since every search on that range shares it."""
+    grid = np.geomspace(lo, hi, _GRID_SIZE)
+    grid.flags.writeable = False
+    return grid
+
+
+def _search_row(value: Callable, r, a, b, c, d, fc, fd, it: int, failed: dict) -> tuple:
+    """The golden-section steps of the one row ``r`` left searching, from
+    its bracket after ``it`` steps: the lockstep loop of
+    :func:`_minimize_theta` on Python floats, which make the same IEEE
+    operations in the same order and so give the same bits. Each step is
+    one call of ``value``, the row's objective alone (:meth:`_Stack.lone`):
+    one kernel call at a (1, 1) theta array and its variance profile on
+    Python floats, 18-27 us on the fig2 designs (2-vCPU host), in 7-13
+    Python frames. Returns the final bracket, the iterations, and the probes with their
+    values."""
     probes, values = [], []
     while b - a > _REFINE_RTOL * 0.5 * (a + b) and it < _REFINE_MAX_ITER and r not in failed:
         left = fc <= fd  # ties shrink toward the left, keeping smaller arguments
@@ -233,7 +244,7 @@ def _search_row(objective: Callable, idx: np.ndarray, a, b, c, d, fc, fd, it: in
         else:
             a = c
             probe = a + _INVPHI * (b - a)
-        f = float(objective(idx, np.array([[probe]]), failed)[0, 0])
+        f = value(probe)
         probes.append(probe)
         values.append(f)
         if left:
@@ -244,13 +255,15 @@ def _search_row(objective: Callable, idx: np.ndarray, a, b, c, d, fc, fd, it: in
     return a, b, it, probes, values
 
 
-def _minimize_theta(objective: Callable, lo: float, hi: float, rows: int) -> tuple:
+def _minimize_theta(objective: Callable, lone: Callable, lo: float, hi: float, rows: int) -> tuple:
     """Coarse log-spaced grid plus golden-section refinement, all rows in lockstep.
 
     ``objective(rows, thetas, failed)`` returns the values at row indices
     ``rows`` of the batch, for thetas shared by those rows, shape (T,),
     or one set per row, shape (len(rows), k); the values have shape
-    (len(rows), T) or (len(rows), k). An objective that fails on a row
+    (len(rows), T) or (len(rows), k). ``lone(r, failed)`` is row r's
+    objective alone, a function of one theta that returns a Python float
+    with the bits of ``objective``. An objective that fails on a row
     records the error in ``failed`` and the row leaves the search.
     The whole grid is one call, and so are the two interior points of
     the golden-section brackets.
@@ -260,12 +273,12 @@ def _minimize_theta(objective: Callable, lo: float, hi: float, rows: int) -> tup
     rows still searching step together, each step one call for all of
     them. When one row is left, a single estimate from the start or the
     last row of a batch, it steps alone on Python floats
-    (:func:`_search_row`), with the same bits: a step is then one kernel
-    call at a (1, 1) theta array and about 1 us of bracket arithmetic,
-    where the numpy steps of one row cost about 13 us more (2-vCPU host,
-    fig2 designs, kernel calls of 16-31 us). The returned point is the
-    smallest objective value seen, grid nodes included; ties go to the
-    smaller theta. A non-finite value on a row's grid fails that row
+    (:func:`_search_row`), with the same bits: a step is then one call of
+    its lone objective, 18-27 us on the fig2 designs, and about 1 us of
+    bracket arithmetic, where the numpy steps of one row cost about 13 us
+    more (2-vCPU host). The grid is built once per range. The returned
+    point is the smallest objective value seen, grid nodes included; ties go to
+    the smaller theta. A non-finite value on a row's grid fails that row
     alone. Returns per row theta, value, iterations, evaluations and the
     local minima of the grid values, and the failures by row. A collapsed
     range ``lo == hi`` is not searched here: :meth:`_Stack.search`
@@ -273,7 +286,7 @@ def _minimize_theta(objective: Callable, lo: float, hi: float, rows: int) -> tup
     """
     failed: dict[int, OucvError] = {}
     everyone = np.arange(rows)
-    grid = np.geomspace(lo, hi, _GRID_SIZE)
+    grid = _grid(lo, hi)
     values = objective(everyone, grid, failed)
     _fail_nonfinite(failed, grid, values)
     minima = _local_minima(values)
@@ -317,7 +330,7 @@ def _minimize_theta(objective: Callable, lo: float, hi: float, rows: int) -> tup
         b = np.where(left, d, b)
         step = _INVPHI * (b - a)
         probe = np.where(left, b - step, a + step)
-        f = at(idx, probe[:, None])[:, 0]
+        f = objective(idx, probe[:, None], failed)[:, 0]
         seen.append((idx, probe, f))
         c, d = np.where(left, probe, d), np.where(left, c, probe)
         fc, fd = np.where(left, f, fd), np.where(left, fc, f)
@@ -325,7 +338,7 @@ def _minimize_theta(objective: Callable, lo: float, hi: float, rows: int) -> tup
     if idx.size:  # one row left: the same steps on Python floats
         r = idx[0]
         bracket = (float(v[0]) for v in (a, b, c, d, fc, fd))
-        lo_[r], hi_[r], iterations[r], probes, f = _search_row(objective, idx, *bracket, it, failed)
+        lo_[r], hi_[r], iterations[r], probes, f = _search_row(lone(r, failed), r, *bracket, it, failed)
         seen.append((np.full(len(probes), r), np.array(probes), np.array(f)))
     idx = unfailed(everyone)
     mid = 0.5 * (lo_[idx] + hi_[idx])
@@ -354,10 +367,6 @@ def _data_rows(design: Design, Y) -> tuple[np.ndarray, list]:
 
 def _unfailed(slots: list) -> np.ndarray:
     return np.flatnonzero([slot is None for slot in slots])
-
-
-def _clamp(x: np.ndarray, lo: float, hi: float) -> np.ndarray:
-    return np.minimum(np.maximum(x, lo), hi)
 
 
 def _result(box, theta, sigma2, value, grad, iterations, evaluations, minima):
@@ -408,12 +417,12 @@ class _Stack:
     lane the kernel sees the search's own rows, None for all of them, and
     the bounds are the lane's scalars, as if there were no stack: the
     stacked path gives the same bits, but its per-step splitting, copies
-    and indexing made a one-estimator search up to 15% slower. A
-    golden-section step of one row is one ``profile`` call at a (1, 1)
-    theta array: the kernel call (16-31 us on the fig2 designs, 2-vCPU
-    host), which takes per-row thetas on a class or per-point kernel
-    straight to its sums, and about 7 us of profile arithmetic; singular
-    rows are looked for only when L holds a NaN.
+    and indexing made a one-estimator search up to 15% slower; singular
+    rows are looked for only when L holds a NaN. The golden-section steps
+    of a row left searching alone call :meth:`lone`, the row's objective
+    on Python floats: one kernel call at a (1, 1) theta array (17-25 us
+    on the fig2 designs, 2-vCPU host) and 1-2 us of variance profile,
+    where ``profile`` takes about 7 us.
     """
 
     def __init__(self, lanes: list, kernels: list, R: int):
@@ -471,11 +480,35 @@ class _Stack:
         if np.isnan(L).any():
             _record_singular(failed, srows, thetas, L)
         count, b, B = self.bounds(srows)
-        s2 = _clamp(Q / count, b, B)
+        s2 = np.minimum(np.maximum(Q / count, b), B)
         if self.overflows:  # a row whose value overflows fails as not finite
             with np.errstate(over="ignore"):
                 return count * np.log(s2) + L + Q / s2, s2, Q
         return count * np.log(s2) + L + Q / s2, s2, Q
+
+    def lone(self, r, failed: dict) -> Callable:
+        """Stacked row ``r``'s objective alone: theta -> its :meth:`profile`
+        value, a Python float with the same bits. It calls the row's kernel
+        at a (1, 1) theta array and forms the variance profile and the
+        value from L and Q on Python floats, whose + - * / and min/max are
+        the IEEE operations of numpy's elementwise ones; the log stays
+        numpy's. A value that overflows is inf, as on arrays, and a NaN L
+        fails the row as in :meth:`profile`."""
+        srows = np.array([r])
+        ((kernel, rows, _),) = self._calls(srows)
+        count, box = kernel.count, self.lanes[r // self.R].box
+        b, B = box.b, box.B
+
+        def value(theta: float) -> float:
+            thetas = np.array([[theta]])
+            L, Q = kernel.parts(rows, thetas)
+            l, q = L.item(), Q.item()
+            if l != l:
+                _record_singular(failed, srows, thetas, L)
+            s2 = min(max(q / count, b), B)
+            return count * float(np.log(s2)) + l + q / s2
+
+        return value
 
     def gradient(self, srows, theta, sigma2, failed) -> np.ndarray:
         """The theta-derivative at per-row ``theta`` (len(srows), 1) and the
@@ -506,7 +539,7 @@ class _Stack:
         box, rows = lanes[0].box, R * len(lanes)
         searching = box.a < box.A
         if searching:
-            found = _minimize_theta(lambda *args: self.profile(*args)[0], box.a, box.A, rows)
+            found = _minimize_theta(lambda *args: self.profile(*args)[0], self.lone, box.a, box.A, rows)
             theta_hat, values, iterations, evaluations, minima, failed = found
             done = np.array([i for i in range(rows) if i not in failed], dtype=int)
         else:  # no iterations, one evaluation and one grid minimum per row

@@ -38,12 +38,13 @@ from .numerics import _ELEMENT_BUDGET
 from .scoring import (
     _DENSE_MAX_N,
     ScoreDecomposition,
-    _check_data,
     _apply_precision,
+    _check_data,
     _in_blocks,
     _increments,
+    _padded_gaps,
     _precision_terms,
-    _take,
+    _quiet,
 )
 from .simulate import check_full_rank, covariance_matrix
 
@@ -91,11 +92,6 @@ def _prepare_F(design: Design, F) -> np.ndarray:
     return F
 
 
-def _sum(x: np.ndarray) -> np.ndarray:
-    """np.sum(x, axis=-1), bitwise, without its Python-level dispatch."""
-    return np.add.reduce(x, axis=-1)
-
-
 def _columns(F: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """The trend columns as :func:`_trend_factor` takes them: the rows of
     F' (p, n) and their :func:`~oucv.scoring._increments`."""
@@ -103,8 +99,10 @@ def _columns(F: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return Ft, _increments(Ft, 1)
 
 
-def _trend_factor(design: Design, thetas, columns):
-    """The theta-only part of the projected precision P - W'W, for
+@_quiet
+def _trend_factor(gaps: np.ndarray, thetas, columns):
+    """The theta-only part of the projected precision P - W'W at the
+    design's :func:`~oucv.scoring._padded_gaps` (design, 2), for
     ``thetas`` of any shape and the trend :func:`_columns` of F, unchecked.
 
     W = C^-1 F' P, with C lower triangular and C C' = F' P F, is built
@@ -117,20 +115,21 @@ def _trend_factor(design: Design, thetas, columns):
     """
     Ft, dFt = columns
     W = []
-    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-        A, h, c = _precision_terms(design, thetas)
-        C = np.zeros(A.shape[:-1] + (Ft.shape[0],) * 2)
-        lead = (Ft.shape[0],) + (1,) * (A.ndim - 1)  # every column's P F_j in one call, column axis first
-        PF = _apply_precision(Ft.reshape(lead + Ft.shape[1:]), dFt.reshape(lead + dFt.shape[1:]), h, c)
-        for j, f in enumerate(Ft):
-            w = PF[j]
-            for l, Wl in enumerate(W):
-                C[..., j, l] = _sum(f * Wl)
-                w -= C[..., j, l][..., None] * Wl
-            C[..., j, j] = np.sqrt(_sum(f * w))
-            W.append(w / C[..., j, j][..., None])
-        ebar = sum(w * w for w in W)
-        return (A, h, c), W, C, ebar, A - ebar
+    A, h, c = _precision_terms(gaps, thetas)
+    C = np.zeros(A.shape[:-1] + (Ft.shape[0],) * 2)
+    lead = (Ft.shape[0],) + (1,) * (A.ndim - 1)  # every column's P F_j in one call, column axis first
+    PF = _apply_precision(Ft.reshape(lead + Ft.shape[1:]), dFt.reshape(lead + dFt.shape[1:]), h, c)
+    for j, f in enumerate(Ft):
+        w = PF[j]
+        for l, Wl in enumerate(W):
+            C[..., j, l] = np.add.reduce(f * Wl, axis=-1)
+            w -= C[..., j, l][..., None] * Wl
+        C[..., j, j] = np.sqrt(np.add.reduce(f * w, axis=-1))
+        W.append(w / C[..., j, j][..., None])
+    ebar = W[0] * W[0]  # a sum of squares, each +0 or more, so 0 + it is itself
+    for w in W[1:]:
+        ebar = ebar + w * w
+    return (A, h, c), W, C, ebar, A - ebar
 
 
 def _theta_block(factor, block: slice):
@@ -143,20 +142,19 @@ def _project(PZ: np.ndarray, W: list, Z: np.ndarray) -> np.ndarray:
     """The projected precision P - W'W applied along the last axis of
     ``Z``, from P Z, which it overwrites."""
     for w in W:
-        PZ -= _sum(w * Z)[..., None] * w
+        PZ -= np.add.reduce(w * Z, axis=-1)[..., None] * w
     return PZ
 
 
+@_quiet
 def _parts(factor, Y: np.ndarray, dY: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """:func:`reg_parts` from a trend factor, for rows Y with increments dY."""
     (_, h, c), W, _, _, proj_diag = factor
     Y, dY = Y[:, None, :], dY[:, None, :]
-    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-        singular = ~(proj_diag > 0.0).all(axis=-1)
-        L = np.where(singular, np.nan, -_sum(np.log(proj_diag)))
-        proj_z = _project(_apply_precision(Y, dY, h, c), W, Y)
-        Q = _sum(proj_z * proj_z / proj_diag)
-    return L, Q
+    singular = ~np.logical_and.reduce(proj_diag > 0.0, axis=-1)
+    L = np.where(singular, np.nan, -np.add.reduce(np.log(proj_diag), axis=-1))
+    proj_z = _project(_apply_precision(Y, dY, h, c), W, Y)
+    return L, np.add.reduce(proj_z * proj_z / proj_diag, axis=-1)
 
 
 def _factor_at(design: Design, z, theta: float, F):
@@ -166,7 +164,7 @@ def _factor_at(design: Design, z, theta: float, F):
     theta = check_positive("theta", theta)
     z = _check_data(design, z)
     dz = _increments(z, 1)
-    factor = _trend_factor(design, [theta], _columns(_prepare_F(design, F)))
+    factor = _trend_factor(_padded_gaps(design, 2), [theta], _columns(_prepare_F(design, F)))
     L, Q = _parts(factor, z[None, :], dz[None, :])
     if np.isnan(L[0]):
         raise ConditioningError(f"trend projection is singular at theta = {theta}: the normal matrix is not "
@@ -211,37 +209,40 @@ def reg_parts(design: Design, Y: np.ndarray, thetas, F: np.ndarray) -> tuple[np.
 class TrendKernel:
     """:func:`reg_parts` on data rows Z for checked trend columns F, in
     the form the batched search takes (see
-    :class:`~oucv.scoring.CvKernel`): the increments of the rows and of
-    the trend columns are prepared once, whatever ``reuse`` says. The
-    variance profile divides Q by ``count`` = n. It has no analytic
-    gradient."""
+    :class:`~oucv.scoring.CvKernel`): the padded gaps and the increments
+    of the rows and of the trend columns are prepared once, whatever
+    ``reuse`` says. The variance profile divides Q by ``count`` = n. It
+    has no analytic gradient."""
 
     gradient = None
 
     def __init__(self, design: Design, Z: np.ndarray, reuse: bool, F: np.ndarray):
-        self.design, self.columns, self.count = design, _columns(F), design.n
+        self.gaps, self.columns, self.count = _padded_gaps(design, 2), _columns(F), design.n
         self.data = (Z, _increments(Z, 1))
 
     def parts(self, rows, thetas):
-        """L and Q at ``rows``. Shared thetas (T,) build one factor per
-        block of ``_ELEMENT_BUDGET`` // (n p) of them, the factor's own
-        width, and project the rows onto it in blocks of
-        ``_ELEMENT_BUDGET`` // (rows n) thetas; per-row thetas (R, k) are
-        one call. Every value depends on its own (row, theta) pair only,
-        so the blocking does not change a bit of the result."""
-        Z, dZ = (_take(x, rows) for x in self.data)
-        n = self.design.n
-        block = max(1, _ELEMENT_BUDGET // (Z.shape[0] * n))
+        """L and Q at ``rows``. Per-row thetas (R, k) build one factor and
+        project the rows onto it in one call. Shared thetas (T,) build one
+        factor per block of ``_ELEMENT_BUDGET`` // (n p) of them, the
+        factor's own width, and project the rows onto it in blocks of
+        ``_ELEMENT_BUDGET`` // (rows n) thetas. Every value depends on its
+        own (row, theta) pair only, so the blocking does not change a bit
+        of the result."""
+        thetas = np.asarray(thetas, dtype=float)
+        Z, dZ = self.data
+        if rows is not None:
+            Z, dZ = Z[rows], dZ[rows]
+        if thetas.ndim > 1:
+            return _parts(_trend_factor(self.gaps, thetas, self.columns), Z, dZ)
+        block = max(1, _ELEMENT_BUDGET // (Z.shape[0] * self.count))
 
         def evaluate(thetas):
-            factor = _trend_factor(self.design, thetas, self.columns)
-            if thetas.ndim != 1:
-                return _parts(factor, Z, dZ)
+            factor = _trend_factor(self.gaps, thetas, self.columns)
             L, Q = zip(*(_parts(_theta_block(factor, slice(j, j + block)), Z, dZ)
                          for j in range(0, thetas.size, block)))
             return np.concatenate(L), np.concatenate(Q, axis=1)
 
-        return _in_blocks(evaluate, thetas, 1, n * self.columns[0].shape[0])
+        return _in_blocks(evaluate, thetas, 1, self.count * self.columns[0].shape[0])
 
 
 def reg_score_decomposition(design: Design, z, theta: float, F) -> ScoreDecomposition:

@@ -41,11 +41,11 @@ once for many thetas, in one of three layouts:
   outside the series' domain, and an evaluation at a single theta,
   where summing statistics costs more than it saves.
 
-Every layout reads the rows one block of points at a time, so no route
-allocates a point array of full length; but a per-point kernel keeps
-the blocks of all its points, and so does a series kernel while it
-evaluates a theta outside the series' domain. The score, the profile
-and the gradient all derive from these kernels.
+Every layout reads the rows one block of points at a time, and holds
+one block of point arrays at a time, except a per-point kernel prepared
+for many thetas, which keeps its blocks (one, below ``_SERIES_MIN_N``
+points). The score, the profile and the gradient all derive from these
+kernels.
 The tridiagonal precision P is applied in the same increment form only,
 P v = h v + c_{i-1} d_i - c_i d_{i+1}: :func:`precision_matrix`,
 :func:`loo_predictions` and the trend-aware score derive from it.
@@ -65,7 +65,7 @@ from .errors import (
     check_finite,
     check_positive,
 )
-from .numerics import _ELEMENT_BUDGET, one_minus_exp_neg
+from .numerics import _ELEMENT_BUDGET
 from .simulate import covariance_matrix
 
 __all__ = [
@@ -110,6 +110,12 @@ _SERIES_MIN_N = 1000
 # Cholesky pivot min/max below this means the covariance is numerically
 # singular (near-duplicate points); the dense oracles refuse to answer
 _PIVOT_RATIO_MIN = 1e-5
+# The floating-point state of a kernel evaluation: a term at the box
+# edges or at tiny gaps overflows, divides by zero or meets inf - inf,
+# and a row whose objective is not finite fails in the search. It is
+# applied as a decorator, which sets the state per call in one Python
+# frame; an errstate entered by ``with`` costs three.
+_quiet = np.errstate(over="ignore", invalid="ignore", divide="ignore")
 
 
 @dataclass(frozen=True)
@@ -166,26 +172,20 @@ def _gap_terms(gaps: np.ndarray, thetas):
     infinite gap gives E = 0 and G = 1.
     """
     x = np.asarray(thetas, dtype=float)[..., None] * gaps
-    return np.exp(-x), one_minus_exp_neg(2.0 * x)
+    return np.exp(-x), -np.expm1(-(2.0 * x))  # G as numerics.one_minus_exp_neg(2 x), without cancellation
 
 
-def _take(a: np.ndarray, rows) -> np.ndarray:
-    """a[rows], or a itself, not copied, when ``rows`` is None (all of
-    them); an index may repeat."""
-    return a if rows is None else a[rows]
-
-
-def _in_blocks(evaluate, thetas, rows: int, width: int):
+def _in_blocks(evaluate, thetas: np.ndarray, rows: int, width: int):
     """``evaluate(thetas)`` for shared ``thetas`` (T,) in blocks of at most
     ``_ELEMENT_BUDGET`` (row x theta x width) elements, L and Q joined
-    along the theta axis; per-row thetas (R, k) go in one call.
+    along the theta axis. Per-row thetas need no blocks: a search
+    evaluates at most two per row at once.
 
     Every value depends on its own (row, theta) pair only, so the
     blocking does not change a bit of the result.
     """
-    thetas = np.asarray(thetas, dtype=float)
     block = max(1, _ELEMENT_BUDGET // (max(rows, 1) * width))
-    if thetas.ndim != 1 or thetas.size <= block:
+    if thetas.size <= block:
         return evaluate(thetas)
     L, Q = zip(*(evaluate(thetas[j:j + block]) for j in range(0, thetas.size, block)))
     return np.concatenate(L), np.concatenate(Q, axis=1)
@@ -257,8 +257,11 @@ def _contract(S: np.ndarray, C) -> np.ndarray:
     s coefficient arrays (T, K) shared by the rows or (R, k, K) per row.
     Each sum runs over the flattened (s, K) axis of its own pair; shared
     thetas go in blocks of at most ``_ELEMENT_BUDGET`` products."""
-    C = np.stack(C, axis=-2)
-    C = C.reshape(C.shape[:-2] + (-1,))
+    K = S.shape[-1]
+    flat = np.empty(C[0].shape[:-1] + (len(C) * K,))  # the coefficients laid out as S is
+    for j, c in enumerate(C):
+        flat[..., j * K:(j + 1) * K] = c
+    C = flat
     S = S.reshape(S.shape[0], 1, -1)
     if C.ndim > 2:
         return np.add.reduce(S * C, axis=-1)
@@ -303,10 +306,11 @@ def _cv_precision(values: np.ndarray, members: tuple, thetas):
     return E, a, c, p, a[..., il] + a[..., ir] - 1.0, 0.5 * (t[..., il] + t[..., ir]), c[..., il], c[..., ir]
 
 
-def _precision_terms(design: Design, thetas):
-    """The precision point by point, for ``thetas`` of any shape (point axis
-    last): A and h per point, c per gap with the infinite outer gaps (c = 0)."""
-    _, _, c, _, A, h, _, _ = _cv_precision(_padded_gaps(design, 2), (slice(None, -1), slice(1, None)), thetas)
+def _precision_terms(gaps: np.ndarray, thetas):
+    """The precision point by point at the :func:`_padded_gaps` (design, 2),
+    for ``thetas`` of any shape (point axis last): A and h per point, c
+    per gap with the infinite outer gaps (c = 0)."""
+    _, _, c, _, A, h, _, _ = _cv_precision(gaps, (slice(None, -1), slice(1, None)), thetas)
     return A, h, c
 
 
@@ -374,20 +378,25 @@ class _GapKernel:
     Classes and series are used only when the statistics serve more than
     one theta per row (``reuse``); for a single theta, summing them costs
     more than it saves. Every route reads the rows one block of points at
-    a time (``_block_arrays``), so none allocates a point array of full
-    length, though the blocks of a per-point kernel, or of a series
-    kernel outside its domain, together cover every point. A kernel
-    keeps what its evaluations read: a class kernel its class sums, a
-    per-point kernel its blocks, and a series kernel the rows Y and its
-    moments, once summed; a theta outside the series' domain builds the
-    blocks of the rows it evaluates.
+    a time (``_block_arrays``). A kernel keeps what its evaluations read:
+    a class kernel its class sums, a series kernel the rows Y and its
+    moments, once summed, and a per-point kernel for many thetas its
+    blocks, one block below ``_SERIES_MIN_N`` points. A per-point kernel
+    for one theta, and a series kernel at a theta outside its domain,
+    build each block of the rows they evaluate as they evaluate it and
+    keep none, so they hold one block of point arrays at a time.
 
     ``parts(rows, thetas)`` and ``gradient(rows, thetas, sigma2)`` are
     batched like :func:`score_parts`, over the rows ``rows`` (indices,
     which may repeat, or None for all) of the prepared data. Every value depends
     on its own (row, theta) pair only, and so does its route. ``count``
     is the number of observations the variance profile Q / count
-    divides by: n for both objectives.
+    divides by: n for both objectives. Per-row thetas, a search's
+    golden-section steps, go straight to the route's sums, and a
+    per-point block's L and Q are one method of the objective
+    (``_point_value``): a lone row's step, one (1, 1) call, takes 17-25 us
+    on the fig2 designs (2-vCPU host), nearly all of it numpy's ufunc
+    calls, and enters 6-12 Python frames of the kernel.
     """
 
     keys = 0  # neighbouring gaps that define a point's class
@@ -412,7 +421,8 @@ class _GapKernel:
             self.span = _cached(design, "span", lambda: float(np.max(design.gaps[:-1] + design.gaps[1:])))
         else:
             self.route, self._source = "per-point", (design, Y)
-            self.blocks = self._point_blocks(None)
+            if reuse:  # one theta builds its blocks as it evaluates them, and keeps none
+                self.blocks = list(self._point_blocks(None))
 
     def _class_sums(self, Y: np.ndarray, of_point: np.ndarray, classes: int) -> np.ndarray:
         """The statistics of the rows Y summed per class, (R, pairs,
@@ -465,61 +475,69 @@ class _GapKernel:
         t = thetas[..., None]
         e, f, lam = self.exponents, self.log_exponents, self.log_terms[1:]
         if derivative:
-            L = self.log_scale / thetas + np.sum((f * lam) * t ** (f - 1.0), axis=-1)
+            L = self.log_scale / thetas + np.add.reduce((f * lam) * t ** (f - 1.0), axis=-1)
             C = e * t ** (e - 1.0)
         else:
-            L = self.log_terms[0] + self.log_scale * np.log(thetas) + np.sum(lam * t ** f, axis=-1)
+            L = self.log_terms[0] + self.log_scale * np.log(thetas) + np.add.reduce(lam * t ** f, axis=-1)
             C = t ** e
-        return L, np.sum(_take(self.M, rows)[:, None, :] * C, axis=-1)
+        M = self.M if rows is None else self.M[rows]
+        return L, np.add.reduce(M[:, None, :] * C, axis=-1)
 
-    def _point_blocks(self, rows) -> list:
-        """The per-point layouts and block arrays of the rows, a per-point
-        kernel's own or built from the rows, in fixed blocks of
-        ``_ELEMENT_BUDGET`` points: a row's sums do not depend on the batch."""
-        if self.blocks is not None:
-            return [(layout, tuple(_take(x, rows) for x in arrays)) for layout, arrays in self.blocks]
+    def _point_blocks(self, rows):
+        """The per-point layouts and block arrays of the rows ``rows`` of Y,
+        built one block at a time, in fixed blocks of ``_ELEMENT_BUDGET``
+        points: a row's sums do not depend on the batch."""
         (design, Y), keys = self._source, self.keys
-        Y = _take(Y, rows)
-        return [(_Layout.per_point(_padded_gaps(design, keys, s, s + m), keys), self._block_arrays(Y, s, m))
-                for s, m in _spans(0, self.n, _ELEMENT_BUDGET)]
+        if rows is not None:
+            Y = Y[rows]
+        for s, m in _spans(0, self.n, _ELEMENT_BUDGET):
+            yield _Layout.per_point(_padded_gaps(design, keys, s, s + m), keys), self._block_arrays(Y, s, m)
 
     def _summed(self, rows, thetas, derivative: bool):
         """L and Q, or their theta-derivatives, from the statistics summed
         per class (or per end point) and the series' moments."""
         L = Q = 0.0
-        with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-            if self.S is not None:
-                L, C = (self._derivatives if derivative else self._terms)(self.layout, thetas)
-                Q = _contract(_take(self.S, rows), C)
-            if self.M is not None:
-                L_series, Q_series = self._series(rows, thetas, derivative)
-                L, Q = L + L_series, Q + Q_series
+        if self.S is not None:
+            L, C = (self._derivatives if derivative else self._terms)(self.layout, thetas)
+            Q = _contract(self.S if rows is None else self.S[rows], C)
+        if self.M is not None:
+            L_series, Q_series = self._series(rows, thetas, derivative)
+            L, Q = L + L_series, Q + Q_series
         return L, Q
 
-    def _point_sums(self, blocks: list, thetas, derivative: bool):
-        """L and Q, or their theta-derivatives, point by point over the
-        per-point ``blocks`` of :meth:`_point_blocks`."""
-        L = Q = 0.0
-        with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-            for layout, arrays in blocks:
-                if derivative:
-                    dL, dC = self._derivatives(layout, thetas)
-                    L, Q = L + dL, Q + _contract(_statistics(self._pairs(*arrays)), dC)
-                else:
-                    L_block, C = self._terms(layout, thetas)
-                    L, Q = L + L_block, Q + self._pointwise(arrays, C)
+    def _point_sums(self, rows, thetas, derivative: bool):
+        """L and Q, or their theta-derivatives, point by point: over a
+        per-point kernel's blocks, or over blocks built one at a time from
+        the rows, read anew on every call."""
+        stored = self.blocks is not None
+        L = None
+        for layout, (u, v) in self.blocks if stored else self._point_blocks(rows):
+            if stored and rows is not None:
+                u, v = u[rows], v[rows]
+            if derivative:
+                L_block, dC = self._derivatives(layout, thetas)
+                Q_block = _contract(_statistics(self._pairs(u, v)), dC)
+            else:
+                L_block, Q_block = self._point_value(layout, u, v, thetas)
+            if L is None:
+                L, Q = L_block, Q_block
+            else:
+                L, Q = L + L_block, Q + Q_block
         return L, Q
 
-    def _sums(self, rows, thetas, derivative: bool, points: bool):
+    def _sums(self, rows, thetas: np.ndarray, derivative: bool, points: bool):
         """L and Q, or their theta-derivatives, point by point (``points``)
-        or from the summed statistics, in :func:`_in_blocks` of thetas:
-        per-point terms grow with the rows; summed ones are shared by them."""
-        if not points:
-            return _in_blocks(lambda t: self._summed(rows, t, derivative), thetas, 1, self.width)
-        blocks = self._point_blocks(rows)
-        count = self.rows if rows is None else len(rows)
-        return _in_blocks(lambda t: self._point_sums(blocks, t, derivative), thetas, count,
-                          min(self.n, _ELEMENT_BUDGET))
+        or from the summed statistics. Per-row thetas go in one call;
+        shared ones in :func:`_in_blocks`, where per-point terms grow with
+        the rows and summed ones are shared by them."""
+        sums = self._point_sums if points else self._summed
+        if thetas.ndim > 1:
+            return sums(rows, thetas, derivative)
+        if points:
+            count, width = self.rows if rows is None else len(rows), min(self.n, _ELEMENT_BUDGET)
+        else:
+            count, width = 1, self.width
+        return _in_blocks(lambda t: sums(rows, t, derivative), thetas, count, width)
 
     def _evaluate(self, rows, thetas, derivative: bool):
         """L and Q, or their theta-derivatives, on the kernel's route: on
@@ -529,10 +547,11 @@ class _GapKernel:
         if self.route != "series":
             return self._sums(rows, thetas, derivative, self.route == "per-point")
         outside = thetas * self.span > _SERIES_X
-        if self.M is None and not outside.all():
+        every, some = np.logical_and.reduce(outside, axis=None), np.logical_or.reduce(outside, axis=None)
+        if self.M is None and not every:
             self._prepare_series(*self._source)
-        if outside.all() or not outside.any():
-            return self._sums(rows, thetas, derivative, bool(outside.any()))
+        if every or not some:
+            return self._sums(rows, thetas, derivative, bool(some))
         L, Q = self._sums(rows, thetas, derivative, False)
         if thetas.ndim == 1:  # shared thetas: those outside, for every row
             L[outside], Q[:, outside] = self._sums(rows, thetas[outside], derivative, True)
@@ -543,14 +562,15 @@ class _GapKernel:
             Q[sub] = np.where(outside[sub], Q_sub, Q[sub])
         return L, Q
 
+    @_quiet
     def parts(self, rows, thetas) -> tuple[np.ndarray, np.ndarray]:
         return self._evaluate(rows, thetas, False)
 
+    @_quiet
     def gradient(self, rows, thetas, sigma2) -> np.ndarray:
         """The theta-derivative, through the derivatives of the coefficients."""
         dL, dQ = self._evaluate(rows, thetas, True)
-        with np.errstate(over="ignore", invalid="ignore"):
-            return dL + dQ / sigma2
+        return dL + dQ / sigma2
 
 
 class CvKernel(_GapKernel):
@@ -601,18 +621,32 @@ class CvKernel(_GapKernel):
         return (h * q, h * rL, h * rR, cL * rL, cR * rR, cL * rR), (q, rL, rR)
 
     def _terms(self, layout: _Layout, thetas):
-        _, _, c, _, A, h, cL, cR = _cv_precision(layout.values, layout.members, thetas)
-        L = -layout.total(np.log(A))
-        if layout.counts is None:  # the per-point form needs A, h and the per-gap c only
-            return L, (A, h, c)
-        return L, self._coefficients(A, h, cL, cR)[0]
+        _, _, _, _, A, h, cL, cR = _cv_precision(layout.values, layout.members, thetas)
+        return -layout.total(np.log(A)), self._coefficients(A, h, cL, cR)[0]
 
     @staticmethod
-    def _pointwise(data, terms):
-        A, h, c = terms
-        Y, d = data
-        u = _apply_precision(Y[:, None, :], d[:, None, :], h, c)
-        return np.add.reduce(u * (u / A), axis=-1)
+    def _point_value(layout: _Layout, Y, d, thetas):
+        """L and Q of a per-point block with data y_i and d_i .. d_{i+1}:
+        the precision of :func:`_cv_precision` and the residual of
+        :func:`_apply_precision`, in one frame."""
+        x = thetas[..., None] * layout.values
+        E = np.exp(-x)
+        G = -np.expm1(-(2.0 * x))
+        a = 1.0 / G
+        p = 1.0 + E
+        c = a * E
+        t = G / (p * p)  # tanh(theta g / 2)
+        del x, E, G, p  # a block holds few arrays at once
+        il, ir = layout.members
+        A = a[..., il] + a[..., ir] - 1.0
+        h = 0.5 * (t[..., il] + t[..., ir])
+        cd = c * d[:, None, :]
+        del a, c, t
+        u = h * Y[:, None, :]
+        u += cd[..., :-1]
+        u -= cd[..., 1:]
+        # 0 - sum log A: L is +0, not -0, where every A rounds to 1 (theta g > 18 at every gap)
+        return 0.0 - np.add.reduce(np.log(A), axis=-1), np.add.reduce(u * (u / A), axis=-1)
 
     def _derivatives(self, layout: _Layout, thetas):
         E, a, c, p, A, h, cL, cR = _cv_precision(layout.values, layout.members, thetas)
@@ -736,16 +770,17 @@ class MlKernel(_GapKernel):
         E, G = _gap_terms(layout.values, thetas)
         p = 1.0 + E
         L = layout.points * np.log(2.0 * np.pi) + layout.total(np.log(G))
-        if layout.counts is None:
-            return L, (G, G / p)
         return L, (1.0 / G, 1.0 / p, G / (p * p))
 
     @staticmethod
-    def _pointwise(data, terms):
-        d, prev = data
-        G, m = terms  # m = 1 - E
-        w = d[:, None, :] + m * prev[:, None, :]
-        return np.add.reduce(w * w / G, axis=-1)
+    def _point_value(layout: _Layout, d, prev, thetas):
+        """L and Q of a per-point block with data d_i and y_{i-1}, in one frame."""
+        x = thetas[..., None] * layout.values
+        E = np.exp(-x)
+        G = -np.expm1(-(2.0 * x))
+        w = d[:, None, :] + (G / (1.0 + E)) * prev[:, None, :]  # G / (1 + E) = 1 - E
+        return (layout.points * np.log(2.0 * np.pi) + np.add.reduce(np.log(G), axis=-1),
+                np.add.reduce(w * w / G, axis=-1))
 
     def _derivatives(self, layout: _Layout, thetas):
         E, G = _gap_terms(layout.values, thetas)
@@ -834,7 +869,7 @@ def precision_matrix(design: Design, theta: float) -> TridiagonalPrecision:
     """
     theta = check_positive("theta", theta)
     with np.errstate(divide="ignore", over="ignore"):
-        A, _, c = _precision_terms(design, theta)
+        A, _, c = _precision_terms(_padded_gaps(design, 2), theta)
     check_finite("precision matrix", A, theta)  # each |c| is at most its points' A
     return TridiagonalPrecision(diag=A, off=-c[1:-1])
 
@@ -852,7 +887,7 @@ def loo_predictions(design: Design, y, theta: float) -> LooSummary:
     theta = check_positive("theta", theta)
     y = _check_data(design, y)
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-        A, h, c = _precision_terms(design, theta)
+        A, h, c = _precision_terms(_padded_gaps(design, 2), theta)
         predictions = y - _apply_precision(y, _increments(y, 1), h, c) / A
     check_finite("a leave-one-out prediction", predictions, theta)
     return LooSummary(predictions=predictions, normalized_variances=1.0 / A)

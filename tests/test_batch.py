@@ -906,3 +906,128 @@ class TestKeptKernels:
         route = "classes" if kind == "regular" else "series"
         assert [kernel.route for kernel in _kept().values()] == [route]
         assert held <= 8 * n + 64 * 1024
+
+
+LEAN_CASES = {
+    "minimal-12": (minimal_design(12, 0.5), BOX, "per-point"),
+    "regular-12": (regular_design(12), BOX, "per-point"),
+    "regular-200": (regular_design(200), BOX, "classes"),
+    # thetas inside the series' domain and past it
+    "dirichlet-1200": (_DIRICHLET_1200, ParameterBox(0.1, 300.0, 0.3, 30.0), "series"),
+}
+
+
+def _bits(x) -> bytes:
+    return np.float64(x).tobytes()
+
+
+class TestLeanSteps:
+    """A lone row's golden-section step calls its kernel at a (1, 1) theta
+    array and forms its variance profile and value on Python floats."""
+
+    @pytest.mark.parametrize("case", LEAN_CASES)
+    @pytest.mark.parametrize("name, value", [("cv-joint", None), ("ml-joint", None), ("cv-fixed-sigma", 2.0),
+                                             ("cv-fixed-sigma", 1e-300), ("cv-regression", "trend")],
+                             ids=["cv-joint", "ml-joint", "cv-fixed-sigma", "cv-fixed-sigma-1e-300", "cv-regression"])
+    def test_the_lone_value_is_the_stacked_profile_bit_for_bit(self, case, name, value):
+        design, box, route = LEAN_CASES[case]
+        Y = np.stack([sample_path(design, PARAMS0, (52, r)) for r in range(3)])
+        overflows = value == 1e-300
+        if overflows:  # Q / sigma2 overflows to inf on both paths
+            Y = Y * 1e6
+        elif value == "trend":
+            value = _trend_matrix(design, 1)
+            Y = Y + value @ [1.0, 2.0]
+        lane = estimation._lane(name, design, box, value)
+        seen = []
+        thetas = np.geomspace(box.a, box.A, 23)
+        for R in (1, 3):  # a row alone from the start, and the last row of a batch
+            kernel = lane.kernel(design, Y[:R], True)
+            assert getattr(kernel, "route", route) == route
+            stack = estimation._Stack([lane], [kernel], R)
+            L_shared, Q_shared = kernel.parts(None, thetas)
+            for r in range(R):
+                alone, stacked = {}, {}
+                step = stack.lone(r, alone)
+                for j, theta in enumerate(thetas):
+                    want = stack.profile(np.array([r]), np.array([[theta]]), stacked)[0][0, 0]
+                    got = step(theta)
+                    assert type(got) is float and _bits(got) == _bits(want), (R, r, theta)
+                    seen.append(got)
+                    L, Q = kernel.parts(np.array([r]), np.array([[theta]]))
+                    assert (_bits(L[0, 0]), _bits(Q[0, 0])) == (_bits(L_shared[j]), _bits(Q_shared[r, j]))
+                assert {k: repr(err) for k, err in alone.items()} == {k: repr(err) for k, err in stacked.items()}
+                assert not alone
+        assert (math.inf in seen) == overflows
+
+    def test_a_collapsed_trend_projection_fails_the_lone_row(self):
+        # an indicator column of the first point leaves its projected
+        # leave-one-out variance at zero: L is NaN at every theta
+        d = regular_design(12)
+        F = np.column_stack([np.ones(d.n), np.eye(d.n)[:, 0]])
+        Y = np.stack([sample_path(d, PARAMS0, (53, r)) for r in range(2)])
+        lane = estimation._lane("cv-regression", d, BOX, F)
+        stack = estimation._Stack([lane], [lane.kernel(d, Y, True)], 2)
+        for r in range(2):
+            alone, stacked = {}, {}
+            got = stack.lone(r, alone)(2.0)
+            want = stack.profile(np.array([r]), np.array([[2.0]]), stacked)[0][0, 0]
+            assert math.isnan(got) and math.isnan(want)
+            assert list(alone) == list(stacked) == [r]
+            assert isinstance(alone[r], ConditioningError) and repr(alone[r]) == repr(stacked[r])
+        results = estimate_batch("cv-regression", d, Y[:1], BOX, F)
+        assert isinstance(results[0], ConditioningError)
+
+
+# Python frames that one lone-row step entered when each step went through
+# the stacked profile, the kernel's theta blocks and its per-point term
+# helpers (counted with sys.setprofile): per-point 29 (cv-joint) and 27
+# (ml-joint) on regular:12, classes 30 and 28 on regular:200, series 43
+# and 28 on Dirichlet gaps at n = 2000, and cv-regression 46 on regular:200.
+# The whole box lies inside the series' domain of this Dirichlet design.
+_DIRICHLET_2000 = random_design(np.random.default_rng(0), 2000)
+FRAME_CASES = {
+    "per-point-cv": (regular_design(12), "cv-joint", "per-point", 29),
+    "per-point-ml": (regular_design(12), "ml-joint", "per-point", 27),
+    "classes-cv": (regular_design(200), "cv-joint", "classes", 30),
+    "classes-ml": (regular_design(200), "ml-joint", "classes", 28),
+    "series-cv": (_DIRICHLET_2000, "cv-joint", "series", 43),
+    "series-ml": (_DIRICHLET_2000, "ml-joint", "series", 28),
+    "cv-regression": (regular_design(200), "cv-regression", None, 46),
+}
+
+
+@pytest.mark.parametrize("case", FRAME_CASES)
+def test_a_lone_step_enters_at_most_half_the_frames_it_did(monkeypatch, case):
+    # a count of Python frames, not a timing: it repeats exactly
+    design, name, route, parent = FRAME_CASES[case]
+    y = sample_path(design, PARAMS0, 54)
+    F = _trend_matrix(design, 1) if name == "cv-regression" else None
+    steps = []
+    search_row = estimation._search_row
+
+    def spy(*args):
+        frames = [0]
+
+        def count(frame, event, arg):
+            frames[0] += event == "call"
+
+        previous = sys.getprofile()
+        sys.setprofile(count)
+        try:
+            found = search_row(*args)
+        finally:
+            sys.setprofile(previous)
+        steps.append(((frames[0] - 1) / (found[2] - args[-2]), found[2] - args[-2]))  # less search_row's own
+        return found
+
+    monkeypatch.setattr(estimation, "_search_row", spy)
+    estimation._LAST.clear()
+    res = estimate_batch(name, design, (y if F is None else y + F @ [1.0, 2.0])[None, :], BOX, F)[0]
+    if route is not None:
+        ((kernel,),) = [_kept().values()]
+        assert kernel.route == route
+        assert route != "series" or BOX.A * kernel.span <= scoring._SERIES_X
+    ((per_step, taken),) = steps
+    assert taken == res.iterations > 20
+    assert per_step <= parent / 2

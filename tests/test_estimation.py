@@ -100,6 +100,12 @@ class TestJointEstimation:
             assert res.iterations <= 200
 
 
+def _alone(objective):
+    """The lone-row objective that _minimize_theta steps: row r's value
+    at one theta, through ``objective`` at a (1, 1) theta array."""
+    return lambda r, failed: lambda theta: float(objective(np.array([r]), np.array([[theta]]), failed)[0, 0])
+
+
 class TestGridMinima:
     """``grid_minima`` counts the local minima of a row's 64 grid values."""
 
@@ -109,7 +115,7 @@ class TestGridMinima:
             thetas = np.broadcast_to(np.asarray(thetas, dtype=float), (len(idx), np.shape(thetas)[-1]))
             return f(np.log(thetas))
 
-        theta, _, _, _, minima, failed = _minimize_theta(objective, lo, hi, rows)
+        theta, _, _, _, minima, failed = _minimize_theta(objective, _alone(objective), lo, hi, rows)
         assert not failed
         return theta, minima
 
@@ -164,7 +170,7 @@ class TestBestPoint:
                 seen.setdefault(int(r), []).append((v, t))
             return values
 
-        theta, value, _, _, _, failed = _minimize_theta(objective, 0.1, 10.0, 6)
+        theta, value, _, _, _, failed = _minimize_theta(objective, _alone(objective), 0.1, 10.0, 6)
         assert not failed
         for r in range(6):
             want_value, want_theta = min((v, t) for v, t in seen[r] if not np.isnan(v))

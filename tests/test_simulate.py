@@ -71,6 +71,21 @@ class TestSamplePath:
         if theta == 1e3 and design.n == 4:
             assert decay[0] == 0.0
 
+    @pytest.mark.parametrize("design", [regular_design(3), regular_design(12), regular_design(8193),
+                                        regular_design(10**5), minimal_design(12, 0.5), maximal_design(200, 0.5)],
+                             ids=["n3", "n12", "n8193", "n100000", "minimal12", "maximal200"])
+    @pytest.mark.parametrize("theta, sigma2", [(3.0, 1.0), (0.01, 1e-300), (1e3, 1e300)])
+    def test_bitwise_equal_to_the_python_float_recursion(self, design, theta, sigma2):
+        params = CovarianceParams(theta=theta, sigma2=sigma2)
+        eps = np.random.default_rng(7).standard_normal(design.n)
+        sd = np.sqrt(params.sigma2)
+        decay = np.exp(-theta * design.gaps).tolist()
+        innov = (sd * np.sqrt(-np.expm1(-2.0 * theta * design.gaps)) * eps[1:]).tolist()
+        expected = [float(sd * eps[0])]
+        for a, w in zip(decay, innov):
+            expected.append(a * expected[-1] + w)
+        assert sample_path(design, params, 7).tobytes() == np.array(expected).tobytes()
+
     def test_degenerate_variance_limit(self):
         d = regular_design(20)
         y = sample_path(d, CovarianceParams(theta=3.0, sigma2=1e-300), 99)
