@@ -44,7 +44,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import lru_cache, partial
+from functools import partial
 from typing import Callable
 
 import numpy as np
@@ -216,15 +216,6 @@ def _best_seen(seen: list, rows: int) -> tuple[np.ndarray, np.ndarray]:
     return best_x, best_f
 
 
-@lru_cache(maxsize=32)
-def _grid(lo: float, hi: float) -> np.ndarray:
-    """The search's log-spaced theta grid on [lo, hi], built once per
-    range and read-only, since every search on that range shares it."""
-    grid = np.geomspace(lo, hi, _GRID_SIZE)
-    grid.flags.writeable = False
-    return grid
-
-
 def _search_row(value: Callable, r, a, b, c, d, fc, fd, it: int, failed: dict) -> tuple:
     """The golden-section steps of the one row ``r`` left searching, from
     its bracket after ``it`` steps: the lockstep loop of
@@ -276,17 +267,16 @@ def _minimize_theta(objective: Callable, lone: Callable, lo: float, hi: float, r
     (:func:`_search_row`), with the same bits: a step is then one call of
     its lone objective, 18-27 us on the fig2 designs, and about 1 us of
     bracket arithmetic, where the numpy steps of one row cost about 13 us
-    more (2-vCPU host). The grid is built once per range. The returned
-    point is the smallest objective value seen, grid nodes included; ties go to
-    the smaller theta. A non-finite value on a row's grid fails that row
-    alone. Returns per row theta, value, iterations, evaluations and the
+    more (2-vCPU host). The returned point is the smallest objective
+    value seen, grid nodes included; ties go to the smaller theta. A
+    non-finite value on a row's grid fails that row alone. Returns per row theta, value, iterations, evaluations and the
     local minima of the grid values, and the failures by row. A collapsed
     range ``lo == hi`` is not searched here: :meth:`_Stack.search`
     evaluates a fixed theta once per row.
     """
     failed: dict[int, OucvError] = {}
     everyone = np.arange(rows)
-    grid = _grid(lo, hi)
+    grid = np.geomspace(lo, hi, _GRID_SIZE)
     values = objective(everyone, grid, failed)
     _fail_nonfinite(failed, grid, values)
     minima = _local_minima(values)

@@ -42,7 +42,6 @@ from .scoring import (
     _check_data,
     _in_blocks,
     _increments,
-    _padded_gaps,
     _precision_terms,
     _quiet,
 )
@@ -100,9 +99,8 @@ def _columns(F: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
 
 @_quiet
-def _trend_factor(gaps: np.ndarray, thetas, columns):
-    """The theta-only part of the projected precision P - W'W at the
-    design's :func:`~oucv.scoring._padded_gaps` (design, 2), for
+def _trend_factor(design: Design, thetas, columns):
+    """The theta-only part of the projected precision P - W'W, for
     ``thetas`` of any shape and the trend :func:`_columns` of F, unchecked.
 
     W = C^-1 F' P, with C lower triangular and C C' = F' P F, is built
@@ -115,7 +113,7 @@ def _trend_factor(gaps: np.ndarray, thetas, columns):
     """
     Ft, dFt = columns
     W = []
-    A, h, c = _precision_terms(gaps, thetas)
+    A, h, c = _precision_terms(design, thetas)
     C = np.zeros(A.shape[:-1] + (Ft.shape[0],) * 2)
     lead = (Ft.shape[0],) + (1,) * (A.ndim - 1)  # every column's P F_j in one call, column axis first
     PF = _apply_precision(Ft.reshape(lead + Ft.shape[1:]), dFt.reshape(lead + dFt.shape[1:]), h, c)
@@ -164,7 +162,7 @@ def _factor_at(design: Design, z, theta: float, F):
     theta = check_positive("theta", theta)
     z = _check_data(design, z)
     dz = _increments(z, 1)
-    factor = _trend_factor(_padded_gaps(design, 2), [theta], _columns(_prepare_F(design, F)))
+    factor = _trend_factor(design, [theta], _columns(_prepare_F(design, F)))
     L, Q = _parts(factor, z[None, :], dz[None, :])
     if np.isnan(L[0]):
         raise ConditioningError(f"trend projection is singular at theta = {theta}: the normal matrix is not "
@@ -209,15 +207,15 @@ def reg_parts(design: Design, Y: np.ndarray, thetas, F: np.ndarray) -> tuple[np.
 class TrendKernel:
     """:func:`reg_parts` on data rows Z for checked trend columns F, in
     the form the batched search takes (see
-    :class:`~oucv.scoring.CvKernel`): the padded gaps and the increments
-    of the rows and of the trend columns are prepared once, whatever
-    ``reuse`` says. The variance profile divides Q by ``count`` = n. It
-    has no analytic gradient."""
+    :class:`~oucv.scoring.CvKernel`): the increments of the rows and of
+    the trend columns are prepared once, whatever ``reuse`` says. The
+    variance profile divides Q by ``count`` = n. It has no analytic
+    gradient."""
 
     gradient = None
 
     def __init__(self, design: Design, Z: np.ndarray, reuse: bool, F: np.ndarray):
-        self.gaps, self.columns, self.count = _padded_gaps(design, 2), _columns(F), design.n
+        self.design, self.columns, self.count = design, _columns(F), design.n
         self.data = (Z, _increments(Z, 1))
 
     def parts(self, rows, thetas):
@@ -233,11 +231,11 @@ class TrendKernel:
         if rows is not None:
             Z, dZ = Z[rows], dZ[rows]
         if thetas.ndim > 1:
-            return _parts(_trend_factor(self.gaps, thetas, self.columns), Z, dZ)
+            return _parts(_trend_factor(self.design, thetas, self.columns), Z, dZ)
         block = max(1, _ELEMENT_BUDGET // (Z.shape[0] * self.count))
 
         def evaluate(thetas):
-            factor = _trend_factor(self.gaps, thetas, self.columns)
+            factor = _trend_factor(self.design, thetas, self.columns)
             L, Q = zip(*(_parts(_theta_block(factor, slice(j, j + block)), Z, dZ)
                          for j in range(0, thetas.size, block)))
             return np.concatenate(L), np.concatenate(Q, axis=1)

@@ -65,7 +65,7 @@ from .errors import (
     check_finite,
     check_positive,
 )
-from .numerics import _ELEMENT_BUDGET
+from .numerics import _ELEMENT_BUDGET, one_minus_exp_neg
 from .simulate import covariance_matrix
 
 __all__ = [
@@ -114,7 +114,9 @@ _PIVOT_RATIO_MIN = 1e-5
 # edges or at tiny gaps overflows, divides by zero or meets inf - inf,
 # and a row whose objective is not finite fails in the search. It is
 # applied as a decorator, which sets the state per call in one Python
-# frame; an errstate entered by ``with`` costs three.
+# frame; an errstate entered by ``with`` costs three. One shared instance
+# is safe across threads because numpy 2 keeps the state token per call
+# (numpy 1's errstate kept it on the instance), hence numpy >= 2.
 _quiet = np.errstate(over="ignore", invalid="ignore", divide="ignore")
 
 
@@ -172,7 +174,7 @@ def _gap_terms(gaps: np.ndarray, thetas):
     infinite gap gives E = 0 and G = 1.
     """
     x = np.asarray(thetas, dtype=float)[..., None] * gaps
-    return np.exp(-x), -np.expm1(-(2.0 * x))  # G as numerics.one_minus_exp_neg(2 x), without cancellation
+    return np.exp(-x), one_minus_exp_neg(2.0 * x)
 
 
 def _in_blocks(evaluate, thetas: np.ndarray, rows: int, width: int):
@@ -306,10 +308,11 @@ def _cv_precision(values: np.ndarray, members: tuple, thetas):
     return E, a, c, p, a[..., il] + a[..., ir] - 1.0, 0.5 * (t[..., il] + t[..., ir]), c[..., il], c[..., ir]
 
 
-def _precision_terms(gaps: np.ndarray, thetas):
-    """The precision point by point at the :func:`_padded_gaps` (design, 2),
-    for ``thetas`` of any shape (point axis last): A and h per point, c
-    per gap with the infinite outer gaps (c = 0)."""
+def _precision_terms(design: Design, thetas):
+    """The precision point by point, for ``thetas`` of any shape (point axis
+    last): A and h per point, c per gap with the infinite outer gaps (c = 0).
+    The padded gaps are built once per design."""
+    gaps = _cached(design, ("padded", 2), lambda: _padded_gaps(design, 2))
     _, _, c, _, A, h, _, _ = _cv_precision(gaps, (slice(None, -1), slice(1, None)), thetas)
     return A, h, c
 
@@ -626,27 +629,12 @@ class CvKernel(_GapKernel):
 
     @staticmethod
     def _point_value(layout: _Layout, Y, d, thetas):
-        """L and Q of a per-point block with data y_i and d_i .. d_{i+1}:
-        the precision of :func:`_cv_precision` and the residual of
-        :func:`_apply_precision`, in one frame."""
-        x = thetas[..., None] * layout.values
-        E = np.exp(-x)
-        G = -np.expm1(-(2.0 * x))
-        a = 1.0 / G
-        p = 1.0 + E
-        c = a * E
-        t = G / (p * p)  # tanh(theta g / 2)
-        del x, E, G, p  # a block holds few arrays at once
-        il, ir = layout.members
-        A = a[..., il] + a[..., ir] - 1.0
-        h = 0.5 * (t[..., il] + t[..., ir])
-        cd = c * d[:, None, :]
-        del a, c, t
-        u = h * Y[:, None, :]
-        u += cd[..., :-1]
-        u -= cd[..., 1:]
+        """L and Q of a per-point block with data y_i and d_i .. d_{i+1}: Q
+        sums the squared residuals P y of :func:`_apply_precision` over A."""
+        _, _, c, _, A, h, _, _ = _cv_precision(layout.values, layout.members, thetas)
+        u = _apply_precision(Y[:, None, :], d[:, None, :], h, c)
         # 0 - sum log A: L is +0, not -0, where every A rounds to 1 (theta g > 18 at every gap)
-        return 0.0 - np.add.reduce(np.log(A), axis=-1), np.add.reduce(u * (u / A), axis=-1)
+        return 0.0 - layout.total(np.log(A)), np.add.reduce(u * (u / A), axis=-1)
 
     def _derivatives(self, layout: _Layout, thetas):
         E, a, c, p, A, h, cL, cR = _cv_precision(layout.values, layout.members, thetas)
@@ -774,13 +762,10 @@ class MlKernel(_GapKernel):
 
     @staticmethod
     def _point_value(layout: _Layout, d, prev, thetas):
-        """L and Q of a per-point block with data d_i and y_{i-1}, in one frame."""
-        x = thetas[..., None] * layout.values
-        E = np.exp(-x)
-        G = -np.expm1(-(2.0 * x))
+        """L and Q of a per-point block with data d_i and y_{i-1}."""
+        E, G = _gap_terms(layout.values, thetas)
         w = d[:, None, :] + (G / (1.0 + E)) * prev[:, None, :]  # G / (1 + E) = 1 - E
-        return (layout.points * np.log(2.0 * np.pi) + np.add.reduce(np.log(G), axis=-1),
-                np.add.reduce(w * w / G, axis=-1))
+        return layout.points * np.log(2.0 * np.pi) + layout.total(np.log(G)), np.add.reduce(w * w / G, axis=-1)
 
     def _derivatives(self, layout: _Layout, thetas):
         E, G = _gap_terms(layout.values, thetas)
@@ -869,7 +854,7 @@ def precision_matrix(design: Design, theta: float) -> TridiagonalPrecision:
     """
     theta = check_positive("theta", theta)
     with np.errstate(divide="ignore", over="ignore"):
-        A, _, c = _precision_terms(_padded_gaps(design, 2), theta)
+        A, _, c = _precision_terms(design, theta)
     check_finite("precision matrix", A, theta)  # each |c| is at most its points' A
     return TridiagonalPrecision(diag=A, off=-c[1:-1])
 
@@ -887,7 +872,7 @@ def loo_predictions(design: Design, y, theta: float) -> LooSummary:
     theta = check_positive("theta", theta)
     y = _check_data(design, y)
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-        A, h, c = _precision_terms(_padded_gaps(design, 2), theta)
+        A, h, c = _precision_terms(design, theta)
         predictions = y - _apply_precision(y, _increments(y, 1), h, c) / A
     check_finite("a leave-one-out prediction", predictions, theta)
     return LooSummary(predictions=predictions, normalized_variances=1.0 / A)

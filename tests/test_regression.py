@@ -164,8 +164,7 @@ class TestRegLogScore:
         for _ in range(10):
             design, z, theta, _ = random_instance(rng, n_lo=8, n_hi=40)
             F = random_F(rng, design.n, 2)
-            _, _, _, _, proj_diag = regression_mod._trend_factor(regression_mod._padded_gaps(design, 2), [theta],
-                                                                     regression_mod._columns(F))
+            _, _, _, _, proj_diag = regression_mod._trend_factor(design, [theta], regression_mod._columns(F))
             assert np.all(proj_diag > 0.0)
             assert np.all(proj_diag <= precision_matrix(design, theta).diag + 1e-12)
 
@@ -209,8 +208,7 @@ class TestLooBeta:
     def test_two_route_prediction_equivalence(self, rng):
         design, z, theta, _ = random_instance(rng, n_lo=8, n_hi=30)
         F = random_F(rng, design.n, 2)
-        (_, h, c), W, _, _, proj_diag = regression_mod._trend_factor(regression_mod._padded_gaps(design, 2), [theta],
-                                                                     regression_mod._columns(F))
+        (_, h, c), W, _, _, proj_diag = regression_mod._trend_factor(design, [theta], regression_mod._columns(F))
         Pz = regression_mod._apply_precision(z, regression_mod._increments(z, 1), h, c)
         proj_diag, proj_z = proj_diag[0], regression_mod._project(Pz, W, z)[0]
         shortcut_preds = z - proj_z / proj_diag
