@@ -223,9 +223,9 @@ def _search_row(value: Callable, r, a, b, c, d, fc, fd, it: int, failed: dict) -
     operations in the same order and so give the same bits. Each step is
     one call of ``value``, the row's objective alone (:meth:`_Stack.lone`):
     one kernel call at a (1, 1) theta array and its variance profile on
-    Python floats, 18-27 us on the fig2 designs (2-vCPU host), in 7-13
-    Python frames. Returns the final bracket, the iterations, and the probes with their
-    values."""
+    Python floats, 19-26 us on the fig2 designs (2-vCPU host), in 7-15
+    Python frames. Returns the final bracket, the iterations, and the
+    probes with their values."""
     probes, values = [], []
     while b - a > _REFINE_RTOL * 0.5 * (a + b) and it < _REFINE_MAX_ITER and r not in failed:
         left = fc <= fd  # ties shrink toward the left, keeping smaller arguments
@@ -265,14 +265,15 @@ def _minimize_theta(objective: Callable, lone: Callable, lo: float, hi: float, r
     them. When one row is left, a single estimate from the start or the
     last row of a batch, it steps alone on Python floats
     (:func:`_search_row`), with the same bits: a step is then one call of
-    its lone objective, 18-27 us on the fig2 designs, and about 1 us of
+    its lone objective, 19-26 us on the fig2 designs, and about 1 us of
     bracket arithmetic, where the numpy steps of one row cost about 13 us
     more (2-vCPU host). The returned point is the smallest objective
     value seen, grid nodes included; ties go to the smaller theta. A
-    non-finite value on a row's grid fails that row alone. Returns per row theta, value, iterations, evaluations and the
-    local minima of the grid values, and the failures by row. A collapsed
-    range ``lo == hi`` is not searched here: :meth:`_Stack.search`
-    evaluates a fixed theta once per row.
+    non-finite value on a row's grid fails that row alone. Returns per
+    row theta, value, iterations, evaluations and the local minima of the
+    grid values, and the failures by row. A collapsed range ``lo == hi``
+    is not searched here: :meth:`_Stack.search` evaluates a fixed theta
+    once per row.
     """
     failed: dict[int, OucvError] = {}
     everyone = np.arange(rows)
@@ -410,7 +411,7 @@ class _Stack:
     and indexing made a one-estimator search up to 15% slower; singular
     rows are looked for only when L holds a NaN. The golden-section steps
     of a row left searching alone call :meth:`lone`, the row's objective
-    on Python floats: one kernel call at a (1, 1) theta array (17-25 us
+    on Python floats: one kernel call at a (1, 1) theta array (18-25 us
     on the fig2 designs, 2-vCPU host) and 1-2 us of variance profile,
     where ``profile`` takes about 7 us.
     """

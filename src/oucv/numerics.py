@@ -11,11 +11,11 @@ import numpy as np
 
 # Most (row x theta x class) elements one block of an evaluation holds,
 # the points of one block of a per-point evaluation, and the points of
-# one block of the command line's CSV rows. Arrays of 2^13 doubles (64 KB) stay cache-sized and under the
-# allocator's 128 KB trim threshold: at 2^14 the heap was returned and
-# refaulted on every call, at up to 1700 page faults per estimate, and
-# unblocked n = 1e5 arrays made an estimate on Dirichlet gaps up to 1.5x
-# slower the same way.
+# one block of the command line's CSV rows. Arrays of 2^13 doubles
+# (64 KB) stay cache-sized and under the allocator's 128 KB trim
+# threshold: at 2^14 the heap was returned and refaulted on every call,
+# at up to 1700 page faults per estimate, and unblocked n = 1e5 arrays
+# made an estimate on Dirichlet gaps up to 1.5x slower the same way.
 _ELEMENT_BUDGET = 1 << 13
 
 

@@ -397,9 +397,9 @@ class _GapKernel:
     divides by: n for both objectives. Per-row thetas, a search's
     golden-section steps, go straight to the route's sums, and a
     per-point block's L and Q are one method of the objective
-    (``_point_value``): a lone row's step, one (1, 1) call, takes 17-25 us
+    (``_point_value``): a lone row's step, one (1, 1) call, takes 18-25 us
     on the fig2 designs (2-vCPU host), nearly all of it numpy's ufunc
-    calls, and enters 6-12 Python frames of the kernel.
+    calls, and enters 6-13 Python frames of the kernel.
     """
 
     keys = 0  # neighbouring gaps that define a point's class
